@@ -51,7 +51,10 @@ class RunConfig:
     format: str
 
     def base(self) -> VilenkinBase:
-        base = make_base(self.moduli, self.depth)
+        try:
+            base = make_base(self.moduli, self.depth)
+        except ValueError as err:
+            raise SystemExit(f"invalid base: {err}") from None
         if base.size > SIZE_GUARD:
             raise SystemExit(
                 f"refusing to run: base has {base.size} cells, guard is {SIZE_GUARD}"
@@ -80,7 +83,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "base", None):
         moduli = tuple(int(tok) for tok in args.base.split(","))
         depth = None
-    if getattr(args, "depth", None):
+    if getattr(args, "depth", None) is not None:
         depth = args.depth
     if moduli is None:
         moduli = (2,)

@@ -93,7 +93,10 @@ class LevelFunction:
         """(integral of |f|^p)^(1/p) for any p > 0."""
         if p <= 0:
             raise ValueError(f"p must be positive, got {p}")
-        return float(np.mean(np.abs(self.values) ** p) ** (1.0 / p))
+        mean = np.mean(np.abs(self.values) ** p)
+        if not np.isfinite(mean):
+            raise ValueError("values are not finite (or |f|^p overflows float64)")
+        return float(mean ** (1.0 / p))
 
     def weak_lp(self, p: float) -> float:
         """sup over lambda > 0 of lambda^p * mu(|f| > lambda).
@@ -106,6 +109,8 @@ class LevelFunction:
             raise ValueError(f"p must be positive, got {p}")
         mods = np.abs(self.values)
         uniq, counts = np.unique(mods, return_counts=True)
+        if not np.isfinite(uniq[-1]):  # NaN and inf sort last
+            raise ValueError("values are not finite")
         if uniq[-1] == 0.0:
             return 0.0
         # mu(|f| >= uniq[i]) via a reversed cumulative count

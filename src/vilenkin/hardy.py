@@ -36,7 +36,7 @@ __all__ = [
     "CorpusSpec",
 ]
 
-_ADAPTED_TOL = 1e-8
+_ADAPTED_RTOL = 1e-8  # relative to the sup norm of the top component
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +44,10 @@ class Martingale:
     """Adapted component sequence f^(0)..f^(N), one level each.
 
     Construction verifies adaptedness: averaging a component over the
-    coarser cylinders must reproduce the previous component.
+    coarser cylinders must reproduce the previous component, up to a
+    tolerance relative to the sup norm of the top component (which bounds
+    every component of an adapted sequence, and sets the size of the
+    rounding error of the averages).
     """
 
     base: VilenkinBase
@@ -58,9 +61,10 @@ class Martingale:
                 raise ValueError("mismatched bases")
             if comp.level != n:
                 raise ValueError(f"component {n} resolved at level {comp.level}, expected {n}")
+        tol = _ADAPTED_RTOL * float(np.max(np.abs(self.components[-1].values)))
         for n in range(len(self.components) - 1):
             stepped = self.components[n + 1].conditional_expectation(n)
-            if stepped.max_abs_diff(self.components[n]) > _ADAPTED_TOL:
+            if stepped.max_abs_diff(self.components[n]) > tol:
                 raise ValueError(f"components {n} and {n + 1} violate adaptedness")
 
     @property

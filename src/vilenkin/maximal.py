@@ -19,7 +19,7 @@ import numpy as np
 
 from .functions import LevelFunction
 from .hardy import Martingale, hardy_quasinorm, martingale_from_function
-from .kernels import HarmonicSums, KernelConvention
+from .kernels import KernelConvention
 from .transform import CharacterSampler, forward
 
 __all__ = [
@@ -33,11 +33,11 @@ __all__ = [
     "weighted_riesz_star",
     "weight_trend",
     "hp_to_lp_ratio",
-    "abel_domination_constant",
 ]
 
 _GENERIC_KINDS = ("unit", "power_log_sq", "custom_table")
 _OPERATOR_FORMS = ("log", "power_log")
+_TAIL_BLOCK = 4096  # cells per block of spectral-tail steps in _stream_sup
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,14 @@ def _stream_sup(
     Walks n = 1..n_max keeping the running partial sum S_n f and the mean
     accumulators; computation happens at the function's effective level
     (means of a level-R function are level-R functions for every n).
+
+    The per-step loop runs only up to the last nonzero coefficient.  Past
+    it S_n f = f, so the remaining steps are computed in blocks of
+    _TAIL_BLOCK cells: a sequential cumsum over the stacked increments
+    (the loop's order of additions), then a first-occurrence argmax that
+    keeps the loop's strict-improvement tie rule.  The result and argmax
+    are bit-identical to the per-step loop, whose cost now scales with the
+    length of the spectrum rather than with n_max.
     """
     if not 1 <= n_max <= f.base.orders[f.level]:
         raise ValueError(f"n_max {n_max} outside [1, {f.base.orders[f.level]}]")
@@ -153,9 +161,11 @@ def _stream_sup(
     harm = 0.0
     best = np.full(total, -1.0)
     arg = np.zeros(total, dtype=np.int64)
-    for n in range(1, n_max + 1):
+    nonzero = np.flatnonzero(coeffs)
+    head = min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0)
+    for n in range(1, head + 1):
         j = n - 1
-        if j < total and coeffs[j] != 0:
+        if coeffs[j] != 0:
             s = s + coeffs[j] * sampler.character(j)
         if mode == "sigma":
             acc = acc + s
@@ -172,6 +182,38 @@ def _stream_sup(
         better = vals > best
         best[better] = vals[better]
         arg[better] = n
+    if head < n_max:
+        rows = min(n_max - head, max(1, _TAIL_BLOCK // total))
+        cum = np.empty((rows + 1, total), dtype=np.complex128)  # carried acc, then increments
+        cum[0] = acc
+        mods = np.empty((rows, total))
+        cols = np.arange(total)
+        for lo in range(head + 1, n_max + 1, rows):
+            k = min(rows, n_max + 1 - lo)
+            ns = np.arange(lo, lo + k, dtype=np.float64)[:, None]
+            sums, vals = cum[1 : k + 1], mods[:k]
+            if mode == "sigma":
+                sums[...] = s
+            else:
+                np.divide(s, ns, out=sums)
+            np.cumsum(cum[: k + 1], axis=0, out=cum[: k + 1])  # in place, row after row
+            cum[0] = cum[k]
+            if mode == "sigma" and convention is not KernelConvention.SHIFTED:
+                sums -= s
+            np.abs(sums, out=vals)
+            if mode == "sigma":
+                vals /= ns
+            else:
+                harms = np.cumsum(np.concatenate(([harm], 1.0 / ns[:, 0])))
+                harm = float(harms[-1])
+                vals /= harms[1:, None]
+            if divisors is not None:
+                vals /= divisors[lo - 1 : lo - 1 + k, None]
+            top = np.argmax(vals, axis=0)
+            peak = vals[top, cols]
+            better = peak > best
+            best[better] = peak[better]
+            arg[better] = lo + top[better]
     reps = f.base.orders[f.level] // total
     result = LevelFunction(f.base, f.level, np.repeat(best, reps))
     return MaximalReport(label, n_max, result, np.repeat(arg, reps))
@@ -203,21 +245,6 @@ def weighted_riesz_star(f: LevelFunction, weight: WeightSpec, n_max: int) -> Max
     return _stream_sup(
         f, n_max, "riesz", KernelConvention.SHIFTED, divisors, f"riesz_star/{weight.kind}"
     )
-
-
-def abel_domination_constant(n_max: int) -> float:
-    """Numeric constant in the pointwise bound R* f <= c sigma* f.
-
-    The Abel rearrangement of the Riesz mean gives
-    |R_n f| <= max_j |sigma_j f| * (1/l_n) (sum_{j=1}^{n-1} 1/(j+1) + 1);
-    this evaluates the max of the bracket over n = 1..n_max.
-    """
-    harm = HarmonicSums.upto(n_max + 1)
-    best = 0.0
-    for n in range(1, n_max + 1):
-        inner = (harm[n] - 1.0) + 1.0  # sum_{j=1}^{n-1} 1/(j+1) == l_n - 1
-        best = max(best, inner / harm[n])
-    return best
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,13 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(out.read_text().splitlines()) == 7  # depth override wins
 
 
+def test_depth_zero_is_refused():
+    with pytest.raises(SystemExit, match="depth must be >= 1"):
+        main(["--base", "2", "--depth", "0", "kernel", "dump", "--which", "riesz", "--n", "1"])
+    with pytest.raises(SystemExit, match="depth must be >= 1"):
+        main(["--depth", "0", "spectrum", "dump", "--which", "fejer", "--n", "1"])
+
+
 def test_weight_spec_parse_error():
     with pytest.raises(SystemExit, match="weight"):
         main(["--base", "2", "--depth", "6", "counterexample", "sweep", "--phi", "bogus", "--p", "0.5", "--kmax", "1"])

@@ -54,6 +54,19 @@ def test_norms_reject_nonpositive_parameters():
         f.weak_lp_at(0.5, 0.0)
 
 
+def test_norms_reject_non_finite_values():
+    base = make_base((2,), 2)
+    for bad in (np.nan, np.inf, complex(1.0, np.nan)):
+        f = LevelFunction(base, 2, [1.0, bad, 0.0, 2.0])
+        with pytest.raises(ValueError, match="not finite"):
+            f.weak_lp(0.5)
+        with pytest.raises(ValueError, match="not finite"):
+            f.lp_quasinorm(0.5)
+    all_nan = LevelFunction(base, 2, [np.nan] * 4)
+    with pytest.raises(ValueError, match="not finite"):
+        all_nan.weak_lp(1.0)
+
+
 def test_weak_lp_examples():
     base = make_base((2,), 1)
     assert constant(base, 1, 3.0).weak_lp(0.5) == pytest.approx(np.sqrt(3.0))

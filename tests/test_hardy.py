@@ -51,6 +51,27 @@ def test_martingale_adaptedness_enforced():
         Martingale(base, bad)
 
 
+@pytest.mark.parametrize("p, support_level", [(0.3, 8), (0.2, 8), (0.1, 6)])
+def test_adaptedness_tolerance_scales_with_atom_height(p, support_level):
+    # sup norms of 1e10..1e23: averaging error exceeds any absolute tolerance
+    base = make_base((2, 3), 10)
+    atom = random_atom(base, p, np.random.default_rng(0), support_level=support_level)
+    mart = martingale_from_function(atom.values)
+    assert mart.top_level == atom.values.level
+    assert np.isfinite(hardy_quasinorm(mart, p))
+
+
+def test_adaptedness_violation_rejected_at_any_scale():
+    base = make_base((2,), 2)
+    good = martingale_from_function(LevelFunction(base, 2, [1.0, 2.0, 3.0, 4.0]))
+    for scale in (1e-12, 1.0, 1e15):
+        comps = [c * scale for c in good.components]
+        Martingale(base, tuple(comps))
+        comps[1] = comps[1] + constant(base, 1, 1e-6 * scale)
+        with pytest.raises(ValueError, match="adaptedness"):
+            Martingale(base, tuple(comps))
+
+
 def test_maximal_function_examples():
     base = make_base((2,), 3)
     single = Martingale(base, (constant(base, 0, -2.0 + 1.5j),))
