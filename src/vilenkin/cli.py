@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .counterexample import blowup_table
-from .functions import write_csv
+from .functions import LevelFunction, write_csv
 from .group import VilenkinBase, load_base, make_base
 from .hardy import CorpusSpec
 from .kernels import KernelConvention, dirichlet, fejer_kernel, riesz_kernel
@@ -159,11 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         kwargs["max_cylinder_level"] = args.max_a
     if args.suite == "atoms" and args.count is not None:
         kwargs["count"] = args.count
-    try:
-        report = run_suite(args.suite, seed=cfg.seed, **kwargs)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    report = run_suite(args.suite, seed=cfg.seed, **kwargs)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         extras = " ".join(f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in check.detail.items())
@@ -174,17 +170,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _selected_kernel(args: argparse.Namespace, base: VilenkinBase) -> LevelFunction:
+    """The kernel named by the dump flags --which, --n, --level, --convention."""
+    level = args.level if args.level is not None else base.depth
+    if args.which == "dirichlet":
+        return dirichlet(base, args.n, level)
+    if args.which == "fejer":
+        return fejer_kernel(base, args.n, level, KernelConvention(args.convention))
+    return riesz_kernel(base, args.n, level)
+
+
 def _cmd_kernel_dump(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    base = cfg.base()
-    level = args.level if args.level is not None else base.depth
-    convention = KernelConvention(args.convention)
-    if args.which == "dirichlet":
-        fn = dirichlet(base, args.n, level)
-    elif args.which == "fejer":
-        fn = fejer_kernel(base, args.n, level, convention)
-    else:
-        fn = riesz_kernel(base, args.n, level)
+    fn = _selected_kernel(args, cfg.base())
     if cfg.format == "json":
         rows = [[r, v.real, v.imag] for r, v in enumerate(fn.values)]
         _emit_rows(["rank", "real", "imag"], rows, cfg)
@@ -197,16 +195,7 @@ def _cmd_kernel_dump(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum_dump(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    base = cfg.base()
-    level = args.level if args.level is not None else base.depth
-    convention = KernelConvention(args.convention)
-    if args.which == "dirichlet":
-        fn = dirichlet(base, args.n, level)
-    elif args.which == "fejer":
-        fn = fejer_kernel(base, args.n, level, convention)
-    else:
-        fn = riesz_kernel(base, args.n, level)
-    spec = forward(fn)
+    spec = forward(_selected_kernel(args, cfg.base()))
     rows = [[k, _fmt(c.real), _fmt(c.imag)] for k, c in enumerate(spec.coeffs)]
     _emit_rows(["index", "real", "imag"], rows, cfg)
     return 0
@@ -375,6 +364,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ValueError as err:  # bad input the library refused
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except BrokenPipeError:  # a downstream pager closed the stream
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

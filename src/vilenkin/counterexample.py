@@ -166,11 +166,8 @@ def riesz_at_q(inst: CounterexampleInstance, s: int, weight: WeightSpec) -> Ries
     m = inst.block_start
     m2s = base.orders[2 * s]
     total = base.orders[level]
-    sampler = CharacterSampler(base, level)
-    d = np.zeros(total, dtype=np.complex128)
     bound_vals = np.zeros(total, dtype=np.float64)
-    for j in range(1, m2s + 1):
-        d = d + sampler.character(j - 1)
+    for j, d in enumerate(CharacterSampler(base, level).partial_sums(m2s), start=1):
         bound_vals += np.abs(d) / (j + m)
     bound_vals /= phi * harm[q]
 

@@ -205,8 +205,13 @@ def random_atom(
     """
     if support_level is None:
         lo, hi = level_range if level_range else (0, base.depth - 1)
-        hi = min(hi, base.depth - extra_depth)
-        support_level = int(rng.integers(lo, hi + 1))
+        top = min(hi, base.depth - extra_depth)
+        if lo > top:
+            raise ValueError(
+                f"support-level range [{lo}, {hi}] is empty once capped at depth - extra_depth "
+                f"= {base.depth - extra_depth} (depth {base.depth}, extra depth {extra_depth})"
+            )
+        support_level = int(rng.integers(lo, top + 1))
     resolution = support_level + extra_depth
     if resolution > base.depth:
         raise ValueError(f"resolution {resolution} exceeds base depth {base.depth}")

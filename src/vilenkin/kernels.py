@@ -7,12 +7,18 @@ Riesz means to Fejer means, and the dyadic closed form, are exact
 identities only under the shifted (k = 1..n) convention; desk expansion
 at small n fixes this once and the unit tests pin it.  Shifted is the
 default for kernel work; the zero-based form stays available.
+
+Every spectral-weight synthesis of a kernel or mean goes through
+``_window`` and every sample-domain stream (here and in the maximal and
+counterexample modules) through :meth:`CharacterSampler.partial_sums`;
+each route is the other's oracle.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -78,14 +84,27 @@ def _require_resolvable(base: VilenkinBase, n: int, level: int) -> None:
         raise ValueError(f"index {n} not resolvable at level {level} (max {base.orders[level]})")
 
 
+def _window(
+    base: VilenkinBase, level: int, coeffs: np.ndarray, n: int, weights: Callable | None = None
+) -> LevelFunction:
+    """Synthesize sum_{j<n} w_j c_j psi_j with w = ``weights(n)`` (ones if None).
+
+    Every spectral-weight kernel and mean goes through here.  ``coeffs`` is
+    a writable table the caller hands over; it is scaled and truncated in
+    place, and the weights are freed before the inverse transform runs.
+    """
+    if weights is not None:
+        coeffs[:n] *= weights(n)
+    coeffs[n:] = 0.0
+    return inverse(Spectrum(base, level, coeffs))
+
+
 def dirichlet(base: VilenkinBase, n: int, level: int) -> LevelFunction:
     """Dirichlet kernel D_n: the sum of the first n characters; D_0 = 0."""
     if n < 0:
         raise ValueError(f"kernel index must be >= 0, got {n}")
     _require_resolvable(base, n, level)
-    coeffs = np.zeros(base.orders[level], dtype=np.complex128)
-    coeffs[:n] = 1.0
-    return inverse(Spectrum(base, level, coeffs))
+    return _window(base, level, np.ones(base.orders[level], dtype=np.complex128), n)
 
 
 def _mean_weights(n: int, convention: KernelConvention) -> np.ndarray:
@@ -100,6 +119,12 @@ def _mean_weights(n: int, convention: KernelConvention) -> np.ndarray:
     return (n - 1 - j) / n
 
 
+def _riesz_weights(n: int) -> np.ndarray:
+    """Per-character weights (l_n - l_j) / l_n of the Riesz kernel, j < n."""
+    harm = HarmonicSums.upto(n)
+    return 1.0 - harm.values[:n] / harm[n]
+
+
 def fejer_kernel(
     base: VilenkinBase,
     n: int,
@@ -110,9 +135,8 @@ def fejer_kernel(
     if n < 1:
         raise ValueError(f"kernel index must be >= 1, got {n}")
     _require_resolvable(base, n, level)
-    coeffs = np.zeros(base.orders[level], dtype=np.complex128)
-    coeffs[:n] = _mean_weights(n, convention)
-    return inverse(Spectrum(base, level, coeffs))
+    table = np.ones(base.orders[level], dtype=np.complex128)
+    return _window(base, level, table, n, lambda k: _mean_weights(k, convention))
 
 
 def gat_closed_form(base: VilenkinBase, exponent: int, x: GroupPoint) -> float:
@@ -158,10 +182,7 @@ def riesz_kernel(base: VilenkinBase, n: int, level: int) -> LevelFunction:
     if n < 1:
         raise ValueError(f"kernel index must be >= 1, got {n}")
     _require_resolvable(base, n, level)
-    harm = HarmonicSums.upto(n)
-    coeffs = np.zeros(base.orders[level], dtype=np.complex128)
-    coeffs[:n] = 1.0 - harm.values[:n] / harm[n]
-    return inverse(Spectrum(base, level, coeffs))
+    return _window(base, level, np.ones(base.orders[level], dtype=np.complex128), n, _riesz_weights)
 
 
 def riesz_kernel_abel(base: VilenkinBase, n: int, level: int) -> LevelFunction:
@@ -173,15 +194,17 @@ def riesz_kernel_abel(base: VilenkinBase, n: int, level: int) -> LevelFunction:
     if n < 1:
         raise ValueError(f"kernel index must be >= 1, got {n}")
     _require_resolvable(base, n, level)
+    return _riesz_abel(base, level, n, None)
+
+
+def _riesz_abel(base: VilenkinBase, level: int, n: int, coeffs: np.ndarray | None) -> LevelFunction:
+    """Shared Abel sum over the partial sums S_j of ``coeffs`` (D_j if None)."""
     harm = HarmonicSums.upto(n)
     total = base.orders[level]
-    sampler = CharacterSampler(base, level)
-    d = np.zeros(total, dtype=np.complex128)  # D_j
-    cum = np.zeros(total, dtype=np.complex128)  # sum_{k<=j} D_k
-    acc = np.zeros(total, dtype=np.complex128)  # sum_{j<n} K_j/(j+1)
-    for j in range(1, n + 1):
-        d = d + sampler.character(j - 1)
-        cum = cum + d
+    cum = np.zeros(total, dtype=np.complex128)  # sum_{k<=j} S_k
+    acc = np.zeros(total, dtype=np.complex128)  # sum_{j<n} sigma_j/(j+1)
+    for j, s in enumerate(CharacterSampler(base, level).partial_sums(n, coeffs), start=1):
+        cum = cum + s
         if j < n:
             acc = acc + cum / (j * (j + 1))
     return LevelFunction(base, level, (acc + cum / n) / harm[n])
@@ -192,9 +215,7 @@ def partial_sum(f: LevelFunction, n: int) -> LevelFunction:
     if n < 0:
         raise ValueError(f"partial-sum index must be >= 0, got {n}")
     _require_resolvable(f.base, n, f.level)
-    coeffs = forward(f).coeffs.copy()
-    coeffs[n:] = 0.0
-    return inverse(Spectrum(f.base, f.level, coeffs))
+    return _window(f.base, f.level, forward(f).coeffs.copy(), n)
 
 
 def all_partial_sums(f: LevelFunction) -> list[LevelFunction]:
@@ -203,14 +224,9 @@ def all_partial_sums(f: LevelFunction) -> list[LevelFunction]:
     Quadratic time and memory in M_N; meant for small levels.
     """
     total = f.base.orders[f.level]
-    coeffs = forward(f).coeffs
-    sampler = CharacterSampler(f.base, f.level)
+    sums = CharacterSampler(f.base, f.level).partial_sums(total, forward(f).coeffs)
     out = [LevelFunction(f.base, f.level, np.zeros(total, dtype=np.complex128))]
-    acc = np.zeros(total, dtype=np.complex128)
-    for k in range(total):
-        if coeffs[k] != 0:
-            acc = acc + coeffs[k] * sampler.character(k)
-        out.append(LevelFunction(f.base, f.level, acc))
+    out.extend(LevelFunction(f.base, f.level, s) for s in sums)
     return out
 
 
@@ -223,10 +239,8 @@ def fejer_mean(
     if n < 1:
         raise ValueError(f"mean index must be >= 1, got {n}")
     _require_resolvable(f.base, n, f.level)
-    coeffs = forward(f).coeffs.copy()
-    coeffs[:n] *= _mean_weights(n, convention)
-    coeffs[n:] = 0.0
-    return inverse(Spectrum(f.base, f.level, coeffs))
+    table = forward(f).coeffs.copy()
+    return _window(f.base, f.level, table, n, lambda k: _mean_weights(k, convention))
 
 
 def riesz_mean(f: LevelFunction, n: int) -> LevelFunction:
@@ -234,11 +248,7 @@ def riesz_mean(f: LevelFunction, n: int) -> LevelFunction:
     if n < 1:
         raise ValueError(f"mean index must be >= 1, got {n}")
     _require_resolvable(f.base, n, f.level)
-    harm = HarmonicSums.upto(n)
-    coeffs = forward(f).coeffs.copy()
-    coeffs[:n] *= 1.0 - harm.values[:n] / harm[n]
-    coeffs[n:] = 0.0
-    return inverse(Spectrum(f.base, f.level, coeffs))
+    return _window(f.base, f.level, forward(f).coeffs.copy(), n, _riesz_weights)
 
 
 def riesz_mean_abel(
@@ -252,20 +262,7 @@ def riesz_mean_abel(
     if n < 1:
         raise ValueError(f"mean index must be >= 1, got {n}")
     _require_resolvable(f.base, n, f.level)
-    harm = HarmonicSums.upto(n)
-    total = f.base.orders[f.level]
-    coeffs = forward(f).coeffs
-    sampler = CharacterSampler(f.base, f.level)
-    s = np.zeros(total, dtype=np.complex128)
-    cum = np.zeros(total, dtype=np.complex128)
-    acc = np.zeros(total, dtype=np.complex128)
-    for j in range(1, n + 1):
-        if coeffs[j - 1] != 0:
-            s = s + coeffs[j - 1] * sampler.character(j - 1)
-        cum = cum + s
-        if j < n:
-            acc = acc + cum / (j * (j + 1))
-    return LevelFunction(f.base, f.level, (acc + cum / n) / harm[n])
+    return _riesz_abel(f.base, f.level, n, forward(f).coeffs)
 
 
 def convolve(f: LevelFunction, g: LevelFunction) -> LevelFunction:
@@ -315,18 +312,11 @@ def kernel_integral_sweep(
 ) -> KernelIntegralSweep:
     """Integral of |K_n| for every n = 1..n_max in one streaming pass."""
     _require_resolvable(base, n_max, level)
-    total = base.orders[level]
-    sampler = CharacterSampler(base, level)
-    d = np.zeros(total, dtype=np.complex128)
-    cum = np.zeros(total, dtype=np.complex128)
+    cum = np.zeros(base.orders[level], dtype=np.complex128)
     integrals = np.empty(n_max, dtype=np.float64)
-    for n in range(1, n_max + 1):
-        d = d + sampler.character(n - 1)
+    for n, d in enumerate(CharacterSampler(base, level).partial_sums(n_max), start=1):
         cum = cum + d
-        if convention is KernelConvention.SHIFTED:
-            kn = cum
-        else:
-            kn = cum - d
+        kn = cum if convention is KernelConvention.SHIFTED else cum - d
         integrals[n - 1] = np.mean(np.abs(kn)) / n
     return KernelIntegralSweep(convention, integrals, np.maximum.accumulate(integrals))
 
@@ -429,7 +419,6 @@ def localization_sweep(
     harm = HarmonicSums.upto(n_max)
     if sampler is None:
         sampler = CharacterSampler(base, level)
-    d = np.zeros(total, dtype=np.complex128)
     cum = np.zeros(total, dtype=np.complex128)
     kernel_ratios = np.empty((len(cells), len(n_values)), dtype=np.float64)
     tail_ratios = np.empty_like(kernel_ratios)
@@ -447,8 +436,7 @@ def localization_sweep(
             scale_kernel[i] = mk / m_n
             scale_tail_const[i] = mk / m_n  # times l_n per step
 
-    for n in range(1, n_max + 1):
-        d = d + sampler.character(n - 1)
+    for n, d in enumerate(sampler.partial_sums(n_max), start=1):
         cum = cum + d
         if n < m_n:
             continue

@@ -138,9 +138,10 @@ def _stream_sup(
 ) -> MaximalReport:
     """Shared streaming engine for the truncated maximal operators.
 
-    Walks n = 1..n_max keeping the running partial sum S_n f and the mean
-    accumulators; computation happens at the function's effective level
-    (means of a level-R function are level-R functions for every n).
+    Walks n = 1..n_max over the partial sums S_n f from
+    :meth:`CharacterSampler.partial_sums`, keeping the mean accumulators;
+    computation happens at the function's effective level (means of a
+    level-R function are level-R functions for every n).
 
     The per-step loop runs only up to the last nonzero coefficient.  Past
     it S_n f = f, so the remaining steps are computed in blocks of
@@ -155,18 +156,14 @@ def _stream_sup(
     g = f.compress()
     total = g.base.orders[g.level]
     coeffs = forward(g).coeffs
-    sampler = CharacterSampler(g.base, g.level)
-    s = np.zeros(total, dtype=np.complex128)
+    s = np.zeros(total, dtype=np.complex128)  # S_n f, still zero if the head is empty
     acc = np.zeros(total, dtype=np.complex128)  # sum of S_k (sigma) or S_k / k (riesz)
     harm = 0.0
     best = np.full(total, -1.0)
     arg = np.zeros(total, dtype=np.int64)
     nonzero = np.flatnonzero(coeffs)
     head = min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0)
-    for n in range(1, head + 1):
-        j = n - 1
-        if coeffs[j] != 0:
-            s = s + coeffs[j] * sampler.character(j)
+    for n, s in enumerate(CharacterSampler(g.base, g.level).partial_sums(head, coeffs), start=1):
         if mode == "sigma":
             acc = acc + s
             if convention is KernelConvention.SHIFTED:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -72,16 +73,10 @@ def character(n: int, x: GroupPoint) -> complex:
 
 def character_samples(base: VilenkinBase, n: int, level: int) -> np.ndarray:
     """Character n sampled on all level cylinders, in rank order."""
-    base.require_level(level)
+    sampler = CharacterSampler(base, level)
     if not 0 <= n < base.orders[level]:
         raise ValueError(f"character {n} not resolvable at level {level}")
-    digits = nat_expand(base, n).digits
-    digit_values = digit_rank_values(base, level)
-    out = np.ones(base.orders[level], dtype=np.complex128)
-    for j in range(level):
-        if digits[j]:
-            out *= np.exp(2j * np.pi * digits[j] / base.moduli[j] * digit_values[j])
-    return out
+    return sampler.character(n)
 
 
 class CharacterSampler:
@@ -115,6 +110,21 @@ class CharacterSampler:
             if digits[j]:
                 out = out * self._phase(j, digits[j])
         return out
+
+    def partial_sums(self, n_max: int, coeffs: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """Sampled partial sums S_n = sum_{j<n} c_j psi_j for n = 1..n_max.
+
+        ``coeffs=None`` means all ones (S_n = D_n); zero coefficients are
+        skipped.  Every sample-domain stream of the library walks this
+        generator.  Each step yields a new array that later steps never write.
+        """
+        s = np.zeros(self.base.orders[self.level], dtype=np.complex128)
+        for j in range(n_max):
+            if coeffs is None:
+                s = s + self.character(j)
+            elif coeffs[j] != 0:
+                s = s + coeffs[j] * self.character(j)
+            yield s
 
 
 @lru_cache(maxsize=None)

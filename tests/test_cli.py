@@ -1,9 +1,12 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from vilenkin import cli
 from vilenkin.cli import main
+from vilenkin.verify import run_suite
 
 
 def test_kernel_dump_riesz_one_is_constant(tmp_path):
@@ -147,3 +150,35 @@ def test_depth_zero_is_refused():
 def test_weight_spec_parse_error():
     with pytest.raises(SystemExit, match="weight"):
         main(["--base", "2", "--depth", "6", "counterexample", "sweep", "--phi", "bogus", "--p", "0.5", "--kmax", "1"])
+
+
+def test_library_value_error_is_one_line(capsys):
+    code = main(["--base", "2", "--depth", "3", "kernel", "dump", "--which", "riesz", "--n", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: index 100 not resolvable at level 3 (max 8)\n"
+
+
+def test_empty_support_level_range_is_one_line(capsys, tmp_path):
+    out = tmp_path / "corpus.json"
+    code = main(
+        ["--base", "2", "--depth", "4", "--seed", "1", "--out", str(out), "atoms", "corpus",
+         "--count", "2", "--p", "0.5", "--level-min", "5", "--level-max", "5"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: support-level range [5, 5] is empty")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_lemmas_fails_on_growing_ratios(capsys, monkeypatch):
+    # at depth 6 the sweep stops at n = 64, where the tail ratios still grow
+    monkeypatch.setattr(cli, "run_suite", functools.partial(run_suite, depth=6))
+    code = main(["verify", "lemmas", "--max-a", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0].startswith("[PASS] lemmas/localization-ratios-level-1 ")
+    assert lines[1].startswith("[FAIL] lemmas/localization-ratios-level-2 ")
+    assert lines[1].endswith(" failed_families=tail_pair")

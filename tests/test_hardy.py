@@ -194,6 +194,17 @@ def test_random_atoms_always_validate():
                 assert np.max(np.abs(atom.values.values)) == pytest.approx(bound)
 
 
+def test_random_atom_refuses_empty_level_range():
+    base = make_base((2,), 4)
+    rng = np.random.default_rng(1)
+    # depth 4 minus the 2 extra levels leaves support levels 0..2
+    with pytest.raises(ValueError, match=r"range \[5, 5\] is empty .* = 2 \(depth 4, extra depth 2\)"):
+        random_atom(base, 0.5, rng, level_range=(5, 5))
+    with pytest.raises(ValueError, match=r"range \[2, 1\]"):
+        random_atom(base, 0.5, rng, level_range=(2, 1))
+    assert random_atom(base, 0.5, rng, level_range=(2, 5)).support.level == 2
+
+
 def test_assemble_single_atom_resolves_to_itself():
     base = make_base((2,), 5)
     rng = np.random.default_rng(5)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilenkin.functions import LevelFunction, constant, indicator
 from vilenkin.group import Cylinder, GroupPoint, make_base, point_add, point_of, zero_point
-from vilenkin.kernels import dirichlet
+from vilenkin.kernels import dirichlet, partial_sum
 from vilenkin.transform import (
+    CharacterSampler,
     Spectrum,
     character,
     character_matrix,
@@ -178,3 +181,45 @@ def test_spectrum_shape_validation():
         Spectrum(base, 2, np.ones(3))
     with pytest.raises(ValueError):
         character_samples(base, 4, 2)
+
+
+_SAMPLER_CELLS = 300  # cap on M_K so the per-n partial-sum oracle stays cheap
+
+
+@st.composite
+def _sampler_inputs(draw):
+    """A random mixed-radix base, a level on it, and a spectrum with zeros."""
+    pattern = draw(st.lists(st.integers(2, 7), min_size=1, max_size=6))
+    depth = 1
+    while depth < len(pattern) and np.prod(pattern[: depth + 1]) <= _SAMPLER_CELLS:
+        depth += 1
+    base = make_base(tuple(pattern[:depth]), depth)
+    level = draw(st.integers(0, depth))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = base.orders[level]
+    coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    coeffs[rng.random(size) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    coeffs *= 10.0 ** draw(st.integers(-3, 3))
+    return base, level, coeffs, draw(st.integers(1, size))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_sampler_inputs())
+def test_partial_sums_stream_matches_oracles(case):
+    """The sample-domain stream against the spectral-window partial sums."""
+    base, level, coeffs, n_max = case
+    f = inverse(Spectrum(base, level, coeffs))
+    sampler = CharacterSampler(base, level)
+    tol = 1e-11 * float(np.max(np.abs(f.values)))
+    sums, kept = [], []
+    for s in sampler.partial_sums(n_max, coeffs):
+        sums.append(s)
+        kept.append(s.copy())
+    assert len(sums) == n_max
+    for n, s in enumerate(sums, start=1):
+        assert np.max(np.abs(s - partial_sum(f, n).values)) <= tol, n
+    kernels = list(sampler.partial_sums(n_max))
+    for n, d in enumerate(kernels, start=1):
+        assert np.max(np.abs(d - dirichlet(base, n, level).values)) <= 1e-11 * n, n
+    # yielded arrays are never written by later steps
+    assert all(np.array_equal(a, b) for a, b in zip(sums, kept))
