@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .functions import LevelFunction, pointwise_sup
+from .functions import LevelFunction
 from .group import Cylinder, VilenkinBase, make_base
 from .transform import Spectrum, forward
 
@@ -92,8 +92,16 @@ def martingale_spectrum(m: Martingale) -> Spectrum:
 
 
 def maximal_function(m: Martingale) -> LevelFunction:
-    """Pointwise supremum of the component moduli, at the top level."""
-    return pointwise_sup([c.modulus() for c in m.components])
+    """Pointwise supremum of the component moduli, at the top level.
+
+    The running maximum is refined one level at a time; ``max`` is exact,
+    so this equals ``pointwise_sup`` of the moduli bit for bit.
+    """
+    acc = np.abs(m.components[0].values)
+    for n, comp in enumerate(m.components[1:]):
+        acc = np.repeat(acc, m.base.moduli[n])
+        np.maximum(acc, np.abs(comp.values), out=acc)
+    return LevelFunction(m.base, m.top_level, acc)
 
 
 def hardy_quasinorm(m: Martingale, p: float) -> float:

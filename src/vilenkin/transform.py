@@ -1,12 +1,16 @@
 """Vilenkin characters and the fast mixed-radix Fourier transform.
 
 The character system is the tensor product of one cyclic DFT per digit
-level, so the forward transform factors into per-level stages of size-m_k
-DFT batches: total work proportional to M_N * sum(m_k) instead of M_N^2.
-Stages run most-significant digit first, matching the rank convention, so
-each stage is a contiguous batch.  Forward coefficients use the
-conjugated character, matching the inner-product convention; the inverse
-applies plain characters with no normalization.
+level, so the forward transform factors into per-digit DFTs.  Consecutive
+digits are grouped into runs of at most ``_RUN_CELLS`` = 16 cells (the
+product of their moduli), and each run is applied as one Kronecker-product
+DFT block in a single matrix product on a rotating layout: the run's axes
+lead, the product moves them to the end, and after the last run the axes
+are back in their original order.  Roots of unity that are quarter turns
+are stored as the exact values 1, i, -1, -i, so dyadic and mod-4 digits
+multiply exactly.  Forward coefficients use the conjugated character,
+matching the inner-product convention; the inverse applies plain
+characters with no normalization.
 """
 
 from __future__ import annotations
@@ -127,25 +131,46 @@ class CharacterSampler:
             yield s
 
 
+_RUN_CELLS = 16  # largest product of moduli fused into one DFT block
+_QUARTER_TURNS = (1, 1j, -1, -1j)
+
+
 @lru_cache(maxsize=None)
 def _dft_matrix(m: int, sign: int) -> np.ndarray:
     a = np.arange(m)
-    w = np.exp(sign * 2j * np.pi * np.outer(a, a) / m)
+    k = np.outer(a, a) % m
+    w = np.exp(sign * 2j * np.pi * k / m)
+    quarter = (4 * k) % m == 0  # exp lands near, not on, the quarter turns
+    w[quarter] = np.take(_QUARTER_TURNS, (sign * 4 * k[quarter] // m) % 4)
     w.setflags(write=False)
     return w
 
 
+@lru_cache(maxsize=None)
+def _run_blocks(moduli: tuple[int, ...], sign: int) -> tuple[np.ndarray, ...]:
+    """Kronecker-product DFT blocks of greedy digit runs of at most _RUN_CELLS cells."""
+    blocks: list[np.ndarray] = []
+    for m in moduli:
+        w = _dft_matrix(m, sign)
+        if blocks and blocks[-1].shape[0] * m <= _RUN_CELLS:
+            w = np.kron(blocks.pop(), w)
+            w.setflags(write=False)
+        blocks.append(w)
+    return tuple(blocks)
+
+
 def _staged(values: np.ndarray, moduli: tuple[int, ...], sign: int) -> np.ndarray:
-    """Apply one size-m DFT stage per digit axis.
+    """Apply the DFT of every digit axis, one matrix product per run.
 
     ``values`` is C-ordered over (d_0, ..., d_{N-1}) with d_0 slowest.
-    Each stage contracts one axis with its DFT matrix; stages are
-    independent, so the order is free and we go most-significant first.
+    Each run's axes lead the array; the product with the run's block
+    contracts them and leaves them last, so the runs rotate the axes once
+    round and the result is again C-ordered over (d_0, ..., d_{N-1}).
     """
-    arr = values.reshape(moduli)
-    for j, m in enumerate(moduli):
-        arr = np.moveaxis(np.tensordot(_dft_matrix(m, sign), arr, axes=([1], [j])), 0, j)
-    return arr
+    arr = values
+    for w in _run_blocks(moduli, sign):
+        arr = arr.reshape(w.shape[0], -1).T @ w.T
+    return arr.reshape(moduli)
 
 
 def forward(f: LevelFunction) -> Spectrum:
@@ -157,7 +182,8 @@ def forward(f: LevelFunction) -> Spectrum:
     arr = _staged(f.values, moduli, -1)
     # input axes are point digits (x_0 slowest); coefficient indices are
     # little-endian in the digits, so reverse axes before flattening
-    coeffs = arr.transpose(tuple(reversed(range(n)))).ravel() / f.base.orders[n]
+    coeffs = arr.transpose(tuple(reversed(range(n)))).ravel()
+    coeffs /= f.base.orders[n]  # arr is _staged's own array, never the input
     return Spectrum(f.base, n, coeffs)
 
 

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from vilenkin import cli
+from vilenkin import cli, verify
 from vilenkin.cli import main
+from vilenkin.hardy import hardy_quasinorm
 from vilenkin.verify import run_suite
 
 
@@ -182,3 +183,21 @@ def test_verify_lemmas_fails_on_growing_ratios(capsys, monkeypatch):
     assert lines[0].startswith("[PASS] lemmas/localization-ratios-level-1 ")
     assert lines[1].startswith("[FAIL] lemmas/localization-ratios-level-2 ")
     assert lines[1].endswith(" failed_families=tail_pair")
+
+
+def test_verify_atoms_fails_over_the_budget(capsys, monkeypatch):
+    # for p <= 1 the assembled H_p quasi-norm is at most the coefficient budget
+    code = main(["--seed", "1", "verify", "atoms", "--count", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(lines) == 3
+    assert lines[1].startswith("[PASS] atoms/assembled-martingale-budget empirical_constant=")
+
+    def inflated(m, p):
+        return 1e3 * hardy_quasinorm(m, p)
+
+    monkeypatch.setattr(verify, "hardy_quasinorm", inflated)
+    code = main(["--seed", "1", "verify", "atoms", "--count", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 3
+    assert lines[1].startswith("[FAIL] atoms/assembled-martingale-budget empirical_constant=")
+    assert float(lines[1].rsplit("=", 1)[1]) > 1.0

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vilenkin.functions import LevelFunction, constant, indicator
+from vilenkin.functions import LevelFunction, constant, indicator, pointwise_sup
 from vilenkin.group import Cylinder, make_base
 from vilenkin.hardy import (
     CorpusSpec,
@@ -264,3 +266,22 @@ def test_corpus_spec_roundtrip_and_determinism():
     for x, y in zip(a, b):
         assert x.support == y.support
         assert x.values.max_abs_diff(y.values) == 0.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.integers(2, 7), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+def test_maximal_function_equals_pointwise_sup(pattern, seed):
+    # the level-by-level fold against refining every component to the top
+    depth = 1
+    while depth < len(pattern) and np.prod(pattern[: depth + 1]) <= 4096:
+        depth += 1
+    base = make_base(tuple(pattern[:depth]), depth)
+    rng = np.random.default_rng(seed)
+    level = int(rng.integers(0, depth + 1))
+    n = base.orders[level]
+    f = LevelFunction(base, level, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    m = martingale_from_function(f)
+    star = maximal_function(m)
+    oracle = pointwise_sup([c.modulus() for c in m.components])
+    assert star.level == oracle.level == level
+    assert np.array_equal(star.values, oracle.values)

@@ -223,3 +223,50 @@ def test_partial_sums_stream_matches_oracles(case):
         assert np.max(np.abs(d - dirichlet(base, n, level).values)) <= 1e-11 * n, n
     # yielded arrays are never written by later steps
     assert all(np.array_equal(a, b) for a, b in zip(sums, kept))
+
+
+_FUSED_CELLS = 1024  # largest base checked against the quadratic oracles
+
+
+@st.composite
+def _fused_cases(draw):
+    """A random mixed-radix base (moduli 2-7, depth 1-8) and a seed."""
+    pattern = draw(st.lists(st.integers(2, 7), min_size=1, max_size=8))
+    depth = 1
+    while depth < len(pattern) and np.prod(pattern[: depth + 1]) <= _FUSED_CELLS:
+        depth += 1
+    return make_base(tuple(pattern[:depth]), depth), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_fused_cases())
+def test_fused_transform_matches_oracles(case):
+    """Fused runs against the quadratic oracles at every level, so the last
+    run of digits ends at every position."""
+    base, seed = case
+    rng = np.random.default_rng(seed)
+    for level in range(base.depth + 1):
+        f = _random(base, level, rng)
+        spec = forward(f)
+        fast = spec.coeffs
+        assert np.max(np.abs(fast - forward_naive(f).coeffs)) <= 1e-12 * np.max(np.abs(fast)), level
+        back = inverse(spec).values
+        assert np.max(np.abs(back - f.values)) <= 1e-12 * np.max(np.abs(f.values)), level
+        coeffs = rng.standard_normal(base.orders[level]) + 1j * rng.standard_normal(base.orders[level])
+        synth = character_matrix(base, level).T @ coeffs
+        got = inverse(Spectrum(base, level, coeffs)).values
+        assert np.max(np.abs(got - synth)) <= 1e-12 * np.max(np.abs(synth)), level
+
+
+@pytest.mark.parametrize("moduli, depth", [((2,), 10), ((2, 4), 6)])
+def test_dirichlet_kernels_are_exact_gaussian_integers(moduli, depth):
+    # quarter-turn roots are exact, so sums of characters have no rounding
+    base = make_base(moduli, depth)
+    for level in (depth // 2, depth):
+        for n in (1, 3, 7, 100, 1023, base.orders[level] - 1, base.orders[level]):
+            if n > base.orders[level]:
+                continue
+            v = dirichlet(base, n, level).values
+            assert np.array_equal(v, np.round(v)), (level, n)
+            if moduli == (2,):
+                assert np.all(v.imag == 0), (level, n)
