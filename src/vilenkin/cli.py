@@ -6,21 +6,16 @@ LF line endings.  Identical configuration plus seed gives byte-identical
 files.  A resource guard rejects bases with more than 2^20 cells since
 several sweeps are quadratic.
 
-The VILENKIN_THREADS environment variable, when set before startup, caps
-the BLAS thread pools; it is the only environment knob.
+The BLAS thread pools follow the BLAS library's own variables, such as
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before startup.
 """
 
 from __future__ import annotations
 
-import os
-
-if "VILENKIN_THREADS" in os.environ:  # must precede the numpy import
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["VILENKIN_THREADS"])
-
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +33,7 @@ from .verify import SUITES, run_suite
 __all__ = ["main", "RunConfig"]
 
 SIZE_GUARD = 2**20
+_CLI_WEIGHTS = ("unit", "log", "power_log", "power_log_sq")
 
 
 @dataclass(frozen=True)
@@ -129,20 +125,10 @@ def _emit_rows(header: list[str], rows: list[list[Any]], cfg: RunConfig) -> None
     _emit_text(buf.getvalue(), cfg.out)
 
 
-def _parse_weight(spec: str, p: float | None) -> WeightSpec:
-    if spec == "unit":
-        return WeightSpec.unit()
-    if spec == "log":
-        return WeightSpec.log()
-    if spec == "power_log":
-        if p is None:
-            raise SystemExit("weight power_log needs --p")
-        return WeightSpec.power_log(p)
-    if spec == "power_log_sq":
-        if p is None:
-            raise SystemExit("weight power_log_sq needs --p")
-        return WeightSpec.power_log_sq(p)
-    raise SystemExit(f"unknown weight spec {spec!r} (use unit|log|power_log|power_log_sq)")
+def _parse_weight(spec: str, p: float) -> WeightSpec:
+    if spec not in _CLI_WEIGHTS:
+        raise SystemExit(f"unknown weight spec {spec!r} (use {'|'.join(_CLI_WEIGHTS)})")
+    return WeightSpec(spec, p=p if spec.startswith("power") else None)
 
 
 # ----------------------------------------------------------------------

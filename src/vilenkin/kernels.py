@@ -66,10 +66,6 @@ class HarmonicSums:
     def __getitem__(self, n: int) -> float:
         return float(self.values[n])
 
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
 
 class KernelConvention(enum.Enum):
     """Index range of the Dirichlet-kernel average."""
@@ -294,10 +290,6 @@ class KernelIntegralSweep:
     convention: KernelConvention
     integrals: np.ndarray  # index n-1 holds the integral of |K_n|
     running_max: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return len(self.integrals)
 
     def growth(self, n_lo: int, n_hi: int) -> float:
         """Relative growth of the running max between two indices."""

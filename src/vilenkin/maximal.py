@@ -123,10 +123,6 @@ class MaximalReport:
     result: LevelFunction
     argmax: np.ndarray
 
-    def argmax_counts(self) -> dict[int, int]:
-        idx, counts = np.unique(self.argmax, return_counts=True)
-        return {int(i): int(c) for i, c in zip(idx, counts)}
-
 
 def _stream_sup(
     f: LevelFunction,
@@ -255,6 +251,7 @@ class TrendTable:
 
 
 _FLAT_BAND = 0.01
+_CONDITION_KINDS = {"log": "log", "power_over_log": "power_log", "power_log_sq": "power_log_sq"}
 
 
 def _classify_trend(ratios: np.ndarray) -> str:
@@ -283,23 +280,17 @@ def weight_trend(
 
     Conditions: "log" checks log(n+1)/phi(n); "power_over_log" checks
     (n+1)^(1/p-2) / (log(n+1) phi(n)); "power_log_sq" checks
-    (n+1)^(1/p-2) log(n+1)^(2 floor(1/2+p)) / phi(n).
+    (n+1)^(1/p-2) log(n+1)^(2 floor(1/2+p)) / phi(n).  The numerators are
+    the divisors of the weight kinds log, power_log and power_log_sq; the
+    latter two need p > 0.
     """
+    if condition not in _CONDITION_KINDS:
+        raise ValueError(f"unknown condition {condition!r}")
     grid = np.asarray(sorted(n_grid), dtype=np.int64)
     if grid.size < 2 or grid[0] < 1:
         raise ValueError("need an increasing grid of indices >= 1")
-    n = grid.astype(np.float64)
-    phi = weight.divisors(int(grid[-1]))[grid - 1]
-    if condition == "log":
-        num = np.log(n + 1)
-    elif condition == "power_over_log":
-        num = (n + 1) ** (1.0 / p - 2.0) / np.log(n + 1)
-    elif condition == "power_log_sq":
-        expo = 2 * math.floor(0.5 + p)
-        num = (n + 1) ** (1.0 / p - 2.0) * np.log(n + 1) ** expo
-    else:
-        raise ValueError(f"unknown condition {condition!r}")
-    ratios = num / phi
+    numerator = WeightSpec(_CONDITION_KINDS[condition], p=p)
+    ratios = (numerator.divisors(int(grid[-1])) / weight.divisors(int(grid[-1])))[grid - 1]
     return TrendTable(condition, tuple(int(v) for v in grid), tuple(map(float, ratios)), _classify_trend(ratios))
 
 

@@ -1,38 +1,30 @@
 """Acceptance gate: one test per release criterion, each printing a
 pass/fail line with the measured quantity.  Run with `pytest -v
-tests/test_acceptance.py` (add -s to see the lines on success)."""
+tests/test_acceptance.py` (add -s to see the lines on success).
+
+Criteria 1-6 are computed by the `check_*` functions of `vilenkin.verify`,
+the same code the `verify` suites run; each test asserts the returned pass
+flag and also applies its own literal bounds and time budgets here."""
 
 import time
 
 import numpy as np
-import pytest
 
 from vilenkin.cli import main
-from vilenkin.counterexample import (
-    blowup_table,
-    build_instance,
-    hardy_norm_scaling,
-    partial_sum_closed_form,
-    riesz_at_q,
-    shift_identity_check,
-)
-from vilenkin.functions import LevelFunction, indicator
-from vilenkin.group import Cylinder, make_base
+from vilenkin.counterexample import blowup_table, hardy_norm_scaling
+from vilenkin.functions import LevelFunction
+from vilenkin.group import make_base
 from vilenkin.hardy import CorpusSpec
-from vilenkin.kernels import (
-    KernelConvention,
-    dirichlet,
-    fejer_kernel,
-    gat_kernel,
-    kernel_integral_sweep,
-    localization_sweep,
-    riesz_kernel,
-    riesz_kernel_abel,
-    riesz_mean,
-    riesz_mean_abel,
+from vilenkin.maximal import WeightSpec
+from vilenkin.transform import forward, forward_naive, inverse
+from vilenkin.verify import (
+    check_complement_mass,
+    check_dirichlet_blocks,
+    check_dyadic_fejer,
+    check_identities,
+    check_kernel_integrals,
+    check_localization,
 )
-from vilenkin.maximal import WeightSpec, weighted_riesz_star
-from vilenkin.transform import CharacterSampler, forward, forward_naive, inverse
 
 SEED = 20260810
 
@@ -49,98 +41,67 @@ def _random(base, level, rng):
 
 def test_criterion_1_dirichlet_block_closed_form():
     start = time.monotonic()
-    worst = 0.0
-    for moduli, depth in (((2,), 12), ((2, 3), 7), ((3,), 6)):
-        base = make_base(moduli, depth)
-        for n in range(depth + 1):
-            dn = dirichlet(base, base.orders[n], depth)
-            block = indicator(Cylinder.from_rank(base, n, 0), depth, base.orders[n])
-            worst = max(worst, dn.max_abs_diff(block))
+    check = check_dirichlet_blocks((((2,), 12), ((2, 3), 7), ((3,), 6)))
+    worst = check.detail["residual"]
     elapsed = time.monotonic() - start
     _report(
         "criterion 1 (Dirichlet block closed form)",
-        worst < 1e-12 and elapsed < 10.0,
+        check.passed and worst < 1e-12 and elapsed < 10.0,
         f"residual={worst:.3e} elapsed={elapsed:.1f}s",
     )
 
 
 def test_criterion_2_dyadic_fejer_closed_form():
     start = time.monotonic()
-    base = make_base((2,), 10)
-    worst = 0.0
-    for a in range(1, 11):
-        brute = fejer_kernel(base, 2**a, 10, KernelConvention.SHIFTED)
-        worst = max(worst, brute.max_abs_diff(gat_kernel(base, a, 10)))
+    check = check_dyadic_fejer(10)
+    worst = check.detail["residual"]
     elapsed = time.monotonic() - start
     _report(
         "criterion 2 (dyadic Fejer closed form, exponents <= 10)",
-        worst < 1e-10 and elapsed < 10.0,
+        check.passed and worst < 1e-10 and elapsed < 10.0,
         f"residual={worst:.3e} elapsed={elapsed:.1f}s",
     )
 
 
 def test_criterion_3_summation_identities():
     start = time.monotonic()
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    # Abel rearrangements of means and kernels, dyadic and non-dyadic
-    for moduli, depth, ns in (((2,), 12, (2, 37, 512)), ((2, 3), 8, (2, 61, 512))):
-        base = make_base(moduli, depth)
-        f = _random(base, depth, rng)
-        for n in ns:
-            worst = max(worst, riesz_mean(f, n).max_abs_diff(riesz_mean_abel(f, n)))
-            worst = max(
-                worst, riesz_kernel(base, n, depth).max_abs_diff(riesz_kernel_abel(base, n, depth))
-            )
+    # Abel rearrangements of means and kernels, dyadic and non-dyadic; then
     # partial-sum cases, the shift identity, and the modulus-sum identity
-    for moduli, depth in (((2,), 12), ((2, 3), 8)):
-        base = make_base(moduli, depth)
-        for k in (1, 2):
-            inst = build_instance(k, base)
-            lo, hi = inst.block_start, inst.block_stop
-            for i in sorted({0, 1, lo - 1, lo, lo + 1, (lo + hi) // 2, hi - 1, hi, hi + 2}):
-                partial_sum_closed_form(inst, i)  # raises above 1e-10
-            for j in range(1, lo):
-                worst = max(worst, shift_identity_check(inst, j))
-            for s in range(inst.n_k):
-                probe = riesz_at_q(inst, s, WeightSpec.unit())
-                worst = max(worst, probe.identity_residual_on_support)
-                worst = max(worst, probe.triangle_slack)
+    cases = (((2,), 12, (2, 37, 512)), ((2, 3), 8, (2, 61, 512)))
+    checks = check_identities(SEED, cases, cases, (((2,), 12), ((2, 3), 8)))
+    worst = max(c.detail.get("residual", 0.0) for c in checks)
     elapsed = time.monotonic() - start
     _report(
         "criterion 3 (summation identities)",
-        worst < 1e-9 and elapsed < 60.0,
+        all(c.passed for c in checks) and worst < 1e-9 and elapsed < 60.0,
         f"residual={worst:.3e} elapsed={elapsed:.1f}s",
     )
 
 
 def test_criterion_4_kernel_integral_boundedness():
-    base = make_base((2,), 12)
-    sweep = kernel_integral_sweep(base, 12, 4096)
-    growth = sweep.growth(1024, 4096)
-    recorded_max = float(sweep.running_max[-1])
+    check = check_kernel_integrals((2,), 12, 4096)
+    growth = check.detail["growth_top_octaves"]
+    recorded_max = check.detail["running_max"]
     _report(
         "criterion 4 (kernel integral running max)",
-        growth < 0.01,
+        check.passed and growth < 0.01,
         f"recorded_max={recorded_max:.6f} growth_2^10_to_2^12={growth:.5f}",
     )
 
 
 def test_criterion_5_localization_ratio_stability():
-    base = make_base((2,), 12)
-    sampler = CharacterSampler(base, 12)
+    checks = check_localization((2,), 12, 4096, range(1, 6))
     worst_growth = 0.0
     c_emp = {}
-    for n_level in range(1, 6):
-        sweep = localization_sweep(base, n_level, 4096, 12, sampler=sampler)
+    for check in checks:
         for which in ("kernel", "tail"):
             for kind in ("pair", "single"):
-                if not any(c.kind == kind for c in sweep.cells):
+                if f"{which}_{kind}_c_emp" not in check.detail:
                     continue
                 key = f"{which}/{kind}"
-                c_emp[key] = max(c_emp.get(key, 0.0), sweep.c_emp(which, kind))
-                worst_growth = max(worst_growth, sweep.stability(which, kind))
-    ok = np.isfinite(max(c_emp.values())) and worst_growth <= 0.01
+                c_emp[key] = max(c_emp.get(key, 0.0), check.detail[f"{which}_{kind}_c_emp"])
+                worst_growth = max(worst_growth, check.detail[f"{which}_{kind}_top_octave_growth"])
+    ok = all(c.passed for c in checks) and np.isfinite(max(c_emp.values())) and worst_growth <= 0.01
     _report(
         "criterion 5 (localization bound ratios)",
         ok,
@@ -150,31 +111,17 @@ def test_criterion_5_localization_ratio_stability():
 
 def test_criterion_6_atom_corpus_weighted_riesz():
     start = time.monotonic()
-
-    def corpus_max(moduli, depth):
+    stable = True
+    maxima = {}
+    for moduli, depth in (((2,), 10), ((2, 3), 7)):
         spec = CorpusSpec(
             moduli=moduli, depth=depth, p=0.5, count=100, seed=SEED,
             support_level_min=1, support_level_max=4,
         )
-        base = spec.base()
-        vals = []
-        for atom in spec.generate():
-            f = atom.values.at_level(base.depth)
-            rep = weighted_riesz_star(f, WeightSpec.log(), base.size)
-            blk = atom.support.block(base.depth)
-            mods = np.abs(rep.result.values)
-            mask = np.ones(base.size, dtype=bool)
-            mask[blk.start : blk.stop] = False
-            vals.append(float(np.sum(mods[mask] ** 0.5) / base.size))
-        return max(vals)
-
-    stable = True
-    maxima = {}
-    for moduli, depth in (((2,), 10), ((2, 3), 7)):
-        m_d = corpus_max(moduli, depth)
-        m_d1 = corpus_max(moduli, depth + 1)
+        check = check_complement_mass(spec)  # the corpus at depth and at depth + 1
+        m_d, m_d1 = check.detail["corpus_max"], check.detail["corpus_max_deeper"]
         maxima[str(moduli)] = (m_d, m_d1)
-        stable = stable and np.isfinite(m_d) and abs(m_d - m_d1) <= 0.10 * m_d1
+        stable = stable and check.passed and np.isfinite(m_d) and abs(m_d - m_d1) <= 0.10 * m_d1
     elapsed = time.monotonic() - start
     _report(
         "criterion 6 (half-atom corpus, complement mass of weighted maximal)",

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from vilenkin import cli, verify
 from vilenkin.cli import main
 from vilenkin.hardy import hardy_quasinorm
+from vilenkin.maximal import weighted_riesz_star
 from vilenkin.verify import run_suite
 
 
@@ -201,3 +203,26 @@ def test_verify_atoms_fails_over_the_budget(capsys, monkeypatch):
     assert code == 1 and len(lines) == 3
     assert lines[1].startswith("[FAIL] atoms/assembled-martingale-budget empirical_constant=")
     assert float(lines[1].rsplit("=", 1)[1]) > 1.0
+
+
+def test_verify_atoms_fails_when_the_deeper_corpus_moves(capsys, monkeypatch):
+    # the complement-mass maximum must stay within 10% of itself at depth + 1
+    code = main(["--seed", "1", "verify", "atoms", "--count", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(lines) == 3
+    assert lines[2].startswith("[PASS] atoms/weighted-riesz-complement-mass corpus_max=")
+    assert lines[2].count("=") == 1
+
+    def deeper_inflated(f, weight, n_max):
+        report = weighted_riesz_star(f, weight, n_max)
+        if f.level == 11:  # one level below the suite's depth 10
+            report = dataclasses.replace(report, result=report.result * 4.0)
+        return report
+
+    monkeypatch.setattr(verify, "weighted_riesz_star", deeper_inflated)
+    code = main(["--seed", "1", "verify", "atoms", "--count", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 3
+    assert lines[2].startswith("[FAIL] atoms/weighted-riesz-complement-mass corpus_max=")
+    shallow, deeper = (float(tok.split("=")[1]) for tok in lines[2].split()[2:])
+    assert deeper == pytest.approx(2.0 * shallow)  # |4 R*|^(1/2) = 2 |R*|^(1/2)

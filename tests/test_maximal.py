@@ -183,6 +183,13 @@ def test_weight_trend_rejects_unknown_condition():
         weight_trend(WeightSpec.unit(), 0.5, [1, 2], "nope")
 
 
+@pytest.mark.parametrize("condition", ["power_over_log", "power_log_sq"])
+@pytest.mark.parametrize("p", [0.0, -0.5])
+def test_weight_trend_rejects_non_positive_p(condition, p):
+    with pytest.raises(ValueError, match="positive exponent"):
+        weight_trend(WeightSpec.unit(), p, [1, 10, 100], condition)
+
+
 # ----------------------------------------------------------------------
 # ratios
 
