@@ -51,11 +51,7 @@ class RunConfig:
             base = make_base(self.moduli, self.depth)
         except ValueError as err:
             raise SystemExit(f"invalid base: {err}") from None
-        if base.size > SIZE_GUARD:
-            raise SystemExit(
-                f"refusing to run: base has {base.size} cells, guard is {SIZE_GUARD}"
-            )
-        return base
+        return _guarded(base)
 
     def echo(self) -> dict[str, Any]:
         return {
@@ -64,6 +60,13 @@ class RunConfig:
             "seed": self.seed,
             "format": self.format,
         }
+
+
+def _guarded(base: VilenkinBase) -> VilenkinBase:
+    """The resource guard every command applies to its base."""
+    if base.size > SIZE_GUARD:
+        raise SystemExit(f"refusing to run: base has {base.size} cells, guard is {SIZE_GUARD}")
+    return base
 
 
 def _fmt(x: float) -> str:
@@ -210,9 +213,7 @@ def _cmd_atoms_corpus(args: argparse.Namespace) -> int:
 def _cmd_maximal_table(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     spec = CorpusSpec.from_path(args.input)
-    base = spec.base()
-    if base.size > SIZE_GUARD:
-        raise SystemExit(f"refusing to run: corpus base has {base.size} cells")
+    base = _guarded(spec.base())
     n_max = args.nmax if args.nmax is not None else base.size
     weight = _parse_weight(args.weight, args.p)
     if args.op == "sigma":

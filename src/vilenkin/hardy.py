@@ -253,6 +253,10 @@ class CorpusSpec:
     support_level_max: int
     extra_depth: int = 2
 
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ValueError(f"corpus count must be >= 0, got {self.count}")
+
     def base(self) -> VilenkinBase:
         return make_base(self.moduli, self.depth)
 

@@ -11,19 +11,20 @@ default for kernel work; the zero-based form stays available.
 Every spectral-weight synthesis of a kernel or mean goes through
 ``_window`` and every sample-domain stream (here and in the maximal and
 counterexample modules) through :meth:`CharacterSampler.partial_sums`;
-each route is the other's oracle.
+each route is the other's oracle.  One kernel stream serves every
+cylinder level of the localization sweeps.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .functions import LevelFunction
-from .group import GroupPoint, VilenkinBase, point_of, subtract_rank_table
+from .group import Cylinder, GroupPoint, VilenkinBase, coset_partition, point_of, subtract_rank_table
 from .transform import CharacterSampler, Spectrum, forward, inverse
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "kernel_integral_sweep",
     "KernelIntegralSweep",
     "localization_sweep",
+    "localization_sweeps",
     "LocalizationCell",
     "LocalizationSweep",
 ]
@@ -371,9 +373,31 @@ def localization_sweep(
     n_max: int,
     level: int | None = None,
     convention: KernelConvention = KernelConvention.SHIFTED,
-    sampler: CharacterSampler | None = None,
 ) -> LocalizationSweep:
-    """Exact kernel mass per coset-partition class against bound shapes.
+    """The sweep of :func:`localization_sweeps` at one cylinder level."""
+    return localization_sweeps(base, (cylinder_level,), n_max, level, convention)[0]
+
+
+def _localization_cells(base: VilenkinBase, n_cells: int, level: int) -> list[LocalizationCell]:
+    """The classes of ``coset_partition``, each as its level-N block at ``level``."""
+    cells = []
+    for cyl in coset_partition(base, n_cells):
+        (k, x_k), *rest = [(j, x) for j, x in enumerate(cyl.anchor.coords) if x]
+        l, x_l = rest[0] if rest else (None, None)
+        block = Cylinder.at(cyl.anchor, n_cells).block(level)
+        cells.append(LocalizationCell("pair" if rest else "single", k, x_k, l, x_l, block.start, block.stop))
+    return cells
+
+
+def localization_sweeps(
+    base: VilenkinBase,
+    cylinder_levels: Iterable[int],
+    n_max: int,
+    level: int | None = None,
+    convention: KernelConvention = KernelConvention.SHIFTED,
+) -> tuple[LocalizationSweep, ...]:
+    """Exact kernel mass per coset-partition class against bound shapes,
+    one sweep per cylinder level N, all from one stream of kernels.
 
     For each class cylinder and each n >= M_N computes the integral of
     |K_n(x - t)| over the zero level-N cylinder (constant in x across the
@@ -381,71 +405,43 @@ def localization_sweep(
     sum over j = M_N+1..n of the same integrals divided by j+1.  Ratios
     against the constant-free bound expressions estimate the constants.
     """
-    if not 1 <= cylinder_level <= base.depth:
-        raise ValueError(f"cylinder level {cylinder_level} outside [1, {base.depth}]")
-    if level is None:
-        level = base.depth
+    levels = tuple(cylinder_levels)
+    if not levels:
+        raise ValueError("no cylinder level to sweep")
+    for n_cells in levels:
+        if not 1 <= n_cells <= base.depth:
+            raise ValueError(f"cylinder level {n_cells} outside [1, {base.depth}]")
+    level = base.depth if level is None else level
     _require_resolvable(base, n_max, level)
-    n_cells = cylinder_level
-    m_n = base.orders[n_cells]
-    if n_max < m_n:
-        raise ValueError(f"n_max {n_max} below the first admissible index {m_n}")
+    m_top = base.orders[max(levels)]
+    if n_max < m_top:
+        raise ValueError(f"n_max {n_max} below the first admissible index {m_top}")
     total = base.orders[level]
-    width = total // m_n
+    cells = [_localization_cells(base, n_cells, level) for n_cells in levels]
+    ranks = [[c.block_start * base.orders[n] // total for c in cs] for n, cs in zip(levels, cells)]
+    masses = [np.empty((len(cs), n_max - base.orders[n] + 1)) for n, cs in zip(levels, cells)]
 
-    cells: list[LocalizationCell] = []
-    for k in range(n_cells - 1):
-        for xk in range(1, base.moduli[k]):
-            for l in range(k + 1, n_cells):
-                for xl in range(1, base.moduli[l]):
-                    rank = xk * (m_n // base.orders[k + 1]) + xl * (m_n // base.orders[l + 1])
-                    cells.append(
-                        LocalizationCell("pair", k, xk, l, xl, rank * width, (rank + 1) * width)
-                    )
-    for k in range(n_cells):
-        for xk in range(1, base.moduli[k]):
-            rank = xk * (m_n // base.orders[k + 1])
-            cells.append(LocalizationCell("single", k, xk, None, None, rank * width, (rank + 1) * width))
-
-    n_values = np.arange(m_n, n_max + 1)
-    harm = HarmonicSums.upto(n_max)
-    if sampler is None:
-        sampler = CharacterSampler(base, level)
     cum = np.zeros(total, dtype=np.complex128)
-    kernel_ratios = np.empty((len(cells), len(n_values)), dtype=np.float64)
-    tail_ratios = np.empty_like(kernel_ratios)
-    tails = np.zeros(len(cells), dtype=np.float64)
-
-    scale_kernel = np.empty(len(cells))
-    scale_tail_const = np.empty(len(cells))
-    for i, c in enumerate(cells):
-        mk = base.orders[c.k]
-        if c.kind == "pair":
-            ml = base.orders[c.l]
-            scale_kernel[i] = mk * ml / m_n  # divide further by n per step
-            scale_tail_const[i] = mk * ml / m_n**2
-        else:
-            scale_kernel[i] = mk / m_n
-            scale_tail_const[i] = mk / m_n  # times l_n per step
-
-    for n, d in enumerate(sampler.partial_sums(n_max), start=1):
+    for n, d in enumerate(CharacterSampler(base, level).partial_sums(n_max), start=1):
         cum = cum + d
-        if n < m_n:
-            continue
         kn_abs = np.abs(cum if convention is KernelConvention.SHIFTED else cum - d) / n
-        col = n - m_n
-        for i, c in enumerate(cells):
-            mass = kn_abs[c.block_start : c.block_stop].sum() / total
-            if c.kind == "pair":
-                kernel_ratios[i, col] = mass / (scale_kernel[i] / n)
-            else:
-                kernel_ratios[i, col] = mass / scale_kernel[i]
-            if n > m_n:
-                tails[i] += mass / (n + 1)
-            if c.kind == "pair":
-                tail_ratios[i, col] = tails[i] / scale_tail_const[i]
-            else:
-                tail_ratios[i, col] = tails[i] / (scale_tail_const[i] * harm[n])
-    return LocalizationSweep(
-        base, n_cells, m_n, n_values, tuple(cells), kernel_ratios, tail_ratios
-    )
+        for n_cells, rows, mass in zip(levels, ranks, masses):
+            m_n = base.orders[n_cells]
+            if n >= m_n:  # each class is one row of equal-width level-N blocks
+                mass[:, n - m_n] = kn_abs.reshape(m_n, -1)[rows].sum(axis=1) / total
+
+    harm = HarmonicSums.upto(n_max)
+    orders = np.array(base.orders)
+    sweeps = []
+    for n_cells, cs, mass in zip(levels, cells, masses):
+        m_n = base.orders[n_cells]
+        n_values = np.arange(m_n, n_max + 1)
+        pair = np.array([[c.kind == "pair"] for c in cs])
+        mk_ml = (orders[[c.k for c in cs]] * orders[[c.l or 0 for c in cs]])[:, None]  # M_0 = 1 for singles
+        scale = mk_ml / m_n
+        kernel_ratios = mass / np.where(pair, scale / n_values, scale)
+        steps = mass / (n_values + 1)
+        steps[:, 0] = 0.0  # the tail sum starts at j = M_N + 1
+        tail_ratios = np.cumsum(steps, axis=1) / np.where(pair, mk_ml / m_n**2, scale * harm.values[n_values])
+        sweeps.append(LocalizationSweep(base, n_cells, m_n, n_values, tuple(cs), kernel_ratios, tail_ratios))
+    return tuple(sweeps)

@@ -24,14 +24,13 @@ from .kernels import (
     fejer_kernel,
     gat_kernel,
     kernel_integral_sweep,
-    localization_sweep,
+    localization_sweeps,
     riesz_kernel,
     riesz_kernel_abel,
     riesz_mean,
     riesz_mean_abel,
 )
 from .maximal import WeightSpec, weighted_riesz_star
-from .transform import CharacterSampler
 
 __all__ = [
     "CheckResult", "SuiteReport", "run_suite", "SUITES", "check_dirichlet_blocks", "check_dyadic_fejer",
@@ -162,12 +161,9 @@ def check_localization(
 ) -> tuple[CheckResult, ...]:
     """Criterion 5, one check per cylinder level: every kernel / tail family has a finite
     empirical constant that grows at most 1% over the top octave of n; failing families
-    are named in ``failed_families``.  One character sampler serves every level."""
-    base = make_base(moduli, depth)
-    sampler = CharacterSampler(base, depth)
+    are named in ``failed_families``.  One kernel stream serves every level."""
     checks = []
-    for n_level in levels:
-        sweep = localization_sweep(base, n_level, n_max, depth, sampler=sampler)
+    for sweep in localization_sweeps(make_base(moduli, depth), levels, n_max, depth):
         detail: dict[str, Any] = {}
         over: list[str] = []
         for which in ("kernel", "tail"):
@@ -182,7 +178,7 @@ def check_localization(
                     over.append(f"{which}_{kind}")
         if over:  # families whose ratios are unbounded or still growing
             detail["failed_families"] = ",".join(over)
-        checks.append(CheckResult(f"localization-ratios-level-{n_level}", not over, detail))
+        checks.append(CheckResult(f"localization-ratios-level-{sweep.level_n}", not over, detail))
     return tuple(checks)
 
 
@@ -250,6 +246,8 @@ def suite_lemmas(max_cylinder_level: int = 5, depth: int = 12) -> SuiteReport:
 
 def suite_atoms(seed: int, count: int = 50) -> SuiteReport:
     """Atom validity, the assembled-martingale budget, and criterion 6 on the first 20 atoms."""
+    if count < 1:
+        raise ValueError(f"the atoms suite needs at least one atom, got count {count}")
     checks = []
     spec = CorpusSpec(
         moduli=(2,), depth=10, p=0.5, count=count, seed=seed, support_level_min=1, support_level_max=4

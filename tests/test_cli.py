@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from vilenkin import cli, verify
+from vilenkin import cli, hardy, verify
 from vilenkin.cli import main
 from vilenkin.hardy import hardy_quasinorm
 from vilenkin.maximal import weighted_riesz_star
@@ -59,6 +59,21 @@ def test_unknown_suite_is_usage_error():
 def test_resource_guard_refuses_huge_bases(tmp_path):
     with pytest.raises(SystemExit, match="guard"):
         main(["--base", "2", "--depth", "21", "kernel", "dump", "--which", "riesz", "--n", "1"])
+
+
+def test_resource_guard_refuses_a_huge_corpus_before_any_atom(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({
+        "kind": "atom-corpus", "version": 1, "moduli": [2], "depth": 21, "p": 0.5, "count": 3,
+        "seed": 0, "support_level_min": 1, "support_level_max": 4, "extra_depth": 2,
+    }))
+
+    def no_atoms(*args, **kwargs):
+        raise AssertionError("an atom was generated before the guard ran")
+
+    monkeypatch.setattr(hardy, "random_atom", no_atoms)
+    with pytest.raises(SystemExit, match=r"^refusing to run: base has 2097152 cells, guard is 1048576$"):
+        main(["maximal", "table", "--op", "riesz", "--p", "0.5", "--input", str(corpus)])
 
 
 def test_verify_kernels_passes(capsys):
@@ -226,3 +241,32 @@ def test_verify_atoms_fails_when_the_deeper_corpus_moves(capsys, monkeypatch):
     assert lines[2].startswith("[FAIL] atoms/weighted-riesz-complement-mass corpus_max=")
     shallow, deeper = (float(tok.split("=")[1]) for tok in lines[2].split()[2:])
     assert deeper == pytest.approx(2.0 * shallow)  # |4 R*|^(1/2) = 2 |R*|^(1/2)
+
+
+_NO_ATOMS = "the atoms suite needs at least one atom, got count"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "lemmas", "--max-a", "0"], "no cylinder level to sweep"),
+        (["verify", "lemmas", "--max-a", "-2"], "no cylinder level to sweep"),
+        (["--seed", "1", "verify", "atoms", "--count", "0"], f"{_NO_ATOMS} 0"),
+        (["--seed", "1", "verify", "atoms", "--count", "-3"], f"{_NO_ATOMS} -3"),
+    ],
+)
+def test_verify_refuses_an_empty_check(capsys, argv, message):
+    # a suite with nothing to check must not read as PASS (or as FAIL)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_atoms_corpus_refuses_a_negative_count(tmp_path, capsys):
+    out = tmp_path / "corpus.json"
+    code = main(["--base", "2", "--depth", "8", "--seed", "7", "--out", str(out),
+                 "atoms", "corpus", "--count", "-3", "--p", "0.5"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: corpus count must be >= 0, got -3\n"
+    assert not out.exists()

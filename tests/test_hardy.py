@@ -268,6 +268,16 @@ def test_corpus_spec_roundtrip_and_determinism():
         assert x.values.max_abs_diff(y.values) == 0.0
 
 
+def test_corpus_spec_refuses_a_negative_count():
+    fields = dict(moduli=(2,), depth=6, p=0.5, seed=1, support_level_min=1, support_level_max=3)
+    assert CorpusSpec(count=0, **fields).generate() == []
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        CorpusSpec(count=-1, **fields)
+    text = CorpusSpec(count=2, **fields).to_json().replace('"count": 2', '"count": -2')
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        CorpusSpec.from_json(text)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.lists(st.integers(2, 7), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
 def test_maximal_function_equals_pointwise_sup(pattern, seed):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilenkin.functions import LevelFunction, constant, indicator
-from vilenkin.group import Cylinder, make_base, point_of
+from vilenkin.group import Cylinder, coset_partition, make_base, point_of
 from vilenkin.kernels import (
     HarmonicSums,
     KernelConvention,
@@ -15,6 +17,7 @@ from vilenkin.kernels import (
     gat_kernel,
     kernel_integral_sweep,
     localization_sweep,
+    localization_sweeps,
     partial_sum,
     riesz_kernel,
     riesz_kernel_abel,
@@ -333,3 +336,73 @@ def test_localization_sweep_families_present_and_finite():
     single_cells = [c for c in sweep.cells if c.kind == "single"]
     # one single-family cell per nonzero digit at levels below the cylinder level
     assert len(single_cells) == (2 - 1) + (3 - 1) + (2 - 1)
+
+
+_LOCALIZATION_CELLS = 512  # largest base whose sweeps are checked against fejer_kernel
+
+
+@st.composite
+def _localization_cases(draw):
+    """A random mixed-radix base (moduli 2-7), a resolution level, n_max, the
+    cylinder levels n_max admits, a convention and a seed for the spot n."""
+    pattern = draw(st.lists(st.integers(2, 7), min_size=1, max_size=6))
+    depth = 1
+    while depth < len(pattern) and np.prod(pattern[: depth + 1]) <= _LOCALIZATION_CELLS:
+        depth += 1
+    base = make_base(tuple(pattern[:depth]), depth)
+    level = draw(st.integers(1, depth))
+    n_max = draw(st.integers(base.orders[1], base.orders[level]))
+    admitted = [n for n in range(1, level + 1) if base.orders[n] <= n_max]
+    levels = draw(st.lists(st.sampled_from(admitted), min_size=1, max_size=len(admitted), unique=True))
+    convention = draw(st.sampled_from(list(KernelConvention)))
+    return base, level, n_max, levels, convention, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_localization_cases())
+def test_localization_sweeps_match_oracles(case):
+    """One stream for all levels against per-level sweeps, the coset
+    partition, and block masses of the pointwise Fejer kernel."""
+    base, level, n_max, levels, convention, seed = case
+    total = base.orders[level]
+    rng = np.random.default_rng(seed)
+    sweeps = localization_sweeps(base, levels, n_max, level, convention)
+    assert [s.level_n for s in sweeps] == levels
+    for n_cells, sweep in zip(levels, sweeps):
+        alone = localization_sweep(base, n_cells, n_max, level, convention)
+        assert alone.cells == sweep.cells
+        for name in ("n_values", "kernel_ratios", "tail_ratios"):
+            assert np.array_equal(getattr(alone, name), getattr(sweep, name)), name
+
+        # each cell is the level-N cylinder at its coset class's anchor
+        width = total // base.orders[n_cells]
+        partition = coset_partition(base, n_cells)
+        assert len(sweep.cells) == len(partition)
+        for cell, cyl in zip(sweep.cells, partition):
+            assert cell.block_start % width == 0 and cell.block_stop - cell.block_start == width
+            first = point_of(base, cell.block_start, level)
+            assert first.coords[:n_cells] == cyl.anchor.coords[:n_cells]
+            anchor = {cell.k: cell.x_k} if cell.l is None else {cell.k: cell.x_k, cell.l: cell.x_l}
+            assert first.coords[:n_cells] == tuple(anchor.get(j, 0) for j in range(n_cells))
+            assert (cell.kind, cyl.level) == (("single", n_cells) if cell.l is None else ("pair", cell.l + 1))
+
+        m_n, ns = base.orders[n_cells], sweep.n_values
+        col = int(rng.integers(len(ns)))
+        kn = np.abs(fejer_kernel(base, int(ns[col]), level, convention).values)
+        want = np.empty(len(sweep.cells))
+        for i, cell in enumerate(sweep.cells):
+            mass = kn[cell.block_start : cell.block_stop].sum() / total
+            shape = base.orders[cell.k] * (1 if cell.l is None else base.orders[cell.l] / ns[col])
+            want[i] = mass / (shape / m_n)
+        assert np.max(np.abs(sweep.kernel_ratios[:, col] - want)) <= 1e-12 * np.max(want), ns[col]
+
+        # tail sums: sum over j = M_N+1..n of mass_j / (j+1), against the same masses
+        for cell, kernel, tail in zip(sweep.cells, sweep.kernel_ratios, sweep.tail_ratios):
+            mk = base.orders[cell.k]
+            if cell.l is None:
+                masses, tails = kernel * mk / m_n, tail * mk / m_n * HarmonicSums.upto(n_max).values[ns]
+            else:
+                ml = base.orders[cell.l]
+                masses, tails = kernel * mk * ml / (ns * m_n), tail * mk * ml / m_n**2
+            expected = np.concatenate([[0.0], np.cumsum(masses[1:] / (ns[1:] + 1))])
+            assert np.allclose(tails, expected, rtol=1e-12, atol=1e-15 * max(1.0, np.max(expected)))
