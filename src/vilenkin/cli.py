@@ -34,6 +34,12 @@ __all__ = ["main", "RunConfig"]
 
 SIZE_GUARD = 2**20
 _CLI_WEIGHTS = ("unit", "log", "power_log", "power_log_sq")
+# the suite keyword each verify flag feeds; a (suite, flag) pair not listed is refused
+_SUITE_KWARGS = {
+    ("kernels", "max_a"): "max_exponent",
+    ("lemmas", "max_a"): "max_cylinder_level",
+    ("atoms", "count"): "count",
+}
 
 
 @dataclass(frozen=True)
@@ -47,11 +53,7 @@ class RunConfig:
     format: str
 
     def base(self) -> VilenkinBase:
-        try:
-            base = make_base(self.moduli, self.depth)
-        except ValueError as err:
-            raise SystemExit(f"invalid base: {err}") from None
-        return _guarded(base)
+        return _guarded(make_base(self.moduli, self.depth))
 
     def echo(self) -> dict[str, Any]:
         return {
@@ -65,7 +67,7 @@ class RunConfig:
 def _guarded(base: VilenkinBase) -> VilenkinBase:
     """The resource guard every command applies to its base."""
     if base.size > SIZE_GUARD:
-        raise SystemExit(f"refusing to run: base has {base.size} cells, guard is {SIZE_GUARD}")
+        raise ValueError(f"refusing to run: base has {base.size} cells, guard is {SIZE_GUARD}")
     return base
 
 
@@ -130,7 +132,7 @@ def _emit_rows(header: list[str], rows: list[list[Any]], cfg: RunConfig) -> None
 
 def _parse_weight(spec: str, p: float) -> WeightSpec:
     if spec not in _CLI_WEIGHTS:
-        raise SystemExit(f"unknown weight spec {spec!r} (use {'|'.join(_CLI_WEIGHTS)})")
+        raise ValueError(f"unknown weight spec {spec!r} (use {'|'.join(_CLI_WEIGHTS)})")
     return WeightSpec(spec, p=p if spec.startswith("power") else None)
 
 
@@ -142,12 +144,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     cfg.base()  # applies the resource guard
     kwargs: dict[str, Any] = {}
-    if args.suite == "kernels" and args.max_a is not None:
-        kwargs["max_exponent"] = args.max_a
-    if args.suite == "lemmas" and args.max_a is not None:
-        kwargs["max_cylinder_level"] = args.max_a
-    if args.suite == "atoms" and args.count is not None:
-        kwargs["count"] = args.count
+    for flag in ("max_a", "count"):
+        if getattr(args, flag) is not None:
+            if (args.suite, flag) not in _SUITE_KWARGS:
+                raise ValueError(f"verify {args.suite} takes no --{flag.replace('_', '-')}")
+            kwargs[_SUITE_KWARGS[args.suite, flag]] = getattr(args, flag)
     report = run_suite(args.suite, seed=cfg.seed, **kwargs)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -194,7 +195,7 @@ def _cmd_atoms_corpus(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     base = cfg.base()
     if cfg.seed is None:
-        raise SystemExit("atoms corpus is randomized: --seed is required")
+        raise ValueError("atoms corpus is randomized: --seed is required")
     hi_default = max(1, min(4, base.depth - 1))
     spec = CorpusSpec(
         moduli=cfg.moduli,
@@ -216,12 +217,8 @@ def _cmd_maximal_table(args: argparse.Namespace) -> int:
     base = _guarded(spec.base())
     n_max = args.nmax if args.nmax is not None else base.size
     weight = _parse_weight(args.weight, args.p)
-    if args.op == "sigma":
-        operator = OperatorSpec("sigma", n_max)
-    elif weight.kind == "unit":
-        operator = OperatorSpec("riesz", n_max)
-    else:
-        operator = OperatorSpec("weighted_riesz", n_max, weight)
+    op = "weighted_riesz" if args.op == "riesz" and weight.kind != "unit" else args.op
+    operator = OperatorSpec(op, n_max, weight)
     header = ["atom", "support_level", "hardy_norm", "strong_ratio", "weak_ratio"]
     rows: list[list[Any]] = []
     for idx, atom in enumerate(spec.generate()):
@@ -351,13 +348,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:  # bad input the library refused
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except BrokenPipeError:  # a downstream pager closed the stream
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except (ValueError, OSError) as err:  # bad input, or a file that cannot be read
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -152,16 +152,21 @@ class RieszProbe:
         return self.shell_value / self.lower_bound_expr
 
 
-def riesz_at_q(inst: CounterexampleInstance, s: int, weight: WeightSpec) -> RieszProbe:
-    """Evaluate |R_q f| / phi(q) at probe q = M_{2k} + M_{2s} exactly."""
+def _weighted_probe(inst: CounterexampleInstance, s: int, weight: WeightSpec) -> tuple[int, float, LevelFunction]:
+    """Probe index q = M_{2k} + M_{2s}, phi(q) and |R_q f| / phi(q)."""
     if not 0 <= s < inst.n_k:
         raise ValueError(f"probe stage {s} outside [0, {inst.n_k})")
-    base = inst.base
     q = inst.probe_indices[s]
-    level = inst.f.level
     phi = float(weight.divisors(q)[q - 1])
+    return q, phi, (1.0 / phi) * riesz_mean(inst.f, q).modulus()
+
+
+def riesz_at_q(inst: CounterexampleInstance, s: int, weight: WeightSpec) -> RieszProbe:
+    """Evaluate |R_q f| / phi(q) at probe q = M_{2k} + M_{2s} exactly."""
+    q, phi, weighted = _weighted_probe(inst, s, weight)
+    base = inst.base
+    level = inst.f.level
     harm = HarmonicSums.upto(q)
-    weighted = (1.0 / phi) * riesz_mean(inst.f, q).modulus()
 
     m = inst.block_start
     m2s = base.orders[2 * s]
@@ -215,11 +220,12 @@ class BlowupTable:
 
 
 def _sup_over_probes(inst: CounterexampleInstance, weight: WeightSpec) -> LevelFunction:
-    """Pointwise sup over the probe table of |R_q f| / phi(q)."""
+    """Pointwise sup over the probe table of |R_q f| / phi(q), evaluated by
+    the helper :func:`riesz_at_q` uses and nothing else."""
     acc = None
     for s in range(inst.n_k):
-        probe = riesz_at_q(inst, s, weight)
-        vals = np.real(probe.weighted.values)
+        _, _, weighted = _weighted_probe(inst, s, weight)
+        vals = np.real(weighted.values)
         acc = vals if acc is None else np.maximum(acc, vals)
     return LevelFunction(inst.base, inst.f.level, acc)
 
@@ -249,18 +255,15 @@ def blowup_table(
         mart = martingale_from_function(inst.f)
         hp = hardy_quasinorm(mart, p)
         sup_fn = _sup_over_probes(inst, weight)
+        m2k = base.orders[2 * k]
         if p == 0.5:
             numerator = sup_fn.lp_quasinorm(0.5)  # equals (integral |T f|^(1/2))^2
+            analytic = k / float(weight.divisors(base.orders[2 * k + 1])[-1])
         else:
             q0 = inst.probe_indices[0]
             phi0 = float(weight.divisors(q0)[q0 - 1])
             lam = 1.0 / (phi0 * HarmonicSums.upto(q0)[q0] * q0)
             numerator = sup_fn.weak_lp_at(p, lam)
-        m2k = base.orders[2 * k]
-        phi_top = float(weight.divisors(base.orders[2 * k + 1])[-1])
-        if p == 0.5:
-            analytic = k / phi_top
-        else:
             phi_q = float(weight.divisors(m2k + 1)[-1])
             analytic = (m2k + 1) ** (1.0 / p - 2.0) / (phi_q * np.log(m2k + 1))
         rows.append(

@@ -292,18 +292,21 @@ class CorpusSpec:
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
         raw = json.loads(text)
-        if raw.get("kind") != "atom-corpus":
+        if not isinstance(raw, dict) or raw.get("kind") != "atom-corpus":
             raise ValueError("not an atom corpus descriptor")
-        return cls(
-            moduli=tuple(raw["moduli"]),
-            depth=int(raw["depth"]),
-            p=float(raw["p"]),
-            count=int(raw["count"]),
-            seed=int(raw["seed"]),
-            support_level_min=int(raw["support_level_min"]),
-            support_level_max=int(raw["support_level_max"]),
-            extra_depth=int(raw.get("extra_depth", 2)),
-        )
+        try:
+            return cls(
+                moduli=tuple(raw["moduli"]),
+                depth=int(raw["depth"]),
+                p=float(raw["p"]),
+                count=int(raw["count"]),
+                seed=int(raw["seed"]),
+                support_level_min=int(raw["support_level_min"]),
+                support_level_max=int(raw["support_level_max"]),
+                extra_depth=int(raw.get("extra_depth", 2)),
+            )
+        except KeyError as err:
+            raise ValueError(f"corpus descriptor lacks the field {err}") from None
 
     @classmethod
     def from_path(cls, path: str | Path) -> "CorpusSpec":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .functions import LevelFunction
 from .hardy import Martingale, hardy_quasinorm, martingale_from_function
-from .kernels import KernelConvention
+from .kernels import HarmonicSums, KernelConvention
 from .transform import CharacterSampler, forward
 
 __all__ = [
@@ -134,42 +134,43 @@ def _stream_sup(
 ) -> MaximalReport:
     """Shared streaming engine for the truncated maximal operators.
 
-    Walks n = 1..n_max over the partial sums S_n f from
-    :meth:`CharacterSampler.partial_sums`, keeping the mean accumulators;
-    computation happens at the function's effective level (means of a
-    level-R function are level-R functions for every n).
+    Both means are one weighted average of the partial sums S_n f from
+    :meth:`CharacterSampler.partial_sums`: acc_n = acc_{n-1} + S_n / a_n and
+    mean_n = |acc_n| / b_n, with a_n = 1, b_n = n for Fejer and a_n = n,
+    b_n = l_n for Riesz.  The zero-based Fejer convention averages S_0 ..
+    S_{n-1}, so its mean is |acc_n - S_n| / n.  Computation happens at the
+    function's effective level (means of a level-R function are level-R
+    functions for every n).
 
     The per-step loop runs only up to the last nonzero coefficient.  Past
-    it S_n f = f, so the remaining steps are computed in blocks of
-    _TAIL_BLOCK cells: a sequential cumsum over the stacked increments
-    (the loop's order of additions), then a first-occurrence argmax that
-    keeps the loop's strict-improvement tie rule.  The result and argmax
-    are bit-identical to the per-step loop, whose cost now scales with the
-    length of the spectrum rather than with n_max.
+    it S_n f = f, so the remaining steps apply the same recurrence in
+    blocks of _TAIL_BLOCK cells: a sequential cumsum over the stacked
+    increments (the loop's order of additions), then a first-occurrence
+    argmax that keeps the loop's strict-improvement tie rule.  The result
+    and argmax are bit-identical to the per-step loop, whose cost now
+    scales with the length of the spectrum rather than with n_max.
     """
     if not 1 <= n_max <= f.base.orders[f.level]:
         raise ValueError(f"n_max {n_max} outside [1, {f.base.orders[f.level]}]")
+    ns = np.arange(1, n_max + 1, dtype=np.float64)
+    if mode == "sigma":
+        a, b = np.ones(n_max), ns
+    else:
+        a, b = ns, HarmonicSums.upto(n_max).values[1:]
+    w = (1.0 / a).astype(np.complex128)  # numpy divides by a real through its reciprocal: S_n * w_n == S_n / a_n
+    lag = mode == "sigma" and convention is KernelConvention.ZERO_BASED
     g = f.compress()
     total = g.base.orders[g.level]
     coeffs = forward(g).coeffs
     s = np.zeros(total, dtype=np.complex128)  # S_n f, still zero if the head is empty
-    acc = np.zeros(total, dtype=np.complex128)  # sum of S_k (sigma) or S_k / k (riesz)
-    harm = 0.0
+    acc = np.zeros(total, dtype=np.complex128)
     best = np.full(total, -1.0)
     arg = np.zeros(total, dtype=np.int64)
     nonzero = np.flatnonzero(coeffs)
     head = min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0)
     for n, s in enumerate(CharacterSampler(g.base, g.level).partial_sums(head, coeffs), start=1):
-        if mode == "sigma":
-            acc = acc + s
-            if convention is KernelConvention.SHIFTED:
-                vals = np.abs(acc) / n
-            else:
-                vals = np.abs(acc - s) / n
-        else:
-            acc = acc + s / n
-            harm += 1.0 / n
-            vals = np.abs(acc) / harm
+        acc = acc + s * w[n - 1]
+        vals = np.abs(acc - s if lag else acc) / b[n - 1]
         if divisors is not None:
             vals = vals / divisors[n - 1]
         better = vals > best
@@ -180,30 +181,21 @@ def _stream_sup(
         cum = np.empty((rows + 1, total), dtype=np.complex128)  # carried acc, then increments
         cum[0] = acc
         mods = np.empty((rows, total))
-        cols = np.arange(total)
         for lo in range(head + 1, n_max + 1, rows):
             k = min(rows, n_max + 1 - lo)
-            ns = np.arange(lo, lo + k, dtype=np.float64)[:, None]
+            block = slice(lo - 1, lo - 1 + k)
             sums, vals = cum[1 : k + 1], mods[:k]
-            if mode == "sigma":
-                sums[...] = s
-            else:
-                np.divide(s, ns, out=sums)
+            np.multiply(s, w[block, None], out=sums)
             np.cumsum(cum[: k + 1], axis=0, out=cum[: k + 1])  # in place, row after row
             cum[0] = cum[k]
-            if mode == "sigma" and convention is not KernelConvention.SHIFTED:
+            if lag:
                 sums -= s
             np.abs(sums, out=vals)
-            if mode == "sigma":
-                vals /= ns
-            else:
-                harms = np.cumsum(np.concatenate(([harm], 1.0 / ns[:, 0])))
-                harm = float(harms[-1])
-                vals /= harms[1:, None]
+            vals /= b[block, None]
             if divisors is not None:
-                vals /= divisors[lo - 1 : lo - 1 + k, None]
+                vals /= divisors[block, None]
             top = np.argmax(vals, axis=0)
-            peak = vals[top, cols]
+            peak = vals.max(axis=0)
             better = peak > best
             best[better] = peak[better]
             arg[better] = lo + top[better]
@@ -300,19 +292,23 @@ class OperatorSpec:
 
     op: str  # sigma | riesz | weighted_riesz
     n_max: int
-    weight: WeightSpec | None = None
+    weight: WeightSpec | None = None  # sigma and riesz take none, or the unit weight
     convention: KernelConvention = KernelConvention.SHIFTED
+
+    def __post_init__(self) -> None:
+        if self.op not in ("sigma", "riesz", "weighted_riesz"):
+            raise ValueError(f"unknown operator {self.op!r}")
+        if self.op == "weighted_riesz" and self.weight is None:
+            raise ValueError("weighted_riesz needs a weight")
+        if self.op != "weighted_riesz" and self.weight is not None and self.weight.kind != "unit":
+            raise ValueError(f"operator {self.op} takes no weight, got {self.weight.kind!r}")
 
     def apply(self, f: LevelFunction) -> MaximalReport:
         if self.op == "sigma":
             return sigma_star(f, self.n_max, self.convention)
         if self.op == "riesz":
             return riesz_star(f, self.n_max)
-        if self.op == "weighted_riesz":
-            if self.weight is None:
-                raise ValueError("weighted_riesz needs a weight")
-            return weighted_riesz_star(f, self.weight, self.n_max)
-        raise ValueError(f"unknown operator {self.op!r}")
+        return weighted_riesz_star(f, self.weight, self.n_max)
 
 
 @dataclass(frozen=True)

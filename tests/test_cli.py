@@ -56,12 +56,21 @@ def test_unknown_suite_is_usage_error():
     assert err.value.code == 2
 
 
-def test_resource_guard_refuses_huge_bases(tmp_path):
-    with pytest.raises(SystemExit, match="guard"):
-        main(["--base", "2", "--depth", "21", "kernel", "dump", "--which", "riesz", "--n", "1"])
+def _refusal(capsys, argv):
+    """Exit code and stderr of a run that must print nothing on stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
 
 
-def test_resource_guard_refuses_a_huge_corpus_before_any_atom(tmp_path, monkeypatch):
+def test_resource_guard_refuses_huge_bases(capsys):
+    code, err = _refusal(capsys, ["--base", "2", "--depth", "21", "kernel", "dump", "--which", "riesz", "--n", "1"])
+    assert code == 2
+    assert err == "error: refusing to run: base has 2097152 cells, guard is 1048576\n"
+
+
+def test_resource_guard_refuses_a_huge_corpus_before_any_atom(tmp_path, monkeypatch, capsys):
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps({
         "kind": "atom-corpus", "version": 1, "moduli": [2], "depth": 21, "p": 0.5, "count": 3,
@@ -72,8 +81,9 @@ def test_resource_guard_refuses_a_huge_corpus_before_any_atom(tmp_path, monkeypa
         raise AssertionError("an atom was generated before the guard ran")
 
     monkeypatch.setattr(hardy, "random_atom", no_atoms)
-    with pytest.raises(SystemExit, match=r"^refusing to run: base has 2097152 cells, guard is 1048576$"):
-        main(["maximal", "table", "--op", "riesz", "--p", "0.5", "--input", str(corpus)])
+    code, err = _refusal(capsys, ["maximal", "table", "--op", "riesz", "--p", "0.5", "--input", str(corpus)])
+    assert code == 2
+    assert err == "error: refusing to run: base has 2097152 cells, guard is 1048576\n"
 
 
 def test_verify_kernels_passes(capsys):
@@ -84,9 +94,10 @@ def test_verify_kernels_passes(capsys):
     assert "[FAIL]" not in out
 
 
-def test_atoms_corpus_requires_seed(tmp_path):
-    with pytest.raises(SystemExit, match="seed"):
-        main(["--base", "2", "--depth", "8", "atoms", "corpus", "--count", "3", "--p", "0.5"])
+def test_atoms_corpus_requires_seed(capsys):
+    code, err = _refusal(capsys, ["--base", "2", "--depth", "8", "atoms", "corpus", "--count", "3", "--p", "0.5"])
+    assert code == 2
+    assert err == "error: atoms corpus is randomized: --seed is required\n"
 
 
 def test_atoms_corpus_deterministic(tmp_path):
@@ -158,16 +169,69 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(out.read_text().splitlines()) == 7  # depth override wins
 
 
-def test_depth_zero_is_refused():
-    with pytest.raises(SystemExit, match="depth must be >= 1"):
-        main(["--base", "2", "--depth", "0", "kernel", "dump", "--which", "riesz", "--n", "1"])
-    with pytest.raises(SystemExit, match="depth must be >= 1"):
-        main(["--depth", "0", "spectrum", "dump", "--which", "fejer", "--n", "1"])
+def test_depth_zero_is_refused(capsys):
+    for argv in (
+        ["--base", "2", "--depth", "0", "kernel", "dump", "--which", "riesz", "--n", "1"],
+        ["--depth", "0", "spectrum", "dump", "--which", "fejer", "--n", "1"],
+    ):
+        code, err = _refusal(capsys, argv)
+        assert code == 2
+        assert err == "error: depth must be >= 1, got 0\n"
 
 
-def test_weight_spec_parse_error():
-    with pytest.raises(SystemExit, match="weight"):
-        main(["--base", "2", "--depth", "6", "counterexample", "sweep", "--phi", "bogus", "--p", "0.5", "--kmax", "1"])
+def test_weight_spec_parse_error(capsys):
+    argv = ["--base", "2", "--depth", "6", "counterexample", "sweep", "--phi", "bogus", "--p", "0.5", "--kmax", "1"]
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err == "error: unknown weight spec 'bogus' (use unit|log|power_log|power_log_sq)\n"
+
+
+def test_invalid_base_exits_2(capsys):
+    code, err = _refusal(capsys, ["--base", "1", "verify", "lemmas"])
+    assert code == 2
+    assert err == "error: invalid Vilenkin base: every modulus must be >= 2, got 1\n"
+
+
+@pytest.mark.parametrize("weight", ["log", "power_log"])
+def test_maximal_table_refuses_a_weight_sigma_ignores(tmp_path, capsys, weight):
+    corpus = tmp_path / "corpus.json"
+    main(["--base", "2", "--depth", "6", "--seed", "7", "--out", str(corpus),
+          "atoms", "corpus", "--count", "1", "--p", "0.5"])
+    argv = ["maximal", "table", "--op", "sigma", "--weight", weight, "--p", "0.5", "--input", str(corpus)]
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err == f"error: operator sigma takes no weight, got {weight!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "identities", "--max-a", "3"], "identities takes no --max-a"),
+        (["verify", "kernels", "--count", "3"], "kernels takes no --count"),
+        (["verify", "lemmas", "--count", "3"], "lemmas takes no --count"),
+        (["--seed", "1", "verify", "atoms", "--max-a", "3"], "atoms takes no --max-a"),
+    ],
+)
+def test_verify_refuses_a_flag_its_suite_ignores(capsys, argv, flag):
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err == f"error: verify {flag}\n"
+
+
+def test_unreadable_input_is_one_line(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for argv in (
+        ["maximal", "table", "--op", "riesz", "--p", "0.5", "--input", missing],
+        ["--config", missing, "kernel", "dump", "--which", "riesz", "--n", "1"],
+    ):
+        code, err = _refusal(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: [Errno 2] No such file or directory") and err.count("\n") == 1
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"kind": "atom-corpus", "moduli": [2], "depth": 6}))
+    code, err = _refusal(capsys, ["maximal", "table", "--op", "riesz", "--p", "0.5", "--input", str(corpus)])
+    assert code == 2
+    assert err == "error: corpus descriptor lacks the field 'p'\n"
 
 
 def test_library_value_error_is_one_line(capsys):

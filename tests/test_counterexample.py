@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vilenkin.counterexample import (
+    _sup_over_probes,
     blowup_table,
     build_instance,
     hardy_norm_scaling,
@@ -9,6 +10,7 @@ from vilenkin.counterexample import (
     riesz_at_q,
     shift_identity_check,
 )
+from vilenkin.functions import LevelFunction
 from vilenkin.group import make_base
 from vilenkin.hardy import hardy_quasinorm, martingale_from_function
 from vilenkin.kernels import HarmonicSums, dirichlet
@@ -134,6 +136,18 @@ def test_blowup_table_weak_route():
     assert all(np.isfinite(r.ratio) and r.ratio > 0 for r in table.rows)
     # the threshold event has positive measure by construction
     assert table.rows[0].numerator > 0
+
+
+@pytest.mark.parametrize("moduli, depth", [((2,), 9), ((2, 3), 7)])
+def test_blowup_sup_is_the_max_of_the_riesz_probes(moduli, depth):
+    base = make_base(moduli, depth)
+    k, weight = 3, WeightSpec.log()
+    inst = build_instance(k, base)
+    probes = [np.real(riesz_at_q(inst, s, weight).weighted.values) for s in range(inst.n_k)]
+    sup = LevelFunction(base, inst.f.level, np.max(probes, axis=0))
+    assert np.array_equal(_sup_over_probes(inst, weight).values, sup.values)
+    row = blowup_table(base, weight, 0.5, range(k, k + 1)).rows[0]
+    assert row.numerator == sup.lp_quasinorm(0.5)
 
 
 def test_blowup_hardy_norm_against_direct_computation():

@@ -7,7 +7,7 @@ from vilenkin.functions import LevelFunction, constant
 from vilenkin.group import make_base
 from vilenkin.hardy import martingale_from_function, random_atom
 from vilenkin.kernels import KernelConvention, fejer_mean, riesz_mean
-from vilenkin.transform import Spectrum, forward, inverse
+from vilenkin.transform import CharacterSampler, Spectrum, forward, inverse
 from vilenkin.maximal import (
     OperatorSpec,
     WeightSpec,
@@ -244,6 +244,14 @@ def test_operator_spec_dispatch():
         OperatorSpec("nope", 4).apply(f)
 
 
+def test_operator_spec_refuses_an_ignored_weight():
+    f = constant(make_base((2,), 4), 4, 1.0)
+    assert OperatorSpec("sigma", 4, WeightSpec.unit()).apply(f).operator == "sigma_star"
+    for op in ("sigma", "riesz"):
+        with pytest.raises(ValueError, match=f"operator {op} takes no weight, got 'log'"):
+            OperatorSpec(op, 4, WeightSpec.log())
+
+
 _STREAM_CELLS = 200  # cap on M_K so the per-n oracle stays cheap
 
 
@@ -305,3 +313,54 @@ def test_stream_matches_per_n_means(case):
             assert rep.argmax.min() >= 1 and rep.argmax.max() <= n_max
             attained = terms[key][rep.argmax - 1, cells]
             assert np.max(np.abs(attained - got)) <= tol, (key, n_max)
+
+
+def _literal_sup(f, n_max, mode, convention, divisors):
+    """The operators as one plain loop over n = 1..n_max, with no spectral tail."""
+    g = f.compress()
+    coeffs = np.zeros(max(n_max, g.values.size), dtype=np.complex128)
+    coeffs[: g.values.size] = forward(g).coeffs  # S_n f = f past the effective level
+    acc = np.zeros(g.values.size, dtype=np.complex128)
+    harm = 0.0
+    best = np.full(g.values.size, -1.0)
+    arg = np.zeros(g.values.size, dtype=np.int64)
+    for n, s in enumerate(CharacterSampler(g.base, g.level).partial_sums(n_max, coeffs), start=1):
+        if mode == "sigma":
+            acc = acc + s
+            vals = np.abs(acc if convention is KernelConvention.SHIFTED else acc - s) / n
+        else:
+            acc = acc + s / n
+            harm += 1.0 / n
+            vals = np.abs(acc) / harm
+        if divisors is not None:
+            vals = vals / divisors[n - 1]
+        better = vals > best
+        best[better] = vals[better]
+        arg[better] = n
+    reps = f.values.size // g.values.size
+    return np.repeat(best, reps), np.repeat(arg, reps)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_stream_inputs())
+def test_stream_is_bit_identical_to_a_literal_loop(case):
+    """Result and argmax equal, bit for bit, on head-only, tail-only and mixed runs."""
+    f, n_rand = case
+    top = f.base.size
+    nonzero = np.flatnonzero(forward(f).coeffs)
+    last = int(nonzero[-1]) + 1 if nonzero.size else 0
+    zero = f * 0.0  # no head at all: every step is in the tail
+    log = WeightSpec.log()
+    for g in (f, zero):
+        for n_max in sorted({1, n_rand, min(top, last + 1), top}):
+            shape = "tail-only" if g is zero else "head-only" if n_max <= last else "mixed"
+            runs = [
+                (sigma_star(g, n_max, KernelConvention.SHIFTED), ("sigma", KernelConvention.SHIFTED, None)),
+                (sigma_star(g, n_max, KernelConvention.ZERO_BASED), ("sigma", KernelConvention.ZERO_BASED, None)),
+                (riesz_star(g, n_max), ("riesz", KernelConvention.SHIFTED, None)),
+                (weighted_riesz_star(g, log, n_max), ("riesz", KernelConvention.SHIFTED, log.divisors(n_max))),
+            ]
+            for rep, (mode, convention, divisors) in runs:
+                best, arg = _literal_sup(g, n_max, mode, convention, divisors)
+                assert np.array_equal(rep.result.values.real, best), (shape, rep.operator, n_max)
+                assert np.array_equal(rep.argmax, arg), (shape, rep.operator, n_max)
