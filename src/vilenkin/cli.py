@@ -295,22 +295,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--count", type=int, help="corpus size for the atoms suite")
     p_verify.set_defaults(func=_cmd_verify)
 
+    # the kernel selection both dumps read, through _selected_kernel
+    dump = argparse.ArgumentParser(add_help=False)
+    dump.add_argument("--which", choices=("dirichlet", "fejer", "riesz"), required=True)
+    dump.add_argument("--n", type=int, required=True)
+    dump.add_argument("--level", type=int)
+    dump.add_argument("--convention", choices=("zero_based", "shifted"), default="shifted")
+
     p_kernel = sub.add_parser("kernel", help="kernel value tables")
     kernel_sub = p_kernel.add_subparsers(dest="kernel_command", required=True)
-    p_kdump = kernel_sub.add_parser("dump", help="dump one kernel as rank,real,imag", parents=[common])
-    p_kdump.add_argument("--which", choices=("dirichlet", "fejer", "riesz"), required=True)
-    p_kdump.add_argument("--n", type=int, required=True)
-    p_kdump.add_argument("--level", type=int)
-    p_kdump.add_argument("--convention", choices=("zero_based", "shifted"), default="shifted")
+    p_kdump = kernel_sub.add_parser("dump", help="dump one kernel as rank,real,imag", parents=[common, dump])
     p_kdump.set_defaults(func=_cmd_kernel_dump)
 
     p_spec = sub.add_parser("spectrum", help="coefficient tables")
     spec_sub = p_spec.add_subparsers(dest="spectrum_command", required=True)
-    p_sdump = spec_sub.add_parser("dump", help="dump a kernel spectrum as index,real,imag", parents=[common])
-    p_sdump.add_argument("--which", choices=("dirichlet", "fejer", "riesz"), required=True)
-    p_sdump.add_argument("--n", type=int, required=True)
-    p_sdump.add_argument("--level", type=int)
-    p_sdump.add_argument("--convention", choices=("zero_based", "shifted"), default="shifted")
+    p_sdump = spec_sub.add_parser("dump", help="dump a kernel spectrum as index,real,imag", parents=[common, dump])
     p_sdump.set_defaults(func=_cmd_spectrum_dump)
 
     p_atoms = sub.add_parser("atoms", help="atom corpora")

@@ -16,7 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -108,12 +108,30 @@ def make_base(moduli: Sequence[int], depth: int | None = None) -> VilenkinBase:
     return VilenkinBase(mods, tuple(orders))
 
 
+def json_field(raw: dict[str, Any], key: str, where: str, kind: type = int) -> Any:
+    """``raw[key]`` as ``kind``: int, float (an integer also does) or tuple of ints.
+
+    Any other JSON value, a string "3", null or a bool included, is a
+    ValueError that names the field.  A missing key raises KeyError.
+    """
+    value = raw[key]
+    items = value if kind is tuple and isinstance(value, list) else [value]
+    numbers = (int, float) if kind is float else (int,)
+    typed = all(isinstance(v, numbers) and not isinstance(v, bool) for v in items)
+    if not typed or (kind is tuple) != isinstance(value, list):
+        noun = {int: "an integer", float: "a number", tuple: "a list of integers"}[kind]
+        raise ValueError(f"{where} field {key!r} must be {noun}, got {json.dumps(value)}")
+    return kind(value)
+
+
 def load_base(path: str | Path) -> VilenkinBase:
     """Read a base from a JSON config: {"moduli": [...], "depth": K}."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "moduli" not in raw:
-        raise ValueError(f"config {path} lacks a 'moduli' entry")
-    return make_base(raw["moduli"], raw.get("depth"))
+    if not isinstance(raw, dict) or "moduli" not in raw:
+        raise ValueError(f"config {path} is not a JSON object with a 'moduli' entry")
+    where = f"config {path}"
+    depth = json_field(raw, "depth", where) if raw.get("depth") is not None else None
+    return make_base(json_field(raw, "moduli", where, tuple), depth)
 
 
 @dataclass(frozen=True)

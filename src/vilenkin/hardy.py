@@ -10,6 +10,7 @@ the coefficient budget.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .functions import LevelFunction
-from .group import Cylinder, VilenkinBase, make_base
+from .group import Cylinder, VilenkinBase, json_field, make_base
 from .transform import Spectrum, forward
 
 __all__ = [
@@ -294,16 +295,17 @@ class CorpusSpec:
         raw = json.loads(text)
         if not isinstance(raw, dict) or raw.get("kind") != "atom-corpus":
             raise ValueError("not an atom corpus descriptor")
+        field = functools.partial(json_field, raw, where="corpus descriptor")
         try:
             return cls(
-                moduli=tuple(raw["moduli"]),
-                depth=int(raw["depth"]),
-                p=float(raw["p"]),
-                count=int(raw["count"]),
-                seed=int(raw["seed"]),
-                support_level_min=int(raw["support_level_min"]),
-                support_level_max=int(raw["support_level_max"]),
-                extra_depth=int(raw.get("extra_depth", 2)),
+                moduli=field("moduli", kind=tuple),
+                depth=field("depth"),
+                p=field("p", kind=float),
+                count=field("count"),
+                seed=field("seed"),
+                support_level_min=field("support_level_min"),
+                support_level_max=field("support_level_max"),
+                extra_depth=field("extra_depth") if "extra_depth" in raw else 2,
             )
         except KeyError as err:
             raise ValueError(f"corpus descriptor lacks the field {err}") from None

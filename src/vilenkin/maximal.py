@@ -5,6 +5,8 @@ by log(n+1), or multiply by log(n+1) and divide by a power of n+1) and
 the generic form dividing by a nondecreasing weight phi(n) >= 1.  Both
 are first-class weight kinds; the generic kinds get the phi >= 1 and
 monotonicity validation, the concrete forms are exempt since log(2) < 1.
+The Fejer maximal operator is the sup of the shifted means sigma_n, the
+averages of S_1 f .. S_n f.
 
 Logarithms are natural throughout.
 """
@@ -19,7 +21,7 @@ import numpy as np
 
 from .functions import LevelFunction
 from .hardy import Martingale, hardy_quasinorm, martingale_from_function
-from .kernels import HarmonicSums, KernelConvention
+from .kernels import HarmonicSums
 from .transform import CharacterSampler, forward
 
 __all__ = [
@@ -37,7 +39,7 @@ __all__ = [
 
 _GENERIC_KINDS = ("unit", "power_log_sq", "custom_table")
 _OPERATOR_FORMS = ("log", "power_log")
-_TAIL_BLOCK = 4096  # cells per block of spectral-tail steps in _stream_sup
+_BLOCK_CELLS = 65536  # cells per block of n in _stream_sup
 
 
 @dataclass(frozen=True)
@@ -105,14 +107,6 @@ class WeightSpec:
             raise ValueError(f"custom table covers n <= {len(self.table)}, need {n_max}")
         return np.asarray(self.table[:n_max], dtype=np.float64)
 
-    def validate_on(self, n_max: int) -> None:
-        """Hypotheses a divergence-condition weight must satisfy."""
-        d = self.divisors(n_max)
-        if np.min(d) < 1.0 - 1e-12:
-            raise ValueError(f"weight dips below 1 on [1, {n_max}] (min {np.min(d):.6g})")
-        if np.any(np.diff(d) < -1e-12):
-            raise ValueError(f"weight is not nondecreasing on [1, {n_max}]")
-
 
 @dataclass(frozen=True, eq=False)
 class MaximalReport:
@@ -128,7 +122,6 @@ def _stream_sup(
     f: LevelFunction,
     n_max: int,
     mode: str,
-    convention: KernelConvention,
     divisors: np.ndarray | None,
     label: str,
 ) -> MaximalReport:
@@ -136,19 +129,20 @@ def _stream_sup(
 
     Both means are one weighted average of the partial sums S_n f from
     :meth:`CharacterSampler.partial_sums`: acc_n = acc_{n-1} + S_n / a_n and
-    mean_n = |acc_n| / b_n, with a_n = 1, b_n = n for Fejer and a_n = n,
-    b_n = l_n for Riesz.  The zero-based Fejer convention averages S_0 ..
-    S_{n-1}, so its mean is |acc_n - S_n| / n.  Computation happens at the
-    function's effective level (means of a level-R function are level-R
-    functions for every n).
+    mean_n = |acc_n| / b_n, with a_n = 1, b_n = n for Fejer (the shifted
+    mean sigma_n) and a_n = n, b_n = l_n for Riesz.  Computation happens at
+    the function's effective level (means of a level-R function are
+    level-R functions for every n).
 
-    The per-step loop runs only up to the last nonzero coefficient.  Past
-    it S_n f = f, so the remaining steps apply the same recurrence in
-    blocks of _TAIL_BLOCK cells: a sequential cumsum over the stacked
-    increments (the loop's order of additions), then a first-occurrence
-    argmax that keeps the loop's strict-improvement tie rule.  The result
-    and argmax are bit-identical to the per-step loop, whose cost now
-    scales with the length of the spectrum rather than with n_max.
+    One loop walks n in blocks of about _BLOCK_CELLS cells.  Up to the
+    last nonzero coefficient each row adds S_n / a_n to the row before;
+    past it S_n f = f, so the rest of the block is one sequential cumsum
+    over f / a_n (the same order of additions).  Each block is then scored
+    once, and a first-occurrence argmax with a strict improvement across
+    blocks keeps the per-step tie rule, so the result and argmax are
+    bit-identical to a plain loop over n.  Only the head rows draw a
+    partial sum, so the cost of the characters scales with the length of
+    the spectrum rather than with n_max.
     """
     if not 1 <= n_max <= f.base.orders[f.level]:
         raise ValueError(f"n_max {n_max} outside [1, {f.base.orders[f.level]}]")
@@ -158,64 +152,49 @@ def _stream_sup(
     else:
         a, b = ns, HarmonicSums.upto(n_max).values[1:]
     w = (1.0 / a).astype(np.complex128)  # numpy divides by a real through its reciprocal: S_n * w_n == S_n / a_n
-    lag = mode == "sigma" and convention is KernelConvention.ZERO_BASED
     g = f.compress()
     total = g.base.orders[g.level]
     coeffs = forward(g).coeffs
-    s = np.zeros(total, dtype=np.complex128)  # S_n f, still zero if the head is empty
-    acc = np.zeros(total, dtype=np.complex128)
-    best = np.full(total, -1.0)
-    arg = np.zeros(total, dtype=np.int64)
     nonzero = np.flatnonzero(coeffs)
     head = min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0)
-    for n, s in enumerate(CharacterSampler(g.base, g.level).partial_sums(head, coeffs), start=1):
-        acc = acc + s * w[n - 1]
-        vals = np.abs(acc - s if lag else acc) / b[n - 1]
+    stream = CharacterSampler(g.base, g.level).partial_sums(head, coeffs)
+    s = np.zeros(total, dtype=np.complex128)  # S_n f, still zero if the head is empty
+    rows = min(n_max, max(1, _BLOCK_CELLS // total))
+    cum = np.zeros((rows + 1, total), dtype=np.complex128)  # carried acc, then the block's rows
+    vals = np.empty((rows, total))
+    best = np.full(total, -1.0)
+    arg = np.zeros(total, dtype=np.int64)
+    for lo in range(1, n_max + 1, rows):
+        k = min(rows, n_max + 1 - lo)
+        h = min(k, max(0, head + 1 - lo))  # rows of the block that draw S_n
+        for n, s in zip(range(lo, lo + h), stream):
+            np.add(cum[n - lo], s * w[n - 1], out=cum[n - lo + 1])
+        np.multiply(s, w[lo - 1 + h : lo - 1 + k, None], out=cum[h + 1 : k + 1])
+        np.cumsum(cum[h : k + 1], axis=0, out=cum[h : k + 1])  # in place, row after row
+        block, v = slice(lo - 1, lo - 1 + k), vals[:k]
+        np.abs(cum[1 : k + 1], out=v)
+        v /= b[block, None]
         if divisors is not None:
-            vals = vals / divisors[n - 1]
-        better = vals > best
-        best[better] = vals[better]
-        arg[better] = n
-    if head < n_max:
-        rows = min(n_max - head, max(1, _TAIL_BLOCK // total))
-        cum = np.empty((rows + 1, total), dtype=np.complex128)  # carried acc, then increments
-        cum[0] = acc
-        mods = np.empty((rows, total))
-        for lo in range(head + 1, n_max + 1, rows):
-            k = min(rows, n_max + 1 - lo)
-            block = slice(lo - 1, lo - 1 + k)
-            sums, vals = cum[1 : k + 1], mods[:k]
-            np.multiply(s, w[block, None], out=sums)
-            np.cumsum(cum[: k + 1], axis=0, out=cum[: k + 1])  # in place, row after row
-            cum[0] = cum[k]
-            if lag:
-                sums -= s
-            np.abs(sums, out=vals)
-            vals /= b[block, None]
-            if divisors is not None:
-                vals /= divisors[block, None]
-            top = np.argmax(vals, axis=0)
-            peak = vals.max(axis=0)
-            better = peak > best
-            best[better] = peak[better]
-            arg[better] = lo + top[better]
+            v /= divisors[block, None]
+        top = np.argmax(v, axis=0)
+        peak = v.max(axis=0)
+        better = peak > best
+        best[better] = peak[better]
+        arg[better] = lo + top[better]
+        cum[0] = cum[k]
     reps = f.base.orders[f.level] // total
     result = LevelFunction(f.base, f.level, np.repeat(best, reps))
     return MaximalReport(label, n_max, result, np.repeat(arg, reps))
 
 
-def sigma_star(
-    f: LevelFunction,
-    n_max: int,
-    convention: KernelConvention = KernelConvention.SHIFTED,
-) -> MaximalReport:
-    """sup over n = 1..n_max of |sigma_n f|."""
-    return _stream_sup(f, n_max, "sigma", convention, None, "sigma_star")
+def sigma_star(f: LevelFunction, n_max: int) -> MaximalReport:
+    """sup over n = 1..n_max of |sigma_n f|, the shifted Fejer mean."""
+    return _stream_sup(f, n_max, "sigma", None, "sigma_star")
 
 
 def riesz_star(f: LevelFunction, n_max: int) -> MaximalReport:
     """sup over n = 1..n_max of |R_n f|."""
-    return _stream_sup(f, n_max, "riesz", KernelConvention.SHIFTED, None, "riesz_star")
+    return _stream_sup(f, n_max, "riesz", None, "riesz_star")
 
 
 def weighted_riesz_star(f: LevelFunction, weight: WeightSpec, n_max: int) -> MaximalReport:
@@ -224,12 +203,13 @@ def weighted_riesz_star(f: LevelFunction, weight: WeightSpec, n_max: int) -> Max
     Generic weight kinds are validated against the phi >= 1 and
     monotonicity hypotheses on the evaluated range.
     """
-    divisors = weight.divisors(n_max)
+    d = weight.divisors(n_max)
     if not weight.is_concrete_form:
-        weight.validate_on(n_max)
-    return _stream_sup(
-        f, n_max, "riesz", KernelConvention.SHIFTED, divisors, f"riesz_star/{weight.kind}"
-    )
+        if np.min(d) < 1.0 - 1e-12:
+            raise ValueError(f"weight dips below 1 on [1, {n_max}] (min {np.min(d):.6g})")
+        if np.any(np.diff(d) < -1e-12):
+            raise ValueError(f"weight is not nondecreasing on [1, {n_max}]")
+    return _stream_sup(f, n_max, "riesz", d, f"riesz_star/{weight.kind}")
 
 
 @dataclass(frozen=True)
@@ -293,7 +273,6 @@ class OperatorSpec:
     op: str  # sigma | riesz | weighted_riesz
     n_max: int
     weight: WeightSpec | None = None  # sigma and riesz take none, or the unit weight
-    convention: KernelConvention = KernelConvention.SHIFTED
 
     def __post_init__(self) -> None:
         if self.op not in ("sigma", "riesz", "weighted_riesz"):
@@ -305,7 +284,7 @@ class OperatorSpec:
 
     def apply(self, f: LevelFunction) -> MaximalReport:
         if self.op == "sigma":
-            return sigma_star(f, self.n_max, self.convention)
+            return sigma_star(f, self.n_max)
         if self.op == "riesz":
             return riesz_star(f, self.n_max)
         return weighted_riesz_star(f, self.weight, self.n_max)

@@ -234,6 +234,36 @@ def test_unreadable_input_is_one_line(tmp_path, capsys):
     assert err == "error: corpus descriptor lacks the field 'p'\n"
 
 
+_DESCRIPTOR = json.loads(
+    hardy.CorpusSpec((2,), 6, 0.5, 1, 7, support_level_min=1, support_level_max=3).to_json()
+)
+
+
+@pytest.mark.parametrize(
+    "flag, payload, message",
+    [
+        ("--input", {**_DESCRIPTOR, "moduli": 2},
+         "corpus descriptor field 'moduli' must be a list of integers, got 2"),
+        ("--config", {"moduli": 2, "depth": 3}, "{path} field 'moduli' must be a list of integers, got 2"),
+        ("--config", 2, "{path} is not a JSON object with a 'moduli' entry"),
+        ("--config", {"moduli": [2], "depth": "3"}, "{path} field 'depth' must be an integer, got \"3\""),
+        ("--input", {**_DESCRIPTOR, "support_level_min": None},
+         "corpus descriptor field 'support_level_min' must be an integer, got null"),
+    ],
+    ids=["input-moduli-int", "config-moduli-int", "config-not-object", "config-depth-str", "input-level-null"],
+)
+def test_wrong_typed_loader_field_is_one_line(tmp_path, capsys, flag, payload, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    if flag == "--input":
+        argv = ["maximal", "table", "--op", "riesz", "--p", "0.5", "--input", str(path)]
+    else:
+        argv = ["--config", str(path), "kernel", "dump", "--which", "riesz", "--n", "1"]
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err == "error: " + message.format(path=f"config {path}") + "\n"
+
+
 def test_library_value_error_is_one_line(capsys):
     code = main(["--base", "2", "--depth", "3", "kernel", "dump", "--which", "riesz", "--n", "100"])
     captured = capsys.readouterr()

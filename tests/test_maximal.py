@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 from vilenkin.functions import LevelFunction, constant
 from vilenkin.group import make_base
 from vilenkin.hardy import martingale_from_function, random_atom
-from vilenkin.kernels import KernelConvention, fejer_mean, riesz_mean
+from vilenkin import maximal
+from vilenkin.kernels import fejer_mean, riesz_mean
 from vilenkin.transform import CharacterSampler, Spectrum, forward, inverse
 from vilenkin.maximal import (
     OperatorSpec,
@@ -39,12 +42,8 @@ def test_star_reports_match_pointwise_means():
         [np.abs(riesz_mean(f, n).values) for n in range(1, n_max + 1)], axis=0
     )
     assert np.max(np.abs(riesz_star(f, n_max).result.values.real - riesz_env)) < 1e-11
-    for conv in KernelConvention:
-        sigma_env = np.max(
-            [np.abs(fejer_mean(f, n, conv).values) for n in range(1, n_max + 1)], axis=0
-        )
-        got = sigma_star(f, n_max, conv).result.values.real
-        assert np.max(np.abs(got - sigma_env)) < 1e-11
+    sigma_env = np.max([np.abs(fejer_mean(f, n).values) for n in range(1, n_max + 1)], axis=0)
+    assert np.max(np.abs(sigma_star(f, n_max).result.values.real - sigma_env)) < 1e-11
 
 
 def test_star_monotone_in_truncation():
@@ -89,7 +88,7 @@ def test_abel_domination_of_riesz_by_fejer():
     rng = np.random.default_rng(6)
     f = _random(base, 5, rng)
     r = riesz_star(f, 72).result.values.real
-    s = sigma_star(f, 72, KernelConvention.SHIFTED).result.values.real
+    s = sigma_star(f, 72).result.values.real
     assert np.max(r - s) < 1e-11
 
 
@@ -280,10 +279,15 @@ def _stream_inputs(draw):
     return f, draw(st.integers(1, base.size))
 
 
+# _BLOCK_CELLS sizes the blocks of n; the bases here fit in one block at the
+# module's value, so each stream also runs with one-row and seven-cell blocks
+_BLOCK_SIZES = (maximal._BLOCK_CELLS, 1, 7)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_stream_inputs())
 def test_stream_matches_per_n_means(case):
-    """Head loop plus blocked spectral tail against the spectral-weight means."""
+    """The blocked stream against the spectral-weight means, at every block size."""
     f, n_rand = case
     top = f.base.size
     nonzero = np.flatnonzero(forward(f).coeffs)
@@ -291,32 +295,32 @@ def test_stream_matches_per_n_means(case):
     ns = np.arange(1, top + 1)
     logs = np.log(ns + 1.0)[:, None]
     terms = {
-        "sigma_shifted": np.array([np.abs(fejer_mean(f, n).values) for n in ns]),
-        "sigma_zero": np.array(
-            [np.abs(fejer_mean(f, n, KernelConvention.ZERO_BASED).values) for n in ns]
-        ),
+        "sigma": np.array([np.abs(fejer_mean(f, n).values) for n in ns]),
         "riesz": np.array([np.abs(riesz_mean(f, n).values) for n in ns]),
     }
     terms["riesz_log"] = terms["riesz"] / logs
     tol = 1e-11 * float(np.max(np.abs(f.values)))
     cells = np.arange(top)
-    for n_max in sorted({1, n_rand, just_past, top}):
-        reports = {
-            "sigma_shifted": sigma_star(f, n_max, KernelConvention.SHIFTED),
-            "sigma_zero": sigma_star(f, n_max, KernelConvention.ZERO_BASED),
-            "riesz": riesz_star(f, n_max),
-            "riesz_log": weighted_riesz_star(f, WeightSpec.log(), n_max),
-        }
-        for key, rep in reports.items():
-            got = rep.result.values.real
-            assert np.max(np.abs(got - terms[key][:n_max].max(axis=0))) <= tol, (key, n_max)
-            assert rep.argmax.min() >= 1 and rep.argmax.max() <= n_max
-            attained = terms[key][rep.argmax - 1, cells]
-            assert np.max(np.abs(attained - got)) <= tol, (key, n_max)
+    for block_cells in _BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(maximal, "_BLOCK_CELLS", block_cells)
+            for n_max in sorted({1, n_rand, just_past, top}):
+                reports = {
+                    "sigma": sigma_star(f, n_max),
+                    "riesz": riesz_star(f, n_max),
+                    "riesz_log": weighted_riesz_star(f, WeightSpec.log(), n_max),
+                }
+                for key, rep in reports.items():
+                    where = (key, n_max, block_cells)
+                    got = rep.result.values.real
+                    assert np.max(np.abs(got - terms[key][:n_max].max(axis=0))) <= tol, where
+                    assert rep.argmax.min() >= 1 and rep.argmax.max() <= n_max
+                    attained = terms[key][rep.argmax - 1, cells]
+                    assert np.max(np.abs(attained - got)) <= tol, where
 
 
-def _literal_sup(f, n_max, mode, convention, divisors):
-    """The operators as one plain loop over n = 1..n_max, with no spectral tail."""
+def _literal_sup(f, n_max, mode, divisors):
+    """The operators as one plain loop over n = 1..n_max, with no blocks."""
     g = f.compress()
     coeffs = np.zeros(max(n_max, g.values.size), dtype=np.complex128)
     coeffs[: g.values.size] = forward(g).coeffs  # S_n f = f past the effective level
@@ -327,7 +331,7 @@ def _literal_sup(f, n_max, mode, convention, divisors):
     for n, s in enumerate(CharacterSampler(g.base, g.level).partial_sums(n_max, coeffs), start=1):
         if mode == "sigma":
             acc = acc + s
-            vals = np.abs(acc if convention is KernelConvention.SHIFTED else acc - s) / n
+            vals = np.abs(acc) / n
         else:
             acc = acc + s / n
             harm += 1.0 / n
@@ -344,7 +348,8 @@ def _literal_sup(f, n_max, mode, convention, divisors):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_stream_inputs())
 def test_stream_is_bit_identical_to_a_literal_loop(case):
-    """Result and argmax equal, bit for bit, on head-only, tail-only and mixed runs."""
+    """Result and argmax equal, bit for bit, on head-only, tail-only and mixed
+    runs, with the head ending inside a block and on a block edge."""
     f, n_rand = case
     top = f.base.size
     nonzero = np.flatnonzero(forward(f).coeffs)
@@ -355,12 +360,16 @@ def test_stream_is_bit_identical_to_a_literal_loop(case):
         for n_max in sorted({1, n_rand, min(top, last + 1), top}):
             shape = "tail-only" if g is zero else "head-only" if n_max <= last else "mixed"
             runs = [
-                (sigma_star(g, n_max, KernelConvention.SHIFTED), ("sigma", KernelConvention.SHIFTED, None)),
-                (sigma_star(g, n_max, KernelConvention.ZERO_BASED), ("sigma", KernelConvention.ZERO_BASED, None)),
-                (riesz_star(g, n_max), ("riesz", KernelConvention.SHIFTED, None)),
-                (weighted_riesz_star(g, log, n_max), ("riesz", KernelConvention.SHIFTED, log.divisors(n_max))),
+                (functools.partial(sigma_star, g, n_max), ("sigma", None)),
+                (functools.partial(riesz_star, g, n_max), ("riesz", None)),
+                (functools.partial(weighted_riesz_star, g, log, n_max), ("riesz", log.divisors(n_max))),
             ]
-            for rep, (mode, convention, divisors) in runs:
-                best, arg = _literal_sup(g, n_max, mode, convention, divisors)
-                assert np.array_equal(rep.result.values.real, best), (shape, rep.operator, n_max)
-                assert np.array_equal(rep.argmax, arg), (shape, rep.operator, n_max)
+            for run, (mode, divisors) in runs:
+                best, arg = _literal_sup(g, n_max, mode, divisors)
+                for block_cells in _BLOCK_SIZES:
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(maximal, "_BLOCK_CELLS", block_cells)
+                        rep = run()
+                    where = (shape, rep.operator, n_max, block_cells)
+                    assert np.array_equal(rep.result.values.real, best), where
+                    assert np.array_equal(rep.argmax, arg), where
