@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .counterexample import blowup_table
-from .functions import LevelFunction, write_csv
+from .functions import LevelFunction
 from .group import VilenkinBase, load_base, make_base
 from .hardy import CorpusSpec
 from .kernels import KernelConvention, dirichlet, fejer_kernel, riesz_kernel
@@ -112,14 +112,17 @@ def _emit_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8", newline="")
+
+
+def _emit_json(payload: dict[str, Any], out: str | None) -> None:
+    _emit_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n", out)
 
 
 def _emit_rows(header: list[str], rows: list[list[Any]], cfg: RunConfig) -> None:
-    """Write a rectangular report as CSV or JSON per the config."""
+    """Write a rectangular report as CSV or JSON per the config; every CLI table goes through here."""
     if cfg.format == "json":
-        payload = {"config": cfg.echo(), "header": header, "rows": rows}
-        _emit_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n", cfg.out)
+        _emit_json({"config": cfg.echo(), "header": header, "rows": rows}, cfg.out)
         return
     import io
 
@@ -156,7 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"[{status}] {report.suite}/{check.name} {extras}".rstrip())
     payload = {"config": cfg.echo(), **report.to_payload()}
     if cfg.out:
-        _emit_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n", cfg.out)
+        _emit_json(payload, cfg.out)
     return 0 if report.passed else 1
 
 
@@ -173,13 +176,9 @@ def _selected_kernel(args: argparse.Namespace, base: VilenkinBase) -> LevelFunct
 def _cmd_kernel_dump(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     fn = _selected_kernel(args, cfg.base())
-    if cfg.format == "json":
-        rows = [[r, v.real, v.imag] for r, v in enumerate(fn.values)]
-        _emit_rows(["rank", "real", "imag"], rows, cfg)
-    elif cfg.out is None:
-        write_csv(fn, sys.stdout)
-    else:
-        write_csv(fn, cfg.out)
+    cell = float if cfg.format == "json" else _fmt  # JSON keeps numbers, CSV full-precision text
+    pairs = zip(fn.values.real.tolist(), fn.values.imag.tolist())  # Python floats format faster
+    _emit_rows(["rank", "real", "imag"], [[r, cell(a), cell(b)] for r, (a, b) in enumerate(pairs)], cfg)
     return 0
 
 

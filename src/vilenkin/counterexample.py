@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import LevelFunction
+from .functions import LevelFunction, pointwise_sup
 from .group import VilenkinBase
 from .hardy import hardy_quasinorm, martingale_from_function
 from .kernels import HarmonicSums, dirichlet, partial_sum, riesz_mean
@@ -219,17 +219,6 @@ class BlowupTable:
         return [r.ratio for r in self.rows]
 
 
-def _sup_over_probes(inst: CounterexampleInstance, weight: WeightSpec) -> LevelFunction:
-    """Pointwise sup over the probe table of |R_q f| / phi(q), evaluated by
-    the helper :func:`riesz_at_q` uses and nothing else."""
-    acc = None
-    for s in range(inst.n_k):
-        _, _, weighted = _weighted_probe(inst, s, weight)
-        vals = np.real(weighted.values)
-        acc = vals if acc is None else np.maximum(acc, vals)
-    return LevelFunction(inst.base, inst.f.level, acc)
-
-
 def blowup_table(
     base: VilenkinBase,
     weight: WeightSpec,
@@ -254,7 +243,7 @@ def blowup_table(
         inst = build_instance(k, base)
         mart = martingale_from_function(inst.f)
         hp = hardy_quasinorm(mart, p)
-        sup_fn = _sup_over_probes(inst, weight)
+        sup_fn = pointwise_sup(_weighted_probe(inst, s, weight)[2] for s in range(inst.n_k))
         m2k = base.orders[2 * k]
         if p == 0.5:
             numerator = sup_fn.lp_quasinorm(0.5)  # equals (integral |T f|^(1/2))^2

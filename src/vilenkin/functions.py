@@ -10,10 +10,8 @@ operations are pure.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,8 +22,17 @@ __all__ = [
     "constant",
     "indicator",
     "pointwise_sup",
-    "write_csv",
 ]
+
+
+def frozen_level_array(base: VilenkinBase, level: int, array: np.ndarray, noun: str) -> np.ndarray:
+    """A read-only complex copy of ``array``, one entry per level cylinder."""
+    base.require_level(level)
+    out = np.array(array, dtype=np.complex128)
+    if out.shape != (base.orders[level],):
+        raise ValueError(f"expected {base.orders[level]} {noun} at level {level}, got shape {out.shape}")
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,16 +44,7 @@ class LevelFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.base.require_level(self.level)
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.base.orders[self.level],):
-            raise ValueError(
-                f"expected {self.base.orders[self.level]} values at level {self.level}, "
-                f"got shape {vals.shape}"
-            )
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", frozen_level_array(self.base, self.level, self.values, "values"))
 
     # ------------------------------------------------------------------
     # resolution changes
@@ -215,14 +213,3 @@ def pointwise_sup(functions: Sequence[LevelFunction] | Iterable[LevelFunction]) 
         np.maximum(acc, np.real(f.at_level(level).values), out=acc)
     return LevelFunction(base, level, acc)
 
-
-def write_csv(f: LevelFunction, out: IO[str] | str | Path) -> None:
-    """Dump as rows (rank, real, imag) with full double precision."""
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            write_csv(f, handle)
-        return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["rank", "real", "imag"])
-    for r, v in enumerate(f.values):
-        writer.writerow([r, f"{v.real:.17g}", f"{v.imag:.17g}"])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -211,9 +211,16 @@ def random_atom(
     the support, projected to zero mean and rescaled so the sup norm hits
     mu(I)^(-1/p) exactly.  Two levels keeps dyadic draws nondegenerate
     (one level down a dyadic mean-zero draw is a Haar shape up to sign).
+    Every corpus draws here, so its exponent and level ranges are checked here.
     """
+    if p <= 0:
+        raise ValueError(f"atom exponent must be positive, got {p}")
+    if extra_depth < 1:  # one cell per support would leave a zero-mean draw nothing to retry on
+        raise ValueError(f"extra depth must be >= 1, got {extra_depth}")
     if support_level is None:
         lo, hi = level_range if level_range else (0, base.depth - 1)
+        if lo < 0:
+            raise ValueError(f"support-level range [{lo}, {hi}] starts below level 0")
         top = min(hi, base.depth - extra_depth)
         if lo > top:
             raise ValueError(
@@ -276,19 +283,7 @@ class CorpusSpec:
         ]
 
     def to_json(self) -> str:
-        payload = {
-            "kind": "atom-corpus",
-            "version": 1,
-            "moduli": list(self.moduli),
-            "depth": self.depth,
-            "p": self.p,
-            "count": self.count,
-            "seed": self.seed,
-            "support_level_min": self.support_level_min,
-            "support_level_max": self.support_level_max,
-            "extra_depth": self.extra_depth,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps({"kind": "atom-corpus", "version": 1, **asdict(self)}, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
@@ -296,16 +291,14 @@ class CorpusSpec:
         if not isinstance(raw, dict) or raw.get("kind") != "atom-corpus":
             raise ValueError("not an atom corpus descriptor")
         field = functools.partial(json_field, raw, where="corpus descriptor")
+        kinds = {"tuple[int, ...]": tuple, "float": float, "int": int}  # by annotation
         try:
             return cls(
-                moduli=field("moduli", kind=tuple),
-                depth=field("depth"),
-                p=field("p", kind=float),
-                count=field("count"),
-                seed=field("seed"),
-                support_level_min=field("support_level_min"),
-                support_level_max=field("support_level_max"),
-                extra_depth=field("extra_depth") if "extra_depth" in raw else 2,
+                **{
+                    f.name: field(f.name, kind=kinds[f.type])
+                    for f in fields(cls)
+                    if f.name in raw or f.default is MISSING  # a defaulted field is optional
+                }
             )
         except KeyError as err:
             raise ValueError(f"corpus descriptor lacks the field {err}") from None

@@ -11,8 +11,10 @@ default for kernel work; the zero-based form stays available.
 Every spectral-weight synthesis of a kernel or mean goes through
 ``_window`` and every sample-domain stream (here and in the maximal and
 counterexample modules) through :meth:`CharacterSampler.partial_sums`;
-each route is the other's oracle.  One kernel stream serves every
-cylinder level of the localization sweeps.
+each route is the other's oracle.  The two routes of the public kernels
+and means, ``_window`` and ``_riesz_abel``, own the index check and
+build the coefficient table, so each public function is one call.  One
+kernel stream serves every cylinder level of the localization sweeps.
 """
 
 from __future__ import annotations
@@ -76,21 +78,32 @@ class KernelConvention(enum.Enum):
     SHIFTED = "shifted"  # (1/n) sum_{k=1}^{n}
 
 
-def _require_resolvable(base: VilenkinBase, n: int, level: int) -> None:
+def _check_index(base: VilenkinBase, level: int, n: int, noun: str, least: int = 1) -> None:
+    """``least <= n <= M_level``: the check of every kernel, mean and sweep index."""
+    if n < least:
+        raise ValueError(f"{noun} must be >= {least}, got {n}")
     base.require_level(level)
     if n > base.orders[level]:
         raise ValueError(f"index {n} not resolvable at level {level} (max {base.orders[level]})")
 
 
 def _window(
-    base: VilenkinBase, level: int, coeffs: np.ndarray, n: int, weights: Callable | None = None
+    base: VilenkinBase,
+    level: int,
+    n: int,
+    f: LevelFunction | None = None,
+    weights: Callable | None = None,
+    noun: str = "kernel index",
+    least: int = 1,
 ) -> LevelFunction:
     """Synthesize sum_{j<n} w_j c_j psi_j with w = ``weights(n)`` (ones if None).
 
-    Every spectral-weight kernel and mean goes through here.  ``coeffs`` is
-    a writable table the caller hands over; it is scaled and truncated in
-    place, and the weights are freed before the inverse transform runs.
+    Every spectral-weight kernel and mean goes through here.  c is the
+    spectrum of ``f`` (all ones if None: a kernel), in a fresh table scaled
+    and truncated in place; the weights are freed before the inverse runs.
     """
+    _check_index(base, level, n, noun, least)
+    coeffs = np.ones(base.orders[level], dtype=np.complex128) if f is None else forward(f).coeffs.copy()
     if weights is not None:
         coeffs[:n] *= weights(n)
     coeffs[n:] = 0.0
@@ -99,10 +112,7 @@ def _window(
 
 def dirichlet(base: VilenkinBase, n: int, level: int) -> LevelFunction:
     """Dirichlet kernel D_n: the sum of the first n characters; D_0 = 0."""
-    if n < 0:
-        raise ValueError(f"kernel index must be >= 0, got {n}")
-    _require_resolvable(base, n, level)
-    return _window(base, level, np.ones(base.orders[level], dtype=np.complex128), n)
+    return _window(base, level, n, least=0)
 
 
 def _mean_weights(n: int, convention: KernelConvention) -> np.ndarray:
@@ -130,11 +140,7 @@ def fejer_kernel(
     convention: KernelConvention = KernelConvention.SHIFTED,
 ) -> LevelFunction:
     """Average of Dirichlet kernels under the chosen convention."""
-    if n < 1:
-        raise ValueError(f"kernel index must be >= 1, got {n}")
-    _require_resolvable(base, n, level)
-    table = np.ones(base.orders[level], dtype=np.complex128)
-    return _window(base, level, table, n, lambda k: _mean_weights(k, convention))
+    return _window(base, level, n, weights=lambda k: _mean_weights(k, convention))
 
 
 def gat_closed_form(base: VilenkinBase, exponent: int, x: GroupPoint) -> float:
@@ -177,10 +183,7 @@ def riesz_kernel(base: VilenkinBase, n: int, level: int) -> LevelFunction:
     Character j is collected with total weight (l_n - l_j)/l_n, which is
     what gets synthesized here; the literal sum is the test oracle.
     """
-    if n < 1:
-        raise ValueError(f"kernel index must be >= 1, got {n}")
-    _require_resolvable(base, n, level)
-    return _window(base, level, np.ones(base.orders[level], dtype=np.complex128), n, _riesz_weights)
+    return _window(base, level, n, weights=_riesz_weights)
 
 
 def riesz_kernel_abel(base: VilenkinBase, n: int, level: int) -> LevelFunction:
@@ -189,14 +192,13 @@ def riesz_kernel_abel(base: VilenkinBase, n: int, level: int) -> LevelFunction:
     Exact identity with the shifted Fejer convention; agreement with
     :func:`riesz_kernel` is asserted by the verification suite.
     """
-    if n < 1:
-        raise ValueError(f"kernel index must be >= 1, got {n}")
-    _require_resolvable(base, n, level)
-    return _riesz_abel(base, level, n, None)
+    return _riesz_abel(base, level, n)
 
 
-def _riesz_abel(base: VilenkinBase, level: int, n: int, coeffs: np.ndarray | None) -> LevelFunction:
-    """Shared Abel sum over the partial sums S_j of ``coeffs`` (D_j if None)."""
+def _riesz_abel(base: VilenkinBase, level: int, n: int, f: LevelFunction | None = None) -> LevelFunction:
+    """Shared Abel sum over the partial sums S_j of ``f`` (D_j if None)."""
+    _check_index(base, level, n, "kernel index" if f is None else "mean index")
+    coeffs = None if f is None else forward(f).coeffs
     harm = HarmonicSums.upto(n)
     total = base.orders[level]
     cum = np.zeros(total, dtype=np.complex128)  # sum_{k<=j} S_k
@@ -210,10 +212,7 @@ def _riesz_abel(base: VilenkinBase, level: int, n: int, coeffs: np.ndarray | Non
 
 def partial_sum(f: LevelFunction, n: int) -> LevelFunction:
     """Fourier partial sum S_n f (S_0 f = 0), synthesized exactly."""
-    if n < 0:
-        raise ValueError(f"partial-sum index must be >= 0, got {n}")
-    _require_resolvable(f.base, n, f.level)
-    return _window(f.base, f.level, forward(f).coeffs.copy(), n)
+    return _window(f.base, f.level, n, f, noun="partial-sum index", least=0)
 
 
 def all_partial_sums(f: LevelFunction) -> list[LevelFunction]:
@@ -234,33 +233,20 @@ def fejer_mean(
     convention: KernelConvention = KernelConvention.SHIFTED,
 ) -> LevelFunction:
     """Average of partial sums under the chosen convention."""
-    if n < 1:
-        raise ValueError(f"mean index must be >= 1, got {n}")
-    _require_resolvable(f.base, n, f.level)
-    table = forward(f).coeffs.copy()
-    return _window(f.base, f.level, table, n, lambda k: _mean_weights(k, convention))
+    return _window(f.base, f.level, n, f, lambda k: _mean_weights(k, convention), "mean index")
 
 
 def riesz_mean(f: LevelFunction, n: int) -> LevelFunction:
     """Riesz logarithmic mean (1/l_n) sum_{k=1}^{n} S_k f / k."""
-    if n < 1:
-        raise ValueError(f"mean index must be >= 1, got {n}")
-    _require_resolvable(f.base, n, f.level)
-    return _window(f.base, f.level, forward(f).coeffs.copy(), n, _riesz_weights)
+    return _window(f.base, f.level, n, f, _riesz_weights, "mean index")
 
 
-def riesz_mean_abel(
-    f: LevelFunction,
-    n: int,
-) -> LevelFunction:
+def riesz_mean_abel(f: LevelFunction, n: int) -> LevelFunction:
     """Abel route for the Riesz mean:
     (1/l_n) sum_{j=1}^{n-1} sigma_j f / (j+1) + sigma_n f / l_n
     with shifted Fejer means; exact-identity partner of :func:`riesz_mean`.
     """
-    if n < 1:
-        raise ValueError(f"mean index must be >= 1, got {n}")
-    _require_resolvable(f.base, n, f.level)
-    return _riesz_abel(f.base, f.level, n, forward(f).coeffs)
+    return _riesz_abel(f.base, f.level, n, f)
 
 
 def convolve(f: LevelFunction, g: LevelFunction) -> LevelFunction:
@@ -305,7 +291,7 @@ def kernel_integral_sweep(
     convention: KernelConvention = KernelConvention.SHIFTED,
 ) -> KernelIntegralSweep:
     """Integral of |K_n| for every n = 1..n_max in one streaming pass."""
-    _require_resolvable(base, n_max, level)
+    _check_index(base, level, n_max, "n_max")
     cum = np.zeros(base.orders[level], dtype=np.complex128)
     integrals = np.empty(n_max, dtype=np.float64)
     for n, d in enumerate(CharacterSampler(base, level).partial_sums(n_max), start=1):
@@ -412,7 +398,7 @@ def localization_sweeps(
         if not 1 <= n_cells <= base.depth:
             raise ValueError(f"cylinder level {n_cells} outside [1, {base.depth}]")
     level = base.depth if level is None else level
-    _require_resolvable(base, n_max, level)
+    _check_index(base, level, n_max, "n_max")
     m_top = base.orders[max(levels)]
     if n_max < m_top:
         raise ValueError(f"n_max {n_max} below the first admissible index {m_top}")

@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .functions import LevelFunction
+from .functions import LevelFunction, frozen_level_array
 from .group import GroupPoint, VilenkinBase, digit_rank_values, nat_expand
 
 __all__ = [
@@ -46,16 +46,7 @@ class Spectrum:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        self.base.require_level(self.level)
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.base.orders[self.level],):
-            raise ValueError(
-                f"expected {self.base.orders[self.level]} coefficients at level {self.level}, "
-                f"got shape {c.shape}"
-            )
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", frozen_level_array(self.base, self.level, self.coeffs, "coefficients"))
 
 
 def rademacher(k: int, x: GroupPoint) -> complex:
@@ -77,10 +68,7 @@ def character(n: int, x: GroupPoint) -> complex:
 
 def character_samples(base: VilenkinBase, n: int, level: int) -> np.ndarray:
     """Character n sampled on all level cylinders, in rank order."""
-    sampler = CharacterSampler(base, level)
-    if not 0 <= n < base.orders[level]:
-        raise ValueError(f"character {n} not resolvable at level {level}")
-    return sampler.character(n)
+    return CharacterSampler(base, level).character(n)
 
 
 class CharacterSampler:
@@ -108,6 +96,8 @@ class CharacterSampler:
         return got
 
     def character(self, n: int) -> np.ndarray:
+        if not 0 <= n < self.base.orders[self.level]:  # n >= M_level would alias to n mod M_level
+            raise ValueError(f"character {n} not resolvable at level {self.level}")
         digits = nat_expand(self.base, n).digits
         out = np.ones(self.base.orders[self.level], dtype=np.complex128)
         for j in range(self.level):
@@ -119,10 +109,15 @@ class CharacterSampler:
         """Sampled partial sums S_n = sum_{j<n} c_j psi_j for n = 1..n_max.
 
         ``coeffs=None`` means all ones (S_n = D_n); zero coefficients are
-        skipped.  Every sample-domain stream of the library walks this
-        generator.  Each step yields a new array that later steps never write.
+        skipped, so a stream may run past M_level only over zero
+        coefficients, and is refused before its first step otherwise.  Every
+        sample-domain stream of the library walks this generator.  Each step
+        yields a new array that later steps never write.
         """
-        s = np.zeros(self.base.orders[self.level], dtype=np.complex128)
+        total = self.base.orders[self.level]
+        if n_max > total and (coeffs is None or np.any(coeffs[total:n_max])):
+            raise ValueError(f"partial sums up to {n_max} not resolvable at level {self.level} (max {total})")
+        s = np.zeros(total, dtype=np.complex128)
         for j in range(n_max):
             if coeffs is None:
                 s = s + self.character(j)

@@ -39,6 +39,7 @@ __all__ = [
 
 Geometry = tuple[tuple[int, ...], int]  # (moduli pattern, depth)
 Case = tuple[tuple[int, ...], int, Sequence[int]]  # (moduli pattern, depth, indices n)
+_LEMMAS_DEPTH = 12  # the lemmas suite sweeps the dyadic base of this depth, n up to 2^12
 
 
 @dataclass(frozen=True)
@@ -238,9 +239,9 @@ def suite_identities(seed: int = 0) -> SuiteReport:
     return SuiteReport("identities", checks)
 
 
-def suite_lemmas(max_cylinder_level: int = 5, depth: int = 12) -> SuiteReport:
+def suite_lemmas(max_cylinder_level: int = 5) -> SuiteReport:
     """Criterion 5, on levels 1..max_cylinder_level with n <= 4096."""
-    checks = check_localization((2,), depth, min(2**depth, 4096), range(1, max_cylinder_level + 1))
+    checks = check_localization((2,), _LEMMAS_DEPTH, 2**_LEMMAS_DEPTH, range(1, max_cylinder_level + 1))
     return SuiteReport("lemmas", checks)
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 
 import numpy as np
@@ -9,7 +8,6 @@ from vilenkin import cli, hardy, verify
 from vilenkin.cli import main
 from vilenkin.hardy import hardy_quasinorm
 from vilenkin.maximal import weighted_riesz_star
-from vilenkin.verify import run_suite
 
 
 def test_kernel_dump_riesz_one_is_constant(tmp_path):
@@ -22,6 +20,23 @@ def test_kernel_dump_riesz_one_is_constant(tmp_path):
     for line in lines[1:]:
         rank, re, im = line.split(",")
         assert float(re) == 1.0 and float(im) == 0.0
+
+
+def test_kernel_dump_csv_bytes(tmp_path, capsys):
+    """Header, rank plus real and imaginary cells in .17g, LF line endings."""
+    argv = ["--base", "2", "--depth", "2", "kernel", "dump", "--which", "riesz", "--n", "3"]
+    expected = (
+        b"rank,real,imag\n"
+        b"0,1.6363636363636362,0\n"
+        b"1,1.2727272727272729,0\n"
+        b"2,0.72727272727272729,0\n"
+        b"3,0.36363636363636376,0\n"
+    )
+    out = tmp_path / "k.csv"
+    assert main(argv[:4] + ["--out", str(out)] + argv[4:]) == 0
+    assert out.read_bytes() == expected
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == expected
 
 
 def test_kernel_dump_json_carries_config(tmp_path):
@@ -285,9 +300,37 @@ def test_empty_support_level_range_is_one_line(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("extra_depth", 0, "extra depth must be >= 1, got 0"),
+        ("extra_depth", -1, "extra depth must be >= 1, got -1"),
+        ("p", 0.0, "atom exponent must be positive, got 0.0"),
+        ("p", -1.0, "atom exponent must be positive, got -1.0"),
+        ("support_level_min", -3, "support-level range [-3, 3] starts below level 0"),
+    ],
+    ids=["extra-depth-zero", "extra-depth-negative", "p-zero", "p-negative", "level-min-negative"],
+)
+def test_out_of_range_descriptor_field_is_one_line(tmp_path, capsys, field, value, message):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({**_DESCRIPTOR, field: value}))
+    code, err = _refusal(capsys, ["maximal", "table", "--op", "riesz", "--p", "0.5", "--input", str(path)])
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_atoms_corpus_refuses_p_zero(tmp_path, capsys):
+    out = tmp_path / "corpus.json"
+    argv = ["--base", "2", "--depth", "6", "--seed", "1", "--out", str(out), "atoms", "corpus", "--count", "2", "--p", "0"]
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err == "error: atom exponent must be positive, got 0.0\n"
+    assert not out.exists()
+
+
 def test_verify_lemmas_fails_on_growing_ratios(capsys, monkeypatch):
     # at depth 6 the sweep stops at n = 64, where the tail ratios still grow
-    monkeypatch.setattr(cli, "run_suite", functools.partial(run_suite, depth=6))
+    monkeypatch.setattr(verify, "_LEMMAS_DEPTH", 6)
     code = main(["verify", "lemmas", "--max-a", "2"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1

@@ -1,9 +1,7 @@
-import io
-
 import numpy as np
 import pytest
 
-from vilenkin.functions import LevelFunction, constant, indicator, pointwise_sup, write_csv
+from vilenkin.functions import LevelFunction, constant, indicator, pointwise_sup
 from vilenkin.group import Cylinder, make_base
 from vilenkin.transform import character_samples
 
@@ -180,13 +178,3 @@ def test_mismatched_bases_rejected():
     with pytest.raises(ValueError, match="mismatched"):
         f + g
 
-
-def test_csv_dump_format():
-    base = make_base((2,), 1)
-    f = LevelFunction(base, 1, [1.5, -2.0 + 0.25j])
-    buf = io.StringIO()
-    write_csv(f, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "rank,real,imag"
-    assert lines[1] == "0,1.5,0"
-    assert lines[2] == "1,-2,0.25"

@@ -196,6 +196,13 @@ def test_random_atoms_always_validate():
                 assert np.max(np.abs(atom.values.values)) == pytest.approx(bound)
 
 
+def test_random_atom_refuses_extra_depth_zero():
+    # one cell per support: every zero-mean draw would be degenerate, and the retry loop never ends
+    base = make_base((2,), 6)
+    with pytest.raises(ValueError, match="extra depth must be >= 1, got 0"):
+        random_atom(base, 0.5, np.random.default_rng(0), extra_depth=0)
+
+
 def test_random_atom_refuses_empty_level_range():
     base = make_base((2,), 4)
     rng = np.random.default_rng(1)

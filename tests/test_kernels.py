@@ -305,11 +305,13 @@ def test_mean_index_bounds():
 
 def test_kernel_integral_sweep_matches_pointwise_kernels():
     base = make_base((2, 3), 4)
-    sweep = kernel_integral_sweep(base, 4, 30)
-    for n in (1, 2, 7, 19, 30):
-        direct = fejer_kernel(base, n, 4, SHIFTED).modulus().integrate().real
-        assert sweep.integrals[n - 1] == pytest.approx(direct, abs=1e-12)
-    assert np.all(np.diff(sweep.running_max) >= 0)
+    for convention in (SHIFTED, ZERO_BASED):
+        sweep = kernel_integral_sweep(base, 4, 30, convention)
+        assert sweep.convention is convention
+        for n in (1, 2, 7, 19, 30):
+            direct = fejer_kernel(base, n, 4, convention).modulus().integrate().real
+            assert sweep.integrals[n - 1] == pytest.approx(direct, abs=1e-12), (convention, n)
+        assert np.all(np.diff(sweep.running_max) >= 0)
 
 
 def test_localization_sweep_masses_match_direct_integrals():

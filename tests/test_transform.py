@@ -183,6 +183,22 @@ def test_spectrum_shape_validation():
         character_samples(base, 4, 2)
 
 
+def test_sampler_refuses_an_index_its_level_cannot_resolve():
+    # on (2,) depth 4 at level 2, character 5 used to alias to character 1
+    base = make_base((2,), 4)
+    sampler = CharacterSampler(base, 2)
+    assert np.array_equal(sampler.character(3), character_samples(base, 3, 2))
+    with pytest.raises(ValueError, match="character 5 not resolvable at level 2"):
+        sampler.character(5)
+    with pytest.raises(ValueError, match="partial sums up to 10 not resolvable at level 2"):
+        next(sampler.partial_sums(10))  # refused before the first sum
+    with pytest.raises(ValueError, match="partial sums up to 5 not resolvable"):
+        next(sampler.partial_sums(5, np.ones(5)))
+    # past the level over zero coefficients the stream is exact: S_n = S_4
+    sums = list(sampler.partial_sums(10, np.array([1.0, 2.0, 3.0, 4.0, 0, 0, 0, 0, 0, 0])))
+    assert len(sums) == 10 and all(np.array_equal(s, sums[3]) for s in sums[4:])
+
+
 _SAMPLER_CELLS = 300  # cap on M_K so the per-n partial-sum oracle stays cheap
 
 
