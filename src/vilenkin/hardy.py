@@ -196,6 +196,16 @@ def assemble_from_atoms(
     return AtomAssembly(LevelFunction(base, level, acc), budget)
 
 
+def _check_draw(p: float, extra_depth: int, level_range: tuple[int, int] | None) -> None:
+    """Refuse an exponent, extra depth or support-level range that no atom draw accepts."""
+    if not p > 0:
+        raise ValueError(f"atom exponent must be positive, got {p}")
+    if extra_depth < 1:  # one cell per support would leave a zero-mean draw nothing to retry on
+        raise ValueError(f"extra depth must be >= 1, got {extra_depth}")
+    if level_range and level_range[0] < 0:
+        raise ValueError(f"support-level range [{level_range[0]}, {level_range[1]}] starts below level 0")
+
+
 def random_atom(
     base: VilenkinBase,
     p: float,
@@ -211,16 +221,12 @@ def random_atom(
     the support, projected to zero mean and rescaled so the sup norm hits
     mu(I)^(-1/p) exactly.  Two levels keeps dyadic draws nondegenerate
     (one level down a dyadic mean-zero draw is a Haar shape up to sign).
-    Every corpus draws here, so its exponent and level ranges are checked here.
+    The exponent and level range are checked by ``_check_draw``, which a
+    ``CorpusSpec`` also calls, so a corpus of no atoms is refused alike.
     """
-    if p <= 0:
-        raise ValueError(f"atom exponent must be positive, got {p}")
-    if extra_depth < 1:  # one cell per support would leave a zero-mean draw nothing to retry on
-        raise ValueError(f"extra depth must be >= 1, got {extra_depth}")
+    _check_draw(p, extra_depth, level_range if support_level is None else None)
     if support_level is None:
         lo, hi = level_range if level_range else (0, base.depth - 1)
-        if lo < 0:
-            raise ValueError(f"support-level range [{lo}, {hi}] starts below level 0")
         top = min(hi, base.depth - extra_depth)
         if lo > top:
             raise ValueError(
@@ -264,6 +270,7 @@ class CorpusSpec:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError(f"corpus count must be >= 0, got {self.count}")
+        _check_draw(self.p, self.extra_depth, (self.support_level_min, self.support_level_max))
 
     def base(self) -> VilenkinBase:
         return make_base(self.moduli, self.depth)

@@ -11,7 +11,10 @@ default for kernel work; the zero-based form stays available.
 Every spectral-weight synthesis of a kernel or mean goes through
 ``_window`` and every sample-domain stream (here and in the maximal and
 counterexample modules) through :meth:`CharacterSampler.partial_sums`;
-each route is the other's oracle.  The two routes of the public kernels
+each route is the other's oracle.  The stream is exact on dyadic and
+mod-4 digits and updates psi_n carry by carry; its kernels D_n are
+float64 when every modulus up to the level is 2, and the sweeps'
+accumulators follow its dtype.  The two routes of the public kernels
 and means, ``_window`` and ``_riesz_abel``, own the index check and
 build the coefficient table, so each public function is one call.  One
 kernel stream serves every cylinder level of the localization sweeps.
@@ -201,9 +204,11 @@ def _riesz_abel(base: VilenkinBase, level: int, n: int, f: LevelFunction | None 
     coeffs = None if f is None else forward(f).coeffs
     harm = HarmonicSums.upto(n)
     total = base.orders[level]
-    cum = np.zeros(total, dtype=np.complex128)  # sum_{k<=j} S_k
-    acc = np.zeros(total, dtype=np.complex128)  # sum_{j<n} sigma_j/(j+1)
-    for j, s in enumerate(CharacterSampler(base, level).partial_sums(n, coeffs), start=1):
+    sampler = CharacterSampler(base, level)
+    dtype = sampler.dtype if f is None else np.complex128  # the stream's dtype
+    cum = np.zeros(total, dtype=dtype)  # sum_{k<=j} S_k
+    acc = np.zeros(total, dtype=dtype)  # sum_{j<n} sigma_j/(j+1)
+    for j, s in enumerate(sampler.partial_sums(n, coeffs), start=1):
         cum = cum + s
         if j < n:
             acc = acc + cum / (j * (j + 1))
@@ -292,9 +297,10 @@ def kernel_integral_sweep(
 ) -> KernelIntegralSweep:
     """Integral of |K_n| for every n = 1..n_max in one streaming pass."""
     _check_index(base, level, n_max, "n_max")
-    cum = np.zeros(base.orders[level], dtype=np.complex128)
+    sampler = CharacterSampler(base, level)
+    cum = np.zeros(base.orders[level], dtype=sampler.dtype)
     integrals = np.empty(n_max, dtype=np.float64)
-    for n, d in enumerate(CharacterSampler(base, level).partial_sums(n_max), start=1):
+    for n, d in enumerate(sampler.partial_sums(n_max), start=1):
         cum = cum + d
         kn = cum if convention is KernelConvention.SHIFTED else cum - d
         integrals[n - 1] = np.mean(np.abs(kn)) / n
@@ -407,8 +413,9 @@ def localization_sweeps(
     ranks = [[c.block_start * base.orders[n] // total for c in cs] for n, cs in zip(levels, cells)]
     masses = [np.empty((len(cs), n_max - base.orders[n] + 1)) for n, cs in zip(levels, cells)]
 
-    cum = np.zeros(total, dtype=np.complex128)
-    for n, d in enumerate(CharacterSampler(base, level).partial_sums(n_max), start=1):
+    sampler = CharacterSampler(base, level)
+    cum = np.zeros(total, dtype=sampler.dtype)
+    for n, d in enumerate(sampler.partial_sums(n_max), start=1):
         cum = cum + d
         kn_abs = np.abs(cum if convention is KernelConvention.SHIFTED else cum - d) / n
         for n_cells, rows, mass in zip(levels, ranks, masses):

@@ -8,9 +8,10 @@ DFT block in a single matrix product on a rotating layout: the run's axes
 lead, the product moves them to the end, and after the last run the axes
 are back in their original order.  Roots of unity that are quarter turns
 are stored as the exact values 1, i, -1, -i, so dyadic and mod-4 digits
-multiply exactly.  Forward coefficients use the conjugated character,
-matching the inner-product convention; the inverse applies plain
-characters with no normalization.
+multiply exactly; the sampled characters of :class:`CharacterSampler`
+take their roots from the same table.  Forward coefficients use the
+conjugated character, matching the inner-product convention; the inverse
+applies plain characters with no normalization.
 """
 
 from __future__ import annotations
@@ -72,17 +73,23 @@ def character_samples(base: VilenkinBase, n: int, level: int) -> np.ndarray:
 
 
 class CharacterSampler:
-    """Cached per-digit phase vectors for repeated character sampling.
+    """Characters sampled on the level cylinders, from exact roots.
 
-    Sweeps that walk n = 1..n_max request thousands of sampled characters;
-    caching the (digit position, digit value) phase vectors makes each one
-    a handful of vector multiplies.
+    The digit-j factor of psi_n is the phase vector r_m[(n_j x_j) % m] over
+    the cylinders x, where m = m_j and r_m is the root table of ``_roots``
+    (quarter turns exact, as in the transform).  Phase vectors are built on
+    first use and cached, one per (digit position, nonzero digit value):
+    at most sum_j (m_j - 1) vectors of M_level samples.  When every modulus
+    up to the level is 2 the roots are +-1, and the vectors, ``character``
+    and the ``coeffs=None`` stream are float64 (``dtype``); otherwise they
+    are complex128.
     """
 
     def __init__(self, base: VilenkinBase, level: int):
         base.require_level(level)
         self.base = base
         self.level = level
+        self.dtype = np.dtype(np.float64 if set(base.moduli[:level]) <= {2} else np.complex128)
         self._digit_values = digit_rank_values(base, level)
         self._phases: dict[tuple[int, int], np.ndarray] = {}
 
@@ -90,39 +97,71 @@ class CharacterSampler:
         key = (j, d)
         got = self._phases.get(key)
         if got is None:
-            got = np.exp(2j * np.pi * d / self.base.moduli[j] * self._digit_values[j])
+            m = self.base.moduli[j]
+            roots = _roots(m, +1)
+            got = (roots.real if self.dtype.kind == "f" else roots)[(d * self._digit_values[j]) % m]
             got.setflags(write=False)
             self._phases[key] = got
         return got
 
     def character(self, n: int) -> np.ndarray:
+        """psi_n on the level cylinders, multiplied from the top digit down
+        as :meth:`partial_sums` does, so the two agree bit for bit."""
         if not 0 <= n < self.base.orders[self.level]:  # n >= M_level would alias to n mod M_level
             raise ValueError(f"character {n} not resolvable at level {self.level}")
-        digits = nat_expand(self.base, n).digits
-        out = np.ones(self.base.orders[self.level], dtype=np.complex128)
-        for j in range(self.level):
-            if digits[j]:
-                out = out * self._phase(j, digits[j])
+        out = np.ones(self.base.orders[self.level], dtype=self.dtype)
+        for j in reversed(range(self.level)):
+            d = n // self.base.orders[j] % self.base.moduli[j]
+            if d:
+                out = self._phase(j, d) * out
         return out
 
     def partial_sums(self, n_max: int, coeffs: np.ndarray | None = None) -> Iterator[np.ndarray]:
         """Sampled partial sums S_n = sum_{j<n} c_j psi_j for n = 1..n_max.
 
-        ``coeffs=None`` means all ones (S_n = D_n); zero coefficients are
-        skipped, so a stream may run past M_level only over zero
-        coefficients, and is refused before its first step otherwise.  Every
-        sample-domain stream of the library walks this generator.  Each step
-        yields a new array that later steps never write.
+        ``coeffs=None`` means all ones (S_n = D_n, of ``dtype``); otherwise
+        the sums are complex128.  Zero coefficients are skipped, so a stream
+        may run past M_level only over zero coefficients, and is refused
+        before its first step otherwise.  Every sample-domain stream of the
+        library walks this generator.  Each step yields a new array that
+        later steps never write.
+
+        psi_n is the suffix product P_0, where P_j = phase(j, n_j) P_{j+1}
+        over the digits of n.  Going from n to n + 1 changes only digits
+        0..c (c the carry position), so a step recomputes P_c..P_0 alone:
+        one vector multiply per nonzero digit among them (the digits below
+        c are zero, so one in all), and none past M_level, where the digits
+        stop.  A step over a zero coefficient only advances the digits; the
+        next nonzero one refreshes every suffix the carries touched.  Besides
+        the phase vectors, the suffix list holds one shared array of ones
+        and at most one array per digit of n_max - 1 (so at most ``level``).
         """
         total = self.base.orders[self.level]
         if n_max > total and (coeffs is None or np.any(coeffs[total:n_max])):
             raise ValueError(f"partial sums up to {n_max} not resolvable at level {self.level} (max {total})")
-        s = np.zeros(total, dtype=np.complex128)
-        for j in range(n_max):
-            if coeffs is None:
-                s = s + self.character(j)
-            elif coeffs[j] != 0:
-                s = s + coeffs[j] * self.character(j)
+        steps = min(n_max, total)
+        moduli = self.base.moduli
+        width = sum(1 for m_j in self.base.orders[: self.level] if m_j < steps)  # digits of steps - 1
+        digits = [0] * width
+        suffix = [np.ones(total, dtype=self.dtype)] * (width + 1)  # P_0..P_width
+        stale = 0  # P_0..P_{stale-1} lag behind the digits
+        s = np.zeros(total, dtype=self.dtype if coeffs is None else np.complex128)
+        for n in range(steps):
+            if n:
+                c = 0
+                while digits[c] == moduli[c] - 1:
+                    digits[c] = 0
+                    c += 1
+                digits[c] += 1
+                stale = max(stale, c + 1)
+            if coeffs is None or coeffs[n] != 0:
+                for j in reversed(range(stale)):
+                    d = digits[j]
+                    suffix[j] = self._phase(j, d) * suffix[j + 1] if d else suffix[j + 1]
+                stale = 0
+                s = s + (suffix[0] if coeffs is None else coeffs[n] * suffix[0])
+            yield s
+        for _ in range(steps, n_max):
             yield s
 
 
@@ -131,12 +170,21 @@ _QUARTER_TURNS = (1, 1j, -1, -1j)
 
 
 @lru_cache(maxsize=None)
+def _roots(m: int, sign: int) -> np.ndarray:
+    """exp(sign 2 pi i k / m) for k = 0..m-1, with the quarter turns stored
+    as the exact values 1, i, -1, -i (exp lands near, not on, them)."""
+    k = np.arange(m)
+    w = np.exp(sign * 2j * np.pi * k / m)
+    quarter = (4 * k) % m == 0
+    w[quarter] = np.take(_QUARTER_TURNS, (sign * 4 * k[quarter] // m) % 4)
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=None)
 def _dft_matrix(m: int, sign: int) -> np.ndarray:
     a = np.arange(m)
-    k = np.outer(a, a) % m
-    w = np.exp(sign * 2j * np.pi * k / m)
-    quarter = (4 * k) % m == 0  # exp lands near, not on, the quarter turns
-    w[quarter] = np.take(_QUARTER_TURNS, (sign * 4 * k[quarter] // m) % 4)
+    w = _roots(m, sign)[np.outer(a, a) % m]
     w.setflags(write=False)
     return w
 

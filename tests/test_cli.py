@@ -319,6 +319,24 @@ def test_out_of_range_descriptor_field_is_one_line(tmp_path, capsys, field, valu
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("p", 0.0, "atom exponent must be positive, got 0.0"),
+        ("extra_depth", 0, "extra depth must be >= 1, got 0"),
+        ("support_level_min", -3, "support-level range [-3, 3] starts below level 0"),
+    ],
+    ids=["p-zero", "extra-depth-zero", "level-min-negative"],
+)
+def test_out_of_range_field_of_an_empty_corpus_is_one_line(tmp_path, capsys, field, value, message):
+    # a corpus of no atoms never draws, so the descriptor itself is checked
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({**_DESCRIPTOR, "count": 0, field: value}))
+    code, err = _refusal(capsys, ["maximal", "table", "--op", "riesz", "--p", "0.5", "--input", str(path)])
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_atoms_corpus_refuses_p_zero(tmp_path, capsys):
     out = tmp_path / "corpus.json"
     argv = ["--base", "2", "--depth", "6", "--seed", "1", "--out", str(out), "atoms", "corpus", "--count", "2", "--p", "0"]

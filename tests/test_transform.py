@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vilenkin import transform
 from vilenkin.functions import LevelFunction, constant, indicator
 from vilenkin.group import Cylinder, GroupPoint, make_base, point_add, point_of, zero_point
 from vilenkin.kernels import dirichlet, partial_sum
@@ -239,6 +240,69 @@ def test_partial_sums_stream_matches_oracles(case):
         assert np.max(np.abs(d - dirichlet(base, n, level).values)) <= 1e-11 * n, n
     # yielded arrays are never written by later steps
     assert all(np.array_equal(a, b) for a, b in zip(sums, kept))
+
+
+_STREAM_CELLS = 256  # largest base whose streams are checked against character_matrix
+
+
+@st.composite
+def _stream_cases(draw):
+    """A random mixed-radix base (moduli 2-7; all-2, all-4 and (2, 4) among
+    them) of at most _STREAM_CELLS cells, and a seed."""
+    pattern = draw(
+        st.one_of(st.sampled_from([(2,), (4,), (2, 4)]), st.lists(st.integers(2, 7), min_size=1, max_size=4))
+    )
+    depth = 1
+    while make_base(pattern, depth + 1).size <= _STREAM_CELLS:
+        depth += 1
+    return make_base(pattern, depth), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_stream_cases())
+def test_carry_incremental_stream_matches_the_character_matrix(case):
+    """Every S_n of the stream against sum_{j<n} c_j psi_j from the
+    independent oracle, at every level, for all-one, sparse and dense
+    coefficients; D_n exact where every root is a quarter turn."""
+    base, seed = case
+    rng = np.random.default_rng(seed)
+    for level in range(base.depth + 1):
+        total = base.orders[level]
+        psi = character_matrix(base, level)
+        dense = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+        sparse = np.where(rng.random(total) < 0.7, 0.0, dense)
+        moduli = set(base.moduli[:level])
+        for coeffs in (None, sparse, dense):
+            c = np.ones(total) if coeffs is None else coeffs
+            want = np.cumsum(c[:, None] * psi, axis=0)  # row n - 1 is psi[:n].T @ c[:n]
+            sums = list(CharacterSampler(base, level).partial_sums(total, coeffs))
+            assert len(sums) == total
+            for n, s in enumerate(sums, start=1):
+                assert np.max(np.abs(s - want[n - 1])) <= 1e-13 * np.max(np.abs(s)), (level, n)
+            if coeffs is None:
+                assert all(s.dtype == (np.float64 if moduli <= {2} else np.complex128) for s in sums), level
+                if moduli <= {2, 4}:
+                    assert all(np.array_equal(s, np.round(s)) for s in sums), level
+        # a one-hot spectrum streams psi_k itself, built as character(k) builds it
+        sampler = CharacterSampler(base, level)
+        k = int(rng.integers(total))
+        *_, last = sampler.partial_sums(total, np.eye(total)[k])
+        assert np.array_equal(last, sampler.character(k)), (level, k)
+
+
+@pytest.mark.parametrize("moduli, depth", [((2, 3), 6), ((2,), 10)])
+def test_stream_rebuilds_no_character(monkeypatch, moduli, depth):
+    """The stream updates the suffix products, never a whole character."""
+
+    def refuse(*args):
+        raise AssertionError("character rebuilt from its digits")
+
+    monkeypatch.setattr(transform, "nat_expand", refuse)
+    monkeypatch.setattr(CharacterSampler, "character", refuse)
+    base = make_base(moduli, depth)
+    coeffs = np.random.default_rng(3).standard_normal(base.size)
+    for c in (None, coeffs):
+        assert sum(1 for _ in CharacterSampler(base, depth).partial_sums(base.size, c)) == base.size
 
 
 _FUSED_CELLS = 1024  # largest base checked against the quadratic oracles
