@@ -57,14 +57,12 @@ from .maximal import (
     hp_to_lp_ratio,
     riesz_star,
     sigma_star,
-    weight_trend,
     weighted_riesz_star,
 )
 from .counterexample import (
     CounterexampleInstance,
     blowup_table,
     build_instance,
-    hardy_norm_scaling,
     partial_sum_closed_form,
     riesz_at_q,
     shift_identity_check,

@@ -30,7 +30,6 @@ __all__ = [
     "blowup_table",
     "BlowupRow",
     "BlowupTable",
-    "hardy_norm_scaling",
 ]
 
 _SPECTRUM_TOL = 1e-10
@@ -203,10 +202,12 @@ class BlowupTable:
     """Stage table with a finite-range trend label, never a limit claim.
 
     ``monotone`` records plain strict increase of the ratio column.  The
-    ``flag`` is "increasing" only when the column grows at a
-    nondecreasing rate (accelerating growth is the finite-range signature
-    of the blow-up mechanism); a column rising toward a plateau, which is
-    what a boundedness-side weight produces, gets "flat-or-bounded".
+    ``flag`` is "increasing" only when the column has at least two stages
+    and grows at a nondecreasing rate (accelerating growth is the
+    finite-range signature of the blow-up mechanism); a column rising
+    toward a plateau, which is what a boundedness-side weight produces,
+    and a single stage, which shows no trend, get "flat-or-bounded".
+    This flag is the library's one trend label.
     """
 
     p: float
@@ -232,10 +233,12 @@ def blowup_table(
     (integral of |T f|^(1/2))^2; otherwise the weak threshold expression
     lambda * mu(|T f| >= lambda)^(1/p) at the first-probe threshold
     lambda = 1 / (phi(q0) l_{q0} q0).  The ratio column divides by the
-    exact Hardy quasi-norm; the flag says whether it strictly increases.
+    exact Hardy quasi-norm; ``BlowupTable`` describes the flag.
     """
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
+    if not k_range:
+        raise ValueError("the stage range is empty, need at least one stage k >= 1")
     rows = []
     for k in k_range:
         if k < 1:
@@ -266,20 +269,10 @@ def blowup_table(
                 hardy_scaling=hp / m2k ** (1.0 - 1.0 / p),
             )
         )
-    ratios = np.array([r.ratio for r in rows])
-    monotone = bool(np.all(np.diff(ratios) > 0)) if len(ratios) > 1 else True
-    steps = np.diff(ratios)
-    accelerating = monotone and (len(steps) < 2 or bool(np.all(np.diff(steps) >= 0)))
+    steps = np.diff([r.ratio for r in rows])
+    monotone = bool(np.all(steps > 0))  # vacuously true for one stage
+    accelerating = steps.size > 0 and monotone and bool(np.all(np.diff(steps) >= 0))
     return BlowupTable(
         p, weight, tuple(rows), monotone, "increasing" if accelerating else "flat-or-bounded"
     )
 
-
-def hardy_norm_scaling(base: VilenkinBase, p: float, k_range: range) -> list[float]:
-    """||f_k||_{H_p} / M_{2k}^(1 - 1/p) per stage, by brute force."""
-    out = []
-    for k in k_range:
-        inst = build_instance(k, base)
-        hp = hardy_quasinorm(martingale_from_function(inst.f), p)
-        out.append(hp / base.orders[2 * k] ** (1.0 - 1.0 / p))
-    return out

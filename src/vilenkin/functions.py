@@ -89,7 +89,7 @@ class LevelFunction:
 
     def lp_quasinorm(self, p: float) -> float:
         """(integral of |f|^p)^(1/p) for any p > 0."""
-        if p <= 0:
+        if not p > 0:
             raise ValueError(f"p must be positive, got {p}")
         mean = np.mean(np.abs(self.values) ** p)
         if not np.isfinite(mean):
@@ -103,7 +103,7 @@ class LevelFunction:
         limit from below at a distinct value v and equals
         max_v v^p * mu(|f| >= v).  No outer 1/p root is applied.
         """
-        if p <= 0:
+        if not p > 0:
             raise ValueError(f"p must be positive, got {p}")
         mods = np.abs(self.values)
         uniq, counts = np.unique(mods, return_counts=True)
@@ -118,7 +118,7 @@ class LevelFunction:
 
     def weak_lp_at(self, p: float, threshold: float) -> float:
         """Threshold form lambda * mu(|f| >= lambda)^(1/p)."""
-        if p <= 0:
+        if not p > 0:
             raise ValueError(f"p must be positive, got {p}")
         if threshold <= 0:
             raise ValueError(f"threshold must be positive, got {threshold}")

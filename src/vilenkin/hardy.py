@@ -20,7 +20,6 @@ import numpy as np
 
 from .functions import LevelFunction
 from .group import Cylinder, VilenkinBase, json_field, make_base
-from .transform import Spectrum, forward
 
 __all__ = [
     "Martingale",
@@ -28,7 +27,6 @@ __all__ = [
     "AtomCheck",
     "AtomAssembly",
     "martingale_from_function",
-    "martingale_spectrum",
     "maximal_function",
     "hardy_quasinorm",
     "validate_atom",
@@ -83,15 +81,6 @@ def martingale_from_function(f: LevelFunction) -> Martingale:
     return Martingale(f.base, comps)
 
 
-def martingale_spectrum(m: Martingale) -> Spectrum:
-    """Fourier coefficients of the martingale.
-
-    The coefficient of index i stabilizes once a component resolves i, so
-    the top component's coefficients are exact for every representable i.
-    """
-    return forward(m.top)
-
-
 def maximal_function(m: Martingale) -> LevelFunction:
     """Pointwise supremum of the component moduli, at the top level.
 
@@ -135,7 +124,7 @@ def validate_atom(atom: PAtom, tol: float = 1e-9) -> AtomCheck:
     Conditions: zero mean over the support, sup norm at most
     mu(I)^(-1/p), and vanishing off the support.
     """
-    if atom.p <= 0:
+    if not atom.p > 0:
         raise ValueError(f"atom exponent must be positive, got {atom.p}")
     f = atom.values
     if f.base != atom.support.base:

@@ -6,7 +6,9 @@ the generic form dividing by a nondecreasing weight phi(n) >= 1.  Both
 are first-class weight kinds; the generic kinds get the phi >= 1 and
 monotonicity validation, the concrete forms are exempt since log(2) < 1.
 The Fejer maximal operator is the sup of the shifted means sigma_n, the
-averages of S_1 f .. S_n f.
+averages of S_1 f .. S_n f.  ``hp_to_lp_ratio`` measures one operator
+against the Hardy quasi-norm of one input; the stage-by-stage blow-up
+and its trend label are ``counterexample.blowup_table``'s.
 
 Logarithms are natural throughout.
 """
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .functions import LevelFunction
-from .hardy import Martingale, hardy_quasinorm, martingale_from_function
+from .hardy import hardy_quasinorm, martingale_from_function
 from .kernels import HarmonicSums
 from .transform import CharacterSampler, forward
 
@@ -29,11 +31,9 @@ __all__ = [
     "MaximalReport",
     "OperatorSpec",
     "RatioReport",
-    "TrendTable",
     "sigma_star",
     "riesz_star",
     "weighted_riesz_star",
-    "weight_trend",
     "hp_to_lp_ratio",
 ]
 
@@ -61,7 +61,7 @@ class WeightSpec:
     def __post_init__(self) -> None:
         if self.kind not in _GENERIC_KINDS + _OPERATOR_FORMS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind in ("power_log", "power_log_sq") and (self.p is None or self.p <= 0):
+        if self.kind in ("power_log", "power_log_sq") and (self.p is None or not self.p > 0):
             raise ValueError(f"weight kind {self.kind!r} needs a positive exponent p")
         if self.kind == "custom_table" and not self.table:
             raise ValueError("custom_table weight needs a table")
@@ -213,60 +213,6 @@ def weighted_riesz_star(f: LevelFunction, weight: WeightSpec, n_max: int) -> Max
 
 
 @dataclass(frozen=True)
-class TrendTable:
-    """Finite-range diagnostic of a divergence condition; never a limit claim."""
-
-    condition: str
-    n_grid: tuple[int, ...]
-    ratios: tuple[float, ...]
-    flag: str  # diverging-trend | flat | decreasing
-
-
-_FLAT_BAND = 0.01
-_CONDITION_KINDS = {"log": "log", "power_over_log": "power_log", "power_log_sq": "power_log_sq"}
-
-
-def _classify_trend(ratios: np.ndarray) -> str:
-    r0 = ratios[0]
-    if r0 > 0 and np.max(np.abs(ratios / r0 - 1.0)) <= _FLAT_BAND:
-        return "flat"
-    diffs = np.diff(ratios)
-    if np.all(diffs >= -1e-12) and ratios[-1] > ratios[0]:
-        return "diverging-trend"
-    if np.all(diffs <= 1e-12) and ratios[-1] < ratios[0]:
-        return "decreasing"
-    if ratios[-1] > ratios[0] * (1.0 + _FLAT_BAND):
-        return "diverging-trend"
-    if ratios[-1] < ratios[0] * (1.0 - _FLAT_BAND):
-        return "decreasing"
-    return "flat"
-
-
-def weight_trend(
-    weight: WeightSpec,
-    p: float,
-    n_grid: Sequence[int],
-    condition: str,
-) -> TrendTable:
-    """Ratio of a divergence condition's numerator to the weight along a grid.
-
-    Conditions: "log" checks log(n+1)/phi(n); "power_over_log" checks
-    (n+1)^(1/p-2) / (log(n+1) phi(n)); "power_log_sq" checks
-    (n+1)^(1/p-2) log(n+1)^(2 floor(1/2+p)) / phi(n).  The numerators are
-    the divisors of the weight kinds log, power_log and power_log_sq; the
-    latter two need p > 0.
-    """
-    if condition not in _CONDITION_KINDS:
-        raise ValueError(f"unknown condition {condition!r}")
-    grid = np.asarray(sorted(n_grid), dtype=np.int64)
-    if grid.size < 2 or grid[0] < 1:
-        raise ValueError("need an increasing grid of indices >= 1")
-    numerator = WeightSpec(_CONDITION_KINDS[condition], p=p)
-    ratios = (numerator.divisors(int(grid[-1])) / weight.divisors(int(grid[-1])))[grid - 1]
-    return TrendTable(condition, tuple(int(v) for v in grid), tuple(map(float, ratios)), _classify_trend(ratios))
-
-
-@dataclass(frozen=True)
 class OperatorSpec:
     """Named truncated maximal operator, applyable to a function."""
 
@@ -303,23 +249,10 @@ class RatioReport:
     hardy_norm: float
 
 
-def hp_to_lp_ratio(
-    source: Martingale | LevelFunction,
-    operator: OperatorSpec,
-    p: float,
-) -> RatioReport:
-    """Strong and weak operator ratios against the Hardy quasi-norm.
-
-    Martingale input applies the operator to the top component, whose
-    coefficients carry the stabilized values of every resolvable index.
-    """
-    if isinstance(source, Martingale):
-        mart = source
-        f = source.top
-    else:
-        mart = martingale_from_function(source)
-        f = source
-    hp = hardy_quasinorm(mart, p)
+def hp_to_lp_ratio(f: LevelFunction, operator: OperatorSpec, p: float) -> RatioReport:
+    """Strong and weak operator ratios of f against the Hardy quasi-norm
+    of the martingale of its conditional expectations."""
+    hp = hardy_quasinorm(martingale_from_function(f), p)
     if hp == 0.0:
         raise ValueError("Hardy quasi-norm is zero")
     out = operator.apply(f).result

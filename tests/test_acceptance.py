@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from vilenkin.cli import main
-from vilenkin.counterexample import blowup_table, hardy_norm_scaling
+from vilenkin.counterexample import blowup_table
 from vilenkin.functions import LevelFunction
 from vilenkin.group import make_base
 from vilenkin.hardy import CorpusSpec
@@ -159,7 +159,7 @@ def test_criterion_8_hardy_norm_scaling():
     spreads = {}
     ok = True
     for p in (0.3, 0.5, 1.0):
-        col = hardy_norm_scaling(base, p, range(1, 6))
+        col = [row.hardy_scaling for row in blowup_table(base, WeightSpec.unit(), p, range(1, 6)).rows]
         spread = max(col) / min(col)
         spreads[p] = spread
         ok = ok and spread < 4.0

@@ -425,3 +425,78 @@ def test_atoms_corpus_refuses_a_negative_count(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == "error: corpus count must be >= 0, got -3\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kmax", ["0", "-2"])
+def test_counterexample_sweep_refuses_no_stages(capsys, kmax):
+    argv = ["--base", "2", "--depth", "9", "counterexample", "sweep", "--p", "0.5", "--kmax", kmax]
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err == "error: the stage range is empty, need at least one stage k >= 1\n"
+
+
+def test_counterexample_sweep_one_stage_is_not_a_trend(capsys):
+    assert main(["--base", "2", "--depth", "9", "counterexample", "sweep", "--p", "0.5", "--kmax", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[1].endswith(",flat-or-bounded")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--base", "2", "--depth", "9", "counterexample", "sweep", "--p", "nan", "--kmax", "2"], "p must be positive, got nan"),
+        (["maximal", "table", "--op", "riesz", "--weight", "log", "--p", "nan"], "p must be positive, got nan"),
+        (
+            ["maximal", "table", "--op", "riesz", "--weight", "power_log", "--p", "nan"],
+            "weight kind 'power_log' needs a positive exponent p",
+        ),
+    ],
+    ids=["sweep", "table-log", "table-power-log"],
+)
+def test_nan_exponent_is_refused(tmp_path, capsys, argv, message):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(_DESCRIPTOR))
+    extra = ["--input", str(corpus)] if "maximal" in argv else []
+    code, err = _refusal(capsys, argv + extra)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def _stdout(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_counterexample_sweep_bytes(capsys):
+    argv = ["--base", "2", "--depth", "9", "counterexample", "sweep", "--phi", "log", "--p", "0.5", "--kmax", "3"]
+    assert _stdout(capsys, argv) == (
+        "k,probe_indices,hardy_norm,numerator,ratio,analytic_lower_bound,trend_flag\n"
+        "1,5,0.25,0.048885602325656752,0.19554240930262701,0.45511961331341866,increasing\n"
+        "2,17;20,0.0625,0.018215536475441368,0.29144858360706188,0.57199933500534872,increasing\n"
+        "3,65;68;80,0.015625,0.0064265345099106131,0.41129820863427924,0.61730777865160102,increasing\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, rows",
+    [
+        (
+            ["--op", "riesz", "--weight", "log"],
+            "0,2,0.80587897295701438,0.32506517248282846,0.26826446409350846\n"
+            "1,3,0.53347277394194281,0.41095140653295048,0.26056816493575941\n",
+        ),
+        (
+            ["--op", "sigma"],
+            "0,2,0.80587897295701438,2.5781598499589475,0.81138923394276596\n"
+            "1,3,0.53347277394194281,3.5762484644134656,0.70304004277386956\n",
+        ),
+    ],
+    ids=["riesz-log", "sigma"],
+)
+def test_maximal_table_bytes(tmp_path, capsys, flags, rows):
+    corpus = tmp_path / "corpus.json"
+    argv = ["--base", "2", "--depth", "6", "--seed", "1", "--out", str(corpus), "atoms", "corpus", "--count", "2"]
+    assert main(argv + ["--p", "0.5"]) == 0
+    table = _stdout(capsys, ["maximal", "table", *flags, "--p", "0.5", "--input", str(corpus)])
+    assert table == "atom,support_level,hardy_norm,strong_ratio,weak_ratio\n" + rows

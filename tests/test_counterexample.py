@@ -4,7 +4,6 @@ import pytest
 from vilenkin.counterexample import (
     blowup_table,
     build_instance,
-    hardy_norm_scaling,
     partial_sum_closed_form,
     riesz_at_q,
     shift_identity_check,
@@ -160,7 +159,7 @@ def test_blowup_hardy_norm_against_direct_computation():
 def test_hardy_norm_scaling_flat_for_dyadic():
     base = make_base((2,), 11)
     for p in (0.3, 0.5, 1.0):
-        col = hardy_norm_scaling(base, p, range(1, 6))
+        col = [row.hardy_scaling for row in blowup_table(base, WeightSpec.unit(), p, range(1, 6)).rows]
         assert max(col) / min(col) < 1.001
 
 

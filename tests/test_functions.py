@@ -50,6 +50,9 @@ def test_norms_reject_nonpositive_parameters():
         f.weak_lp(-1.0)
     with pytest.raises(ValueError):
         f.weak_lp_at(0.5, 0.0)
+    for norm in (f.lp_quasinorm, f.weak_lp, lambda p: f.weak_lp_at(p, 0.5)):
+        with pytest.raises(ValueError, match="p must be positive, got nan"):
+            norm(float("nan"))
 
 
 def test_norms_reject_non_finite_values():

@@ -12,7 +12,6 @@ from vilenkin.hardy import (
     assemble_from_atoms,
     hardy_quasinorm,
     martingale_from_function,
-    martingale_spectrum,
     maximal_function,
     random_atom,
     validate_atom,
@@ -131,7 +130,7 @@ def test_martingale_spectrum_stabilizes():
     rng = np.random.default_rng(31)
     f = LevelFunction(base, 4, rng.standard_normal(16))
     m = martingale_from_function(f)
-    top = martingale_spectrum(m).coeffs
+    top = forward(m.top).coeffs
     # indices resolvable at a coarser level already carry the same coefficient
     for n in range(1, 5):
         part = forward(m.components[n]).coeffs
@@ -147,6 +146,9 @@ def test_character_atom_on_whole_group_is_valid():
     atom = PAtom(0.5, Cylinder.from_rank(base, 0, 0), _psi(base, 1, 3))
     check = validate_atom(atom)
     assert check.ok, check.failures
+    for p in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="atom exponent must be positive"):
+            validate_atom(PAtom(p, atom.support, atom.values))
 
 
 def test_constant_function_is_not_an_atom():

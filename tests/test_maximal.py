@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vilenkin.functions import LevelFunction, constant
 from vilenkin.group import make_base
-from vilenkin.hardy import martingale_from_function, random_atom
+from vilenkin.hardy import random_atom
 from vilenkin import maximal
 from vilenkin.kernels import fejer_mean, riesz_mean
 from vilenkin.transform import CharacterSampler, Spectrum, forward, inverse
@@ -17,7 +17,6 @@ from vilenkin.maximal import (
     hp_to_lp_ratio,
     riesz_star,
     sigma_star,
-    weight_trend,
     weighted_riesz_star,
 )
 
@@ -163,30 +162,11 @@ def test_generic_weights_validated_but_concrete_forms_exempt():
         weighted_riesz_star(f, WeightSpec.custom([2.0, 1.5, 1.2, 1.0]), 4)
 
 
-def test_weight_trend_examples():
-    t = weight_trend(WeightSpec.unit(), 0.5, [1, 10, 100, 1000], "log")
-    assert t.flag == "diverging-trend"
-    assert t.ratios[0] == pytest.approx(np.log(2.0))
-    t = weight_trend(WeightSpec.log(), 0.5, [1, 10, 100, 1000], "log")
-    assert t.flag == "flat"
-    assert all(r == pytest.approx(1.0) for r in t.ratios)
-    p = 0.3
-    table = ((np.arange(1, 1001) + 1) ** (1 / p - 2)).tolist()
-    t = weight_trend(WeightSpec.custom(table), p, [2, 10, 100, 1000], "power_over_log")
-    assert t.flag == "decreasing"
-    assert t.ratios[0] == pytest.approx(1 / np.log(3.0))
-
-
-def test_weight_trend_rejects_unknown_condition():
-    with pytest.raises(ValueError):
-        weight_trend(WeightSpec.unit(), 0.5, [1, 2], "nope")
-
-
-@pytest.mark.parametrize("condition", ["power_over_log", "power_log_sq"])
-@pytest.mark.parametrize("p", [0.0, -0.5])
-def test_weight_trend_rejects_non_positive_p(condition, p):
+@pytest.mark.parametrize("kind", ["power_log", "power_log_sq"])
+@pytest.mark.parametrize("p", [0.0, -0.5, float("nan")])
+def test_power_weight_rejects_non_positive_p(kind, p):
     with pytest.raises(ValueError, match="positive exponent"):
-        weight_trend(WeightSpec.unit(), p, [1, 10, 100], condition)
+        getattr(WeightSpec, kind)(p)
 
 
 # ----------------------------------------------------------------------
@@ -202,17 +182,6 @@ def test_ratio_scale_invariance():
     b = hp_to_lp_ratio(7.0 * f, op, 0.5)
     assert a.strong == pytest.approx(b.strong)
     assert a.weak == pytest.approx(b.weak)
-
-
-def test_ratio_accepts_martingale_input():
-    base = make_base((2,), 5)
-    rng = np.random.default_rng(12)
-    f = _random(base, 5, rng)
-    mart = martingale_from_function(f)
-    op = OperatorSpec("sigma", 32)
-    via_fn = hp_to_lp_ratio(f, op, 1.0)
-    via_mart = hp_to_lp_ratio(mart, op, 1.0)
-    assert via_fn.strong == pytest.approx(via_mart.strong)
 
 
 def test_ratio_on_half_atom_is_finite():
