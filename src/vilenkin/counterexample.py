@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import LevelFunction, pointwise_sup
+from .functions import LevelFunction, pointwise_sup, require_positive
 from .group import VilenkinBase
 from .hardy import hardy_quasinorm, martingale_from_function
 from .kernels import HarmonicSums, dirichlet, partial_sum, riesz_mean
@@ -235,8 +235,7 @@ def blowup_table(
     lambda = 1 / (phi(q0) l_{q0} q0).  The ratio column divides by the
     exact Hardy quasi-norm; ``BlowupTable`` describes the flag.
     """
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+    require_positive(p, "p")
     if not k_range:
         raise ValueError("the stage range is empty, need at least one stage k >= 1")
     rows = []
@@ -246,14 +245,14 @@ def blowup_table(
         inst = build_instance(k, base)
         mart = martingale_from_function(inst.f)
         hp = hardy_quasinorm(mart, p)
-        sup_fn = pointwise_sup(_weighted_probe(inst, s, weight)[2] for s in range(inst.n_k))
+        probes = [_weighted_probe(inst, s, weight) for s in range(inst.n_k)]
+        sup_fn = pointwise_sup(weighted for _, _, weighted in probes)
         m2k = base.orders[2 * k]
         if p == 0.5:
             numerator = sup_fn.lp_quasinorm(0.5)  # equals (integral |T f|^(1/2))^2
             analytic = k / float(weight.divisors(base.orders[2 * k + 1])[-1])
         else:
-            q0 = inst.probe_indices[0]
-            phi0 = float(weight.divisors(q0)[q0 - 1])
+            q0, phi0, _ = probes[0]  # the first probe's index and weight
             lam = 1.0 / (phi0 * HarmonicSums.upto(q0)[q0] * q0)
             numerator = sup_fn.weak_lp_at(p, lam)
             phi_q = float(weight.divisors(m2k + 1)[-1])

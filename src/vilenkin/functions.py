@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .group import Cylinder, VilenkinBase
+from .group import Cylinder, VilenkinBase, _check_same_base
 
 __all__ = [
     "LevelFunction",
@@ -33,6 +33,12 @@ def frozen_level_array(base: VilenkinBase, level: int, array: np.ndarray, noun: 
         raise ValueError(f"expected {base.orders[level]} {noun} at level {level}, got shape {out.shape}")
     out.setflags(write=False)
     return out
+
+
+def require_positive(value: float, noun: str) -> None:
+    """Refuse ``not value > 0``, so zero, negatives and NaN alike."""
+    if not value > 0:
+        raise ValueError(f"{noun} must be positive, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +95,7 @@ class LevelFunction:
 
     def lp_quasinorm(self, p: float) -> float:
         """(integral of |f|^p)^(1/p) for any p > 0."""
-        if not p > 0:
-            raise ValueError(f"p must be positive, got {p}")
+        require_positive(p, "p")
         mean = np.mean(np.abs(self.values) ** p)
         if not np.isfinite(mean):
             raise ValueError("values are not finite (or |f|^p overflows float64)")
@@ -103,8 +108,7 @@ class LevelFunction:
         limit from below at a distinct value v and equals
         max_v v^p * mu(|f| >= v).  No outer 1/p root is applied.
         """
-        if not p > 0:
-            raise ValueError(f"p must be positive, got {p}")
+        require_positive(p, "p")
         mods = np.abs(self.values)
         uniq, counts = np.unique(mods, return_counts=True)
         if not np.isfinite(uniq[-1]):  # NaN and inf sort last
@@ -118,10 +122,8 @@ class LevelFunction:
 
     def weak_lp_at(self, p: float, threshold: float) -> float:
         """Threshold form lambda * mu(|f| >= lambda)^(1/p)."""
-        if not p > 0:
-            raise ValueError(f"p must be positive, got {p}")
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
+        require_positive(p, "p")
+        require_positive(threshold, "threshold")
         measure = np.count_nonzero(np.abs(self.values) >= threshold) / self.values.size
         return float(threshold * measure ** (1.0 / p))
 
@@ -139,8 +141,7 @@ class LevelFunction:
     # pointwise algebra (operands auto-refine to the common level)
 
     def _align(self, other: "LevelFunction") -> tuple["LevelFunction", "LevelFunction"]:
-        if self.base != other.base:
-            raise ValueError("mismatched bases")
+        _check_same_base(self.base, other.base)
         lv = max(self.level, other.level)
         return self.at_level(lv), other.at_level(lv)
 
@@ -208,8 +209,7 @@ def pointwise_sup(functions: Sequence[LevelFunction] | Iterable[LevelFunction]) 
     level = max(f.level for f in fs)
     acc = np.real(fs[0].at_level(level).values).copy()
     for f in fs[1:]:
-        if f.base != base:
-            raise ValueError("mismatched bases")
+        _check_same_base(base, f.base)
         np.maximum(acc, np.real(f.at_level(level).values), out=acc)
     return LevelFunction(base, level, acc)
 

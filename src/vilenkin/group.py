@@ -170,21 +170,21 @@ def unit_point(base: VilenkinBase, k: int, value: int = 1) -> GroupPoint:
     return GroupPoint(base, tuple(coords))
 
 
-def _check_same_base(x: GroupPoint, y: GroupPoint) -> None:
-    if x.base != y.base:
+def _check_same_base(a: VilenkinBase, b: VilenkinBase) -> None:
+    if a != b:
         raise ValueError("mismatched bases")
 
 
 def point_add(x: GroupPoint, y: GroupPoint) -> GroupPoint:
     """Digit-wise addition modulo the per-level modulus."""
-    _check_same_base(x, y)
+    _check_same_base(x.base, y.base)
     coords = tuple((a + b) % m for a, b, m in zip(x.coords, y.coords, x.base.moduli))
     return GroupPoint(x.base, coords)
 
 
 def point_sub(x: GroupPoint, y: GroupPoint) -> GroupPoint:
     """Inverse of :func:`point_add`."""
-    _check_same_base(x, y)
+    _check_same_base(x.base, y.base)
     coords = tuple((a - b) % m for a, b, m in zip(x.coords, y.coords, x.base.moduli))
     return GroupPoint(x.base, coords)
 
@@ -283,7 +283,7 @@ class Cylinder:
         return range(self.rank * width, (self.rank + 1) * width)
 
     def contains(self, point: GroupPoint) -> bool:
-        _check_same_base(self.anchor, point)
+        _check_same_base(self.anchor.base, point.base)
         return point.coords[: self.level] == self.anchor.coords[: self.level]
 
 

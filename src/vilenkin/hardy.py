@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .functions import LevelFunction
-from .group import Cylinder, VilenkinBase, json_field, make_base
+from .functions import LevelFunction, require_positive
+from .group import Cylinder, VilenkinBase, _check_same_base, json_field, make_base
 
 __all__ = [
     "Martingale",
@@ -56,8 +56,7 @@ class Martingale:
         if not self.components:
             raise ValueError("martingale needs at least one component")
         for n, comp in enumerate(self.components):
-            if comp.base != self.base:
-                raise ValueError("mismatched bases")
+            _check_same_base(self.base, comp.base)
             if comp.level != n:
                 raise ValueError(f"component {n} resolved at level {comp.level}, expected {n}")
         tol = _ADAPTED_RTOL * float(np.max(np.abs(self.components[-1].values)))
@@ -124,19 +123,15 @@ def validate_atom(atom: PAtom, tol: float = 1e-9) -> AtomCheck:
     Conditions: zero mean over the support, sup norm at most
     mu(I)^(-1/p), and vanishing off the support.
     """
-    if not atom.p > 0:
-        raise ValueError(f"atom exponent must be positive, got {atom.p}")
+    require_positive(atom.p, "atom exponent")
     f = atom.values
-    if f.base != atom.support.base:
-        raise ValueError("mismatched bases")
+    _check_same_base(atom.support.base, f.base)
     level = max(f.level, atom.support.level)
     vals = f.at_level(level).values
     blk = atom.support.block(level)
     inside = vals[blk.start : blk.stop]
-    outside_max = 0.0
-    if blk.start > 0 or blk.stop < len(vals):
-        outside = np.concatenate([vals[: blk.start], vals[blk.stop :]])
-        outside_max = float(np.max(np.abs(outside))) if outside.size else 0.0
+    outside = np.concatenate([vals[: blk.start], vals[blk.stop :]])
+    outside_max = float(np.max(np.abs(outside), initial=0.0))  # 0 when the support is the whole group
     mean_residual = abs(inside.sum() / len(vals))  # the integral over the support
     bound = atom.support.measure ** (-1.0 / atom.p)
     sup_excess = float(np.max(np.abs(vals)) - bound) if vals.size else -bound
@@ -172,8 +167,7 @@ def assemble_from_atoms(
     budget = 0.0
     p = atoms[0].p if atoms else None
     for atom, mu in zip(atoms, coeffs):
-        if atom.values.base != base:
-            raise ValueError("mismatched bases")
+        _check_same_base(base, atom.values.base)
         if atom.p != p:
             raise ValueError("atoms in one decomposition must share the exponent")
         if level <= atom.values.level:
@@ -185,14 +179,21 @@ def assemble_from_atoms(
     return AtomAssembly(LevelFunction(base, level, acc), budget)
 
 
-def _check_draw(p: float, extra_depth: int, level_range: tuple[int, int] | None) -> None:
-    """Refuse an exponent, extra depth or support-level range that no atom draw accepts."""
-    if not p > 0:
-        raise ValueError(f"atom exponent must be positive, got {p}")
+def _check_draw(p: float, depth: int, extra_depth: int, level_range: tuple[int, int] | None) -> None:
+    """Refuse an exponent, extra depth or support-level range that no draw at ``depth`` accepts."""
+    require_positive(p, "atom exponent")
     if extra_depth < 1:  # one cell per support would leave a zero-mean draw nothing to retry on
         raise ValueError(f"extra depth must be >= 1, got {extra_depth}")
-    if level_range and level_range[0] < 0:
-        raise ValueError(f"support-level range [{level_range[0]}, {level_range[1]}] starts below level 0")
+    if level_range is None:
+        return
+    lo, hi = level_range
+    if lo < 0:
+        raise ValueError(f"support-level range [{lo}, {hi}] starts below level 0")
+    if lo > min(hi, depth - extra_depth):
+        raise ValueError(
+            f"support-level range [{lo}, {hi}] is empty once capped at depth - extra_depth "
+            f"= {depth - extra_depth} (depth {depth}, extra depth {extra_depth})"
+        )
 
 
 def random_atom(
@@ -210,19 +211,13 @@ def random_atom(
     the support, projected to zero mean and rescaled so the sup norm hits
     mu(I)^(-1/p) exactly.  Two levels keeps dyadic draws nondegenerate
     (one level down a dyadic mean-zero draw is a Haar shape up to sign).
-    The exponent and level range are checked by ``_check_draw``, which a
-    ``CorpusSpec`` also calls, so a corpus of no atoms is refused alike.
+    The exponent, extra depth and capped range go through ``_check_draw``,
+    which a ``CorpusSpec`` also calls, so a corpus of no atoms is refused alike.
     """
-    _check_draw(p, extra_depth, level_range if support_level is None else None)
+    lo, hi = level_range or (0, base.depth - 1)
+    _check_draw(p, base.depth, extra_depth, (lo, hi) if support_level is None else None)
     if support_level is None:
-        lo, hi = level_range if level_range else (0, base.depth - 1)
-        top = min(hi, base.depth - extra_depth)
-        if lo > top:
-            raise ValueError(
-                f"support-level range [{lo}, {hi}] is empty once capped at depth - extra_depth "
-                f"= {base.depth - extra_depth} (depth {base.depth}, extra depth {extra_depth})"
-            )
-        support_level = int(rng.integers(lo, top + 1))
+        support_level = int(rng.integers(lo, min(hi, base.depth - extra_depth) + 1))
     resolution = support_level + extra_depth
     if resolution > base.depth:
         raise ValueError(f"resolution {resolution} exceeds base depth {base.depth}")
@@ -259,7 +254,8 @@ class CorpusSpec:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError(f"corpus count must be >= 0, got {self.count}")
-        _check_draw(self.p, self.extra_depth, (self.support_level_min, self.support_level_max))
+        # base() first: an invalid base is refused before the range it caps is read
+        _check_draw(self.p, self.base().depth, self.extra_depth, (self.support_level_min, self.support_level_max))
 
     def base(self) -> VilenkinBase:
         return make_base(self.moduli, self.depth)

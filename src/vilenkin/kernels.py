@@ -29,7 +29,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .functions import LevelFunction
-from .group import Cylinder, GroupPoint, VilenkinBase, coset_partition, point_of, subtract_rank_table
+from .group import Cylinder, GroupPoint, VilenkinBase, _check_same_base, coset_partition, point_of, subtract_rank_table
 from .transform import CharacterSampler, Spectrum, forward, inverse
 
 __all__ = [
@@ -260,8 +260,7 @@ def convolve(f: LevelFunction, g: LevelFunction) -> LevelFunction:
     Evaluated literally through rank subtraction, O(M^2); this is the
     sample-domain partner that ties kernels to means in the tests.
     """
-    if f.base != g.base:
-        raise ValueError("mismatched bases")
+    _check_same_base(f.base, g.base)
     level = max(f.level, g.level)
     fv = f.at_level(level).values
     gv = g.at_level(level).values

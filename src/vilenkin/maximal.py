@@ -23,7 +23,7 @@ import numpy as np
 
 from .functions import LevelFunction
 from .hardy import hardy_quasinorm, martingale_from_function
-from .kernels import HarmonicSums
+from .kernels import HarmonicSums, _check_index
 from .transform import CharacterSampler, forward
 
 __all__ = [
@@ -65,6 +65,9 @@ class WeightSpec:
             raise ValueError(f"weight kind {self.kind!r} needs a positive exponent p")
         if self.kind == "custom_table" and not self.table:
             raise ValueError("custom_table weight needs a table")
+        for i, v in enumerate(self.table or ()):
+            if not math.isfinite(v):  # NaN would pass every phi >= 1 and monotonicity check
+                raise ValueError(f"custom_table entry {i} is not finite, got {v}")
 
     @classmethod
     def unit(cls) -> "WeightSpec":
@@ -144,8 +147,7 @@ def _stream_sup(
     partial sum, so the cost of the characters scales with the length of
     the spectrum rather than with n_max.
     """
-    if not 1 <= n_max <= f.base.orders[f.level]:
-        raise ValueError(f"n_max {n_max} outside [1, {f.base.orders[f.level]}]")
+    _check_index(f.base, f.level, n_max, "n_max")
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     if mode == "sigma":
         a, b = np.ones(n_max), ns

@@ -261,10 +261,9 @@ def suite_atoms(seed: int, count: int = 50) -> SuiteReport:
     rng = np.random.default_rng(seed + 1)
     coeffs = rng.uniform(0.5, 2.0, size=min(8, len(atoms)))
     subset = atoms[: len(coeffs)]
-    comps = [assemble_from_atoms(base, subset, coeffs, n).component for n in range(base.depth + 1)]
-    mart = Martingale(base, tuple(comps))
-    budget = sum(abs(c) ** spec.p for c in coeffs)
-    ratio = hardy_quasinorm(mart, spec.p) / budget ** (1.0 / spec.p)
+    assemblies = [assemble_from_atoms(base, subset, coeffs, n) for n in range(base.depth + 1)]
+    mart = Martingale(base, tuple(a.component for a in assemblies))
+    ratio = hardy_quasinorm(mart, spec.p) / assemblies[-1].budget ** (1.0 / spec.p)
     # for p <= 1, ||sum mu_k a_k||_{H_p}^p <= sum |mu_k|^p: each atom's
     # maximal function is at most mu(I)^(-1/p) on its support I and 0 off it
     checks.append(

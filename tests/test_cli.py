@@ -252,6 +252,8 @@ def test_unreadable_input_is_one_line(tmp_path, capsys):
 _DESCRIPTOR = json.loads(
     hardy.CorpusSpec((2,), 6, 0.5, 1, 7, support_level_min=1, support_level_max=3).to_json()
 )
+# depth 6 less the 2 extra levels leaves support levels 0..4, so [5, 3] holds none
+_CAPPED_EMPTY = "support-level range [5, 3] is empty once capped at depth - extra_depth = 4 (depth 6, extra depth 2)"
 
 
 @pytest.mark.parametrize(
@@ -308,8 +310,9 @@ def test_empty_support_level_range_is_one_line(capsys, tmp_path):
         ("p", 0.0, "atom exponent must be positive, got 0.0"),
         ("p", -1.0, "atom exponent must be positive, got -1.0"),
         ("support_level_min", -3, "support-level range [-3, 3] starts below level 0"),
+        ("support_level_min", 5, _CAPPED_EMPTY),
     ],
-    ids=["extra-depth-zero", "extra-depth-negative", "p-zero", "p-negative", "level-min-negative"],
+    ids=["extra-depth-zero", "extra-depth-negative", "p-zero", "p-negative", "level-min-negative", "level-range-empty"],
 )
 def test_out_of_range_descriptor_field_is_one_line(tmp_path, capsys, field, value, message):
     path = tmp_path / "corpus.json"
@@ -325,8 +328,9 @@ def test_out_of_range_descriptor_field_is_one_line(tmp_path, capsys, field, valu
         ("p", 0.0, "atom exponent must be positive, got 0.0"),
         ("extra_depth", 0, "extra depth must be >= 1, got 0"),
         ("support_level_min", -3, "support-level range [-3, 3] starts below level 0"),
+        ("support_level_min", 5, _CAPPED_EMPTY),
     ],
-    ids=["p-zero", "extra-depth-zero", "level-min-negative"],
+    ids=["p-zero", "extra-depth-zero", "level-min-negative", "level-range-empty"],
 )
 def test_out_of_range_field_of_an_empty_corpus_is_one_line(tmp_path, capsys, field, value, message):
     # a corpus of no atoms never draws, so the descriptor itself is checked
@@ -500,3 +504,100 @@ def test_maximal_table_bytes(tmp_path, capsys, flags, rows):
     assert main(argv + ["--p", "0.5"]) == 0
     table = _stdout(capsys, ["maximal", "table", *flags, "--p", "0.5", "--input", str(corpus)])
     assert table == "atom,support_level,hardy_norm,strong_ratio,weak_ratio\n" + rows
+
+
+@pytest.mark.parametrize("count", ["0", "1"])
+def test_atoms_corpus_refuses_an_empty_capped_range_at_any_count(tmp_path, capsys, count):
+    # the descriptor is checked without drawing, so a corpus of no atoms is refused alike
+    out = tmp_path / "corpus.json"
+    argv = ["--depth", "10", "--seed", "1", "--out", str(out), "atoms", "corpus", "--count", count, "--p", "0.5"]
+    code, err = _refusal(capsys, argv + ["--level-min", "9", "--level-max", "9"])
+    assert code == 2
+    assert err == (
+        "error: support-level range [9, 9] is empty once capped at depth - extra_depth = 8 (depth 10, extra depth 2)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "nmax, message",
+    [("0", "n_max must be >= 1, got 0"), ("65", "index 65 not resolvable at level 6 (max 64)")],
+    ids=["below-one", "past-the-level"],
+)
+def test_maximal_table_refuses_an_nmax_outside_the_level(tmp_path, capsys, nmax, message):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(_DESCRIPTOR))
+    argv = ["maximal", "table", "--op", "riesz", "--p", "0.5", "--nmax", nmax, "--input", str(corpus)]
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def _dump_payload(header, rows, moduli):
+    """The bytes of a JSON dump: sorted keys, indent 2, a config echo, LF at the end."""
+    config = {"depth": 2, "format": "json", "moduli": moduli, "seed": None}
+    return json.dumps({"config": config, "header": header, "rows": rows}, indent=2, sort_keys=True) + "\n"
+
+
+def test_kernel_dump_json_bytes(capsys):
+    """Kernel dumps keep JSON numbers, written as repr floats."""
+    argv = ["--base", "2,3", "--depth", "2", "--format", "json", "kernel", "dump", "--which", "riesz", "--n", "4"]
+    rows = [
+        [0, 1.9199999999999997, 0.0],
+        [1, 1.32, 0.3464101615137753],
+        [2, 1.3199999999999998, -0.3464101615137752],
+        [3, 0.6400000000000001, 0.0],
+        [4, 0.40000000000000013, 0.13856406460551024],
+        [5, 0.4000000000000001, -0.13856406460551018],
+    ]
+    assert _stdout(capsys, argv) == _dump_payload(["rank", "real", "imag"], rows, [2, 3])
+
+
+def test_spectrum_dump_json_bytes(capsys):
+    """Spectrum dumps keep the .17g strings of the CSV cells."""
+    argv = ["--base", "2", "--depth", "2", "--format", "json", "spectrum", "dump", "--which", "riesz", "--n", "3"]
+    rows = [
+        [0, "1", "0"],
+        [1, "0.45454545454545453", "0"],
+        [2, "0.18181818181818166", "0"],
+        [3, "-5.5511151231257827e-17", "0"],
+    ]
+    assert _stdout(capsys, argv) == _dump_payload(["index", "real", "imag"], rows, [2])
+
+
+def test_counterexample_sweep_weak_type_bytes(capsys):
+    # p != 1/2 takes the weak threshold expression at the first probe
+    argv = ["--base", "2", "--depth", "9", "counterexample", "sweep", "--phi", "log", "--p", "0.3", "--kmax", "3"]
+    assert _stdout(capsys, argv) == (
+        "k,probe_indices,hardy_norm,numerator,ratio,analytic_lower_bound,trend_flag\n"
+        "1,5,0.039372532809214773,0.048885602325656696,1.2416169049255443,2.9648728280046983,increasing\n"
+        "2,17;20,0.0015501963398126938,0.0022679473727057154,1.4630065330819615,5.3378403242115349,increasing\n"
+        "3,65;68;80,6.1035156249999973e-05,0.00077155619147890419,12.641176641190372,14.943311034854197,increasing\n"
+    )
+
+
+def test_verify_identities_lines(capsys):
+    assert _stdout(capsys, ["verify", "identities"]) == (
+        "[PASS] identities/riesz-mean-abel-identity residual=1.617045171136091e-15\n"
+        "[PASS] identities/riesz-kernel-abel-identity residual=1.4210854715202004e-13\n"
+        "[PASS] identities/partial-sum-case-values\n"
+        "[PASS] identities/dirichlet-shift-identity residual=2.6645352591003757e-15\n"
+        "[PASS] identities/modulus-sum-identity-at-probes residual=3.0531133177191805e-16\n"
+    )
+
+
+def test_verify_atoms_lines_and_out_bytes(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert _stdout(capsys, ["--seed", "1", "--out", str(out), "verify", "atoms", "--count", "2"]) == (
+        "[PASS] atoms/atom-validity invalid_indices=[]\n"
+        "[PASS] atoms/assembled-martingale-budget empirical_constant=0.39980714797876782\n"
+        "[PASS] atoms/weighted-riesz-complement-mass corpus_max=0.2963000532782652\n"
+    )
+    checks = [
+        {"detail": {"invalid_indices": []}, "name": "atom-validity", "passed": True},
+        {"detail": {"empirical_constant": 0.3998071479787678}, "name": "assembled-martingale-budget", "passed": True},
+        {"detail": {"corpus_max": 0.2963000532782652}, "name": "weighted-riesz-complement-mass", "passed": True},
+    ]
+    config = {"depth": 10, "format": "csv", "moduli": [2], "seed": 1}
+    payload = {"checks": checks, "config": config, "passed": True, "suite": "atoms"}
+    assert out.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()

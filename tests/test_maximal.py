@@ -162,6 +162,16 @@ def test_generic_weights_validated_but_concrete_forms_exempt():
         weighted_riesz_star(f, WeightSpec.custom([2.0, 1.5, 1.2, 1.0]), 4)
 
 
+@pytest.mark.parametrize("bad, index", [(float("nan"), 1), (float("inf"), 2)], ids=["nan", "inf"])
+def test_custom_table_refuses_a_non_finite_entry(bad, index):
+    # NaN passes the phi >= 1 and monotonicity checks (both compare False) and a
+    # NaN block peak never beats the initial best, so every cell used to read -1
+    table = [1.0, 2.0, 3.0, 4.0]
+    table[index] = bad
+    with pytest.raises(ValueError, match=f"custom_table entry {index} is not finite, got {bad}"):
+        weighted_riesz_star(constant(make_base((2,), 3), 3, 1.0), WeightSpec.custom(table), 4)
+
+
 @pytest.mark.parametrize("kind", ["power_log", "power_log_sq"])
 @pytest.mark.parametrize("p", [0.0, -0.5, float("nan")])
 def test_power_weight_rejects_non_positive_p(kind, p):
