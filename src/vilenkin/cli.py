@@ -222,6 +222,7 @@ def _cmd_maximal_table(args: argparse.Namespace) -> int:
     weight = _parse_weight(args.weight, args.p)
     op = "weighted_riesz" if args.op == "riesz" and weight.kind != "unit" else args.op
     operator = OperatorSpec(op, n_max, weight)
+    base.require_count(n_max, base.depth, "n_max")  # also for a corpus of no atoms
     header = ["atom", "support_level", "hardy_norm", "strong_ratio", "weak_ratio"]
     rows: list[list[Any]] = []
     for idx, atom in enumerate(spec.generate()):

@@ -89,8 +89,7 @@ def partial_sum_closed_form(inst: CounterexampleInstance, i: int) -> LevelFuncti
     inside it, the function itself beyond.  Asserts agreement with the
     transform-computed partial sum."""
     base = inst.base
-    if i < 0 or i > base.size:
-        raise ValueError(f"index {i} outside [0, {base.size}]")
+    base.require_count(i, base.depth, "partial-sum index", least=0)
     level = inst.f.level
     while base.orders[level] < i:  # deepen until i is resolvable
         level += 1

@@ -170,10 +170,6 @@ class LevelFunction:
         """|f| as a (real-valued) function."""
         return LevelFunction(self.base, self.level, np.abs(self.values))
 
-    def allclose(self, other: "LevelFunction", tol: float = 1e-9) -> bool:
-        a, b = self._align(other)
-        return bool(np.max(np.abs(a.values - b.values)) <= tol)
-
     def max_abs_diff(self, other: "LevelFunction") -> float:
         a, b = self._align(other)
         return float(np.max(np.abs(a.values - b.values)))
@@ -187,11 +183,8 @@ def indicator(cell: Cylinder, level: int | None = None, amplitude: complex = 1.0
     """Indicator of a cylinder, optionally resolved deeper and scaled."""
     if level is None:
         level = cell.level
-    cell.base.require_level(level)
-    if level < cell.level:
-        raise ValueError(f"level {level} cannot resolve a level-{cell.level} cylinder")
-    vals = np.zeros(cell.base.orders[level], dtype=np.complex128)
     blk = cell.block(level)
+    vals = np.zeros(cell.base.orders[level], dtype=np.complex128)
     vals[blk.start : blk.stop] = amplitude
     return LevelFunction(cell.base, level, vals)
 

@@ -75,9 +75,23 @@ class VilenkinBase:
         if not 0 <= level <= self.depth:
             raise ValueError(f"level {level} outside [0, {self.depth}]")
 
-    def require_index(self, n: int) -> None:
-        if not 0 <= n < self.size:
-            raise ValueError(f"index {n} outside the representable range [0, {self.size})")
+    def require_position(self, k: int) -> None:
+        if not 0 <= k < self.depth:
+            raise ValueError(f"position {k} outside [0, {self.depth})")
+
+    def require_index(self, n: int, level: int | None = None) -> None:
+        """``0 <= n < M_level`` (the full depth if None): character n is resolvable."""
+        size = self.orders[self.depth if level is None else level]
+        if not 0 <= n < size:
+            raise ValueError(f"index {n} outside the representable range [0, {size})")
+
+    def require_count(self, n: int, level: int, noun: str, least: int = 1) -> None:
+        """``least <= n <= M_level``: every count of terms (kernel, mean and sweep indices)."""
+        if n < least:
+            raise ValueError(f"{noun} must be >= {least}, got {n}")
+        self.require_level(level)
+        if n > self.orders[level]:
+            raise ValueError(f"index {n} not resolvable at level {level} (max {self.orders[level]})")
 
     def __repr__(self) -> str:  # compact: bases show up in many reprs
         return f"VilenkinBase({list(self.moduli)})"
@@ -163,8 +177,7 @@ def zero_point(base: VilenkinBase) -> GroupPoint:
 
 def unit_point(base: VilenkinBase, k: int, value: int = 1) -> GroupPoint:
     """The point value*e_k: a single nonzero digit at position k."""
-    if not 0 <= k < base.depth:
-        raise ValueError(f"position {k} outside [0, {base.depth})")
+    base.require_position(k)
     coords = [0] * base.depth
     coords[k] = value
     return GroupPoint(base, tuple(coords))

@@ -179,13 +179,11 @@ def assemble_from_atoms(
     return AtomAssembly(LevelFunction(base, level, acc), budget)
 
 
-def _check_draw(p: float, depth: int, extra_depth: int, level_range: tuple[int, int] | None) -> None:
+def _check_draw(p: float, depth: int, extra_depth: int, level_range: tuple[int, int]) -> None:
     """Refuse an exponent, extra depth or support-level range that no draw at ``depth`` accepts."""
     require_positive(p, "atom exponent")
     if extra_depth < 1:  # one cell per support would leave a zero-mean draw nothing to retry on
         raise ValueError(f"extra depth must be >= 1, got {extra_depth}")
-    if level_range is None:
-        return
     lo, hi = level_range
     if lo < 0:
         raise ValueError(f"support-level range [{lo}, {hi}] starts below level 0")
@@ -211,16 +209,17 @@ def random_atom(
     the support, projected to zero mean and rescaled so the sup norm hits
     mu(I)^(-1/p) exactly.  Two levels keeps dyadic draws nondegenerate
     (one level down a dyadic mean-zero draw is a Haar shape up to sign).
-    The exponent, extra depth and capped range go through ``_check_draw``,
-    which a ``CorpusSpec`` also calls, so a corpus of no atoms is refused alike.
+    The exponent, extra depth and capped range (of one level, if fixed) go
+    through ``_check_draw``, which a ``CorpusSpec`` also calls, so a corpus
+    of no atoms is refused alike.
     """
+    if support_level is not None:
+        level_range = (support_level, support_level)
     lo, hi = level_range or (0, base.depth - 1)
-    _check_draw(p, base.depth, extra_depth, (lo, hi) if support_level is None else None)
+    _check_draw(p, base.depth, extra_depth, (lo, hi))
     if support_level is None:
         support_level = int(rng.integers(lo, min(hi, base.depth - extra_depth) + 1))
     resolution = support_level + extra_depth
-    if resolution > base.depth:
-        raise ValueError(f"resolution {resolution} exceeds base depth {base.depth}")
     support = Cylinder.from_rank(base, support_level, 0)
     cells = base.orders[resolution] // base.orders[support_level]
     draw = rng.uniform(-1.0, 1.0, size=cells)

@@ -15,7 +15,7 @@ each route is the other's oracle.  The stream is exact on dyadic and
 mod-4 digits and updates psi_n carry by carry; its kernels D_n are
 float64 when every modulus up to the level is 2, and the sweeps'
 accumulators follow its dtype.  The two routes of the public kernels
-and means, ``_window`` and ``_riesz_abel``, own the index check and
+and means, ``_window`` and ``_riesz_abel``, make the index check and
 build the coefficient table, so each public function is one call.  One
 kernel stream serves every cylinder level of the localization sweeps.
 """
@@ -81,15 +81,6 @@ class KernelConvention(enum.Enum):
     SHIFTED = "shifted"  # (1/n) sum_{k=1}^{n}
 
 
-def _check_index(base: VilenkinBase, level: int, n: int, noun: str, least: int = 1) -> None:
-    """``least <= n <= M_level``: the check of every kernel, mean and sweep index."""
-    if n < least:
-        raise ValueError(f"{noun} must be >= {least}, got {n}")
-    base.require_level(level)
-    if n > base.orders[level]:
-        raise ValueError(f"index {n} not resolvable at level {level} (max {base.orders[level]})")
-
-
 def _window(
     base: VilenkinBase,
     level: int,
@@ -105,7 +96,7 @@ def _window(
     spectrum of ``f`` (all ones if None: a kernel), in a fresh table scaled
     and truncated in place; the weights are freed before the inverse runs.
     """
-    _check_index(base, level, n, noun, least)
+    base.require_count(n, level, noun, least)
     coeffs = np.ones(base.orders[level], dtype=np.complex128) if f is None else forward(f).coeffs.copy()
     if weights is not None:
         coeffs[:n] *= weights(n)
@@ -156,8 +147,7 @@ def gat_closed_form(base: VilenkinBase, exponent: int, x: GroupPoint) -> float:
     """
     if not base.is_dyadic:
         raise ValueError("closed form requires an all-2 base")
-    if not 0 <= exponent <= base.depth:
-        raise ValueError(f"exponent {exponent} outside [0, {base.depth}]")
+    base.require_level(exponent)
     t = next((j for j, c in enumerate(x.coords) if c), None)
     if t is None or t >= exponent:
         return (2.0**exponent + 1.0) / 2.0
@@ -200,7 +190,7 @@ def riesz_kernel_abel(base: VilenkinBase, n: int, level: int) -> LevelFunction:
 
 def _riesz_abel(base: VilenkinBase, level: int, n: int, f: LevelFunction | None = None) -> LevelFunction:
     """Shared Abel sum over the partial sums S_j of ``f`` (D_j if None)."""
-    _check_index(base, level, n, "kernel index" if f is None else "mean index")
+    base.require_count(n, level, "kernel index" if f is None else "mean index")
     coeffs = None if f is None else forward(f).coeffs
     harm = HarmonicSums.upto(n)
     total = base.orders[level]
@@ -295,7 +285,7 @@ def kernel_integral_sweep(
     convention: KernelConvention = KernelConvention.SHIFTED,
 ) -> KernelIntegralSweep:
     """Integral of |K_n| for every n = 1..n_max in one streaming pass."""
-    _check_index(base, level, n_max, "n_max")
+    base.require_count(n_max, level, "n_max")
     sampler = CharacterSampler(base, level)
     cum = np.zeros(base.orders[level], dtype=sampler.dtype)
     integrals = np.empty(n_max, dtype=np.float64)
@@ -369,10 +359,10 @@ def localization_sweep(
     return localization_sweeps(base, (cylinder_level,), n_max, level, convention)[0]
 
 
-def _localization_cells(base: VilenkinBase, n_cells: int, level: int) -> list[LocalizationCell]:
-    """The classes of ``coset_partition``, each as its level-N block at ``level``."""
+def _localization_cells(partition: list[Cylinder], n_cells: int, level: int) -> list[LocalizationCell]:
+    """The classes of ``coset_partition(base, n_cells)``, each as its level-N block at ``level``."""
     cells = []
-    for cyl in coset_partition(base, n_cells):
+    for cyl in partition:
         (k, x_k), *rest = [(j, x) for j, x in enumerate(cyl.anchor.coords) if x]
         l, x_l = rest[0] if rest else (None, None)
         block = Cylinder.at(cyl.anchor, n_cells).block(level)
@@ -399,16 +389,14 @@ def localization_sweeps(
     levels = tuple(cylinder_levels)
     if not levels:
         raise ValueError("no cylinder level to sweep")
-    for n_cells in levels:
-        if not 1 <= n_cells <= base.depth:
-            raise ValueError(f"cylinder level {n_cells} outside [1, {base.depth}]")
+    partitions = [coset_partition(base, n_cells) for n_cells in levels]  # refuses a level outside [1, depth]
     level = base.depth if level is None else level
-    _check_index(base, level, n_max, "n_max")
+    base.require_count(n_max, level, "n_max")
     m_top = base.orders[max(levels)]
     if n_max < m_top:
         raise ValueError(f"n_max {n_max} below the first admissible index {m_top}")
     total = base.orders[level]
-    cells = [_localization_cells(base, n_cells, level) for n_cells in levels]
+    cells = [_localization_cells(cyls, n_cells, level) for cyls, n_cells in zip(partitions, levels)]
     ranks = [[c.block_start * base.orders[n] // total for c in cs] for n, cs in zip(levels, cells)]
     masses = [np.empty((len(cs), n_max - base.orders[n] + 1)) for n, cs in zip(levels, cells)]
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .functions import LevelFunction
 from .hardy import hardy_quasinorm, martingale_from_function
-from .kernels import HarmonicSums, _check_index
+from .kernels import HarmonicSums
 from .transform import CharacterSampler, forward
 
 __all__ = [
@@ -147,7 +147,7 @@ def _stream_sup(
     partial sum, so the cost of the characters scales with the length of
     the spectrum rather than with n_max.
     """
-    _check_index(f.base, f.level, n_max, "n_max")
+    f.base.require_count(n_max, f.level, "n_max")
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     if mode == "sigma":
         a, b = np.ones(n_max), ns

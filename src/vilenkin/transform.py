@@ -52,17 +52,14 @@ class Spectrum:
 
 def rademacher(k: int, x: GroupPoint) -> complex:
     """Generalized Rademacher value exp(2 pi i x_k / m_k)."""
-    base = x.base
-    if not 0 <= k < base.depth:
-        raise ValueError(f"level {k} outside [0, {base.depth})")
-    return complex(np.exp(2j * np.pi * x.coords[k] / base.moduli[k]))
+    x.base.require_position(k)
+    return complex(np.exp(2j * np.pi * x.coords[k] / x.base.moduli[k]))
 
 
 def character(n: int, x: GroupPoint) -> complex:
     """Character value: the product of digit-wise Rademacher powers."""
     base = x.base
-    base.require_index(n)
-    digits = nat_expand(base, n).digits
+    digits = nat_expand(base, n).digits  # refuses n outside [0, M_K)
     phase = sum(d * xk / m for d, xk, m in zip(digits, x.coords, base.moduli))
     return complex(np.exp(2j * np.pi * phase))
 
@@ -107,8 +104,7 @@ class CharacterSampler:
     def character(self, n: int) -> np.ndarray:
         """psi_n on the level cylinders, multiplied from the top digit down
         as :meth:`partial_sums` does, so the two agree bit for bit."""
-        if not 0 <= n < self.base.orders[self.level]:  # n >= M_level would alias to n mod M_level
-            raise ValueError(f"character {n} not resolvable at level {self.level}")
+        self.base.require_index(n, self.level)  # n >= M_level would alias to n mod M_level
         out = np.ones(self.base.orders[self.level], dtype=self.dtype)
         for j in reversed(range(self.level)):
             d = n // self.base.orders[j] % self.base.moduli[j]
@@ -137,8 +133,8 @@ class CharacterSampler:
         and at most one array per digit of n_max - 1 (so at most ``level``).
         """
         total = self.base.orders[self.level]
-        if n_max > total and (coeffs is None or np.any(coeffs[total:n_max])):
-            raise ValueError(f"partial sums up to {n_max} not resolvable at level {self.level} (max {total})")
+        if coeffs is None or np.any(coeffs[total:n_max]):
+            self.base.require_count(n_max, self.level, "n_max", least=0)
         steps = min(n_max, total)
         moduli = self.base.moduli
         width = sum(1 for m_j in self.base.orders[: self.level] if m_j < steps)  # digits of steps - 1

@@ -533,6 +533,21 @@ def test_maximal_table_refuses_an_nmax_outside_the_level(tmp_path, capsys, nmax,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "nmax, message",
+    [("0", "n_max must be >= 1, got 0"), ("65", "index 65 not resolvable at level 6 (max 64)")],
+    ids=["below-one", "past-the-level"],
+)
+def test_maximal_table_refuses_an_nmax_outside_the_level_of_an_empty_corpus(tmp_path, capsys, nmax, message):
+    # no atom is drawn, so the table checks --nmax against the corpus depth itself
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({**_DESCRIPTOR, "count": 0}))
+    argv = ["maximal", "table", "--op", "riesz", "--p", "0.5", "--nmax", nmax, "--input", str(corpus)]
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def _dump_payload(header, rows, moduli):
     """The bytes of a JSON dump: sorted keys, indent 2, a config echo, LF at the end."""
     config = {"depth": 2, "format": "json", "moduli": moduli, "seed": None}

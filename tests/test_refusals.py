@@ -6,17 +6,22 @@ the same bad values to every public entry point of a rule, so a new copy
 that disagrees shows up here.
 """
 
+import ast
+import hashlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vilenkin.counterexample import blowup_table
-from vilenkin.functions import LevelFunction, constant, pointwise_sup
-from vilenkin.group import Cylinder, make_base
+import vilenkin
+from vilenkin.counterexample import blowup_table, build_instance, partial_sum_closed_form
+from vilenkin.functions import LevelFunction, constant, indicator, pointwise_sup
+from vilenkin.group import Cylinder, make_base, unit_point, zero_point
 from vilenkin.hardy import CorpusSpec, Martingale, PAtom, assemble_from_atoms, random_atom, validate_atom
-from vilenkin.kernels import convolve
+from vilenkin.kernels import convolve, gat_closed_form, kernel_integral_sweep, localization_sweeps
 from vilenkin.maximal import WeightSpec
+from vilenkin.transform import CharacterSampler, rademacher
 
 _BASE = make_base((2,), 4)
 _ONE = constant(_BASE, 4, 1.0)
@@ -64,3 +69,89 @@ _MISMATCHED = {
 def test_every_pair_of_bases_is_checked_alike(entry):
     with pytest.raises(ValueError, match="^mismatched bases$"):
         _MISMATCHED[entry]()
+
+
+_DEEP = make_base((2,), 6)
+_CAPPED = "support-level range [5, 5] is empty once capped at depth - extra_depth = 4 (depth 6, extra depth 2)"
+# entry point -> (call with an out-of-range value, the text of the rule's owner)
+_RANGE = {
+    "CharacterSampler.character": (
+        lambda: CharacterSampler(_BASE, 2).character(5),
+        "index 5 outside the representable range [0, 4)",
+    ),
+    "CharacterSampler.partial_sums": (
+        lambda: next(CharacterSampler(_BASE, 2).partial_sums(10)),
+        "index 10 not resolvable at level 2 (max 4)",
+    ),
+    "rademacher": (lambda: rademacher(4, zero_point(_BASE)), "position 4 outside [0, 4)"),
+    "unit_point": (lambda: unit_point(_BASE, 4), "position 4 outside [0, 4)"),
+    "indicator": (
+        lambda: indicator(Cylinder.from_rank(_BASE, 3, 0), 2),
+        "level 2 is coarser than the cylinder level 3",
+    ),
+    "gat_closed_form": (lambda: gat_closed_form(_BASE, 5, zero_point(_BASE)), "level 5 outside [0, 4]"),
+    "localization_sweeps-level-0": (
+        lambda: localization_sweeps(_BASE, (0,), 16),
+        "partition level 0 outside [1, 4]",
+    ),
+    "localization_sweeps-depth-plus-one": (
+        lambda: localization_sweeps(_BASE, (5,), 16),
+        "partition level 5 outside [1, 4]",
+    ),
+    "random_atom-support-level": (
+        lambda: random_atom(_DEEP, 0.5, np.random.default_rng(0), support_level=5),
+        _CAPPED,
+    ),
+    "random_atom-negative-support-level": (
+        lambda: random_atom(_DEEP, 0.5, np.random.default_rng(0), support_level=-1),
+        "support-level range [-1, -1] starts below level 0",
+    ),
+    "partial_sum_closed_form-negative": (
+        lambda: partial_sum_closed_form(build_instance(2, _DEEP), -1),
+        "partial-sum index must be >= 0, got -1",
+    ),
+    "partial_sum_closed_form-past-size": (
+        lambda: partial_sum_closed_form(build_instance(2, _DEEP), 65),
+        "index 65 not resolvable at level 6 (max 64)",
+    ),
+    "kernel_integral_sweep": (
+        lambda: kernel_integral_sweep(_BASE, 4, 17),
+        "index 17 not resolvable at level 4 (max 16)",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RANGE))
+def test_every_range_entry_point_refuses_with_its_owner_text(entry):
+    call, message = _RANGE[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_an_explicit_support_level_draws_the_same_atom():
+    # a fixed level takes no random draw, so the seed alone fixes these bytes
+    atom = random_atom(_DEEP, 0.5, np.random.default_rng(14), support_level=2)
+    assert (atom.support.level, atom.support.rank, atom.values.level) == (2, 0, 4)
+    digest = hashlib.sha256(atom.values.values.tobytes()).hexdigest()
+    assert digest == "6d77c3fbdd57ded17d7e86ccc7aba11b9c04f2ec490d470275a99a1c07ad4965"
+
+
+# the texts of the range rules, as written in the source
+_RANGE_TEXTS = (
+    "not resolvable at level",
+    "outside the representable range",
+    "is coarser than the cylinder level",
+    "position {k} outside",
+    "outside [1, {base.depth}]",
+)
+
+
+@pytest.mark.parametrize("text", _RANGE_TEXTS)
+def test_each_range_rule_is_raised_in_one_place(text):
+    raises = []
+    for path in sorted(Path(vilenkin.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and text in ast.get_source_segment(source, node):
+                raises.append(f"{path.name}:{node.lineno}")
+    assert len(raises) == 1, raises
