@@ -168,10 +168,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _selected_kernel(args: argparse.Namespace, base: VilenkinBase) -> LevelFunction:
     """The kernel named by the dump flags --which, --n, --level, --convention."""
     level = args.level if args.level is not None else base.depth
+    if args.which == "fejer":
+        return fejer_kernel(base, args.n, level, KernelConvention(args.convention or "shifted"))
+    if args.convention is not None:
+        raise ValueError(f"--which {args.which} takes no --convention")
     if args.which == "dirichlet":
         return dirichlet(base, args.n, level)
-    if args.which == "fejer":
-        return fejer_kernel(base, args.n, level, KernelConvention(args.convention))
     return riesz_kernel(base, args.n, level)
 
 
@@ -304,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--which", choices=("dirichlet", "fejer", "riesz"), required=True)
     dump.add_argument("--n", type=int, required=True)
     dump.add_argument("--level", type=int)
-    dump.add_argument("--convention", choices=("zero_based", "shifted"), default="shifted")
+    dump.add_argument("--convention", choices=("zero_based", "shifted"), help="Fejer only (default shifted)")
 
     p_kernel = sub.add_parser("kernel", help="kernel value tables")
     kernel_sub = p_kernel.add_subparsers(dest="kernel_command", required=True)

@@ -59,9 +59,7 @@ class LevelFunction:
         """Exact refinement to a deeper level (value replication)."""
         if level == self.level:
             return self
-        if level < self.level:
-            raise ValueError(f"cannot coarsen from level {self.level} to {level} via refinement")
-        self.base.require_level(level)
+        self.base.require_finer(level, self.level, "function level")
         reps = self.base.orders[level] // self.base.orders[self.level]
         return LevelFunction(self.base, level, np.repeat(self.values, reps))
 
@@ -129,11 +127,7 @@ class LevelFunction:
 
     def conditional_expectation(self, level: int) -> "LevelFunction":
         """Average over each level-``level`` cylinder; result at that level."""
-        if level > self.level:
-            raise ValueError(
-                f"conditional expectation level {level} exceeds resolution {self.level}"
-            )
-        self.base.require_level(level)
+        self.base.require_finer(self.level, level, "conditional-expectation level")
         blocks = self.values.reshape(self.base.orders[level], -1)
         return LevelFunction(self.base, level, blocks.mean(axis=1))
 

@@ -85,6 +85,13 @@ class VilenkinBase:
         if not 0 <= n < size:
             raise ValueError(f"index {n} outside the representable range [0, {size})")
 
+    def require_finer(self, level: int, than: int, noun: str) -> None:
+        """``0 <= than <= level <= depth``: refinement goes up the levels, expectation down."""
+        self.require_level(than)
+        if level < than:
+            raise ValueError(f"level {level} is coarser than the {noun} {than}")
+        self.require_level(level)
+
     def require_count(self, n: int, level: int, noun: str, least: int = 1) -> None:
         """``least <= n <= M_level``: every count of terms (kernel, mean and sweep indices)."""
         if n < least:
@@ -218,8 +225,7 @@ def rank_of(x: GroupPoint, level: int) -> int:
 def point_of(base: VilenkinBase, rank: int, level: int) -> GroupPoint:
     """Inverse of :func:`rank_of`; digits beyond ``level`` are zero."""
     base.require_level(level)
-    if not 0 <= rank < base.orders[level]:
-        raise ValueError(f"rank {rank} outside [0, {base.orders[level]})")
+    base.require_index(rank, level)
     coords = [0] * base.depth
     r = rank
     for j in reversed(range(level)):
@@ -255,33 +261,29 @@ def nat_value(base: VilenkinBase, digits: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class Cylinder:
-    """Level-n coordinate neighbourhood: the points sharing the anchor's
-    first n digits.  The anchor is stored normalized (digits >= level are
-    zeroed) so equal cylinders compare equal."""
+    """Level-n coordinate neighbourhood: the points sharing the first n
+    digits of the rank-``rank`` point at that level."""
 
     base: VilenkinBase
     level: int
-    anchor: GroupPoint
     rank: int
 
     def __post_init__(self) -> None:
         self.base.require_level(self.level)
-        if any(self.anchor.coords[self.level :]):
-            raise ValueError("cylinder anchor must be normalized (zero digits beyond level)")
-        if self.rank != rank_of(self.anchor, self.level):
-            raise ValueError("cylinder rank inconsistent with anchor")
+        self.base.require_index(self.rank, self.level)
 
     @classmethod
     def at(cls, point: GroupPoint, level: int) -> "Cylinder":
-        point.base.require_level(level)
-        coords = point.coords[:level] + (0,) * (point.base.depth - level)
-        anchor = GroupPoint(point.base, coords)
-        return cls(point.base, level, anchor, rank_of(anchor, level))
+        return cls(point.base, level, rank_of(point, level))
 
     @classmethod
     def from_rank(cls, base: VilenkinBase, level: int, rank: int) -> "Cylinder":
-        anchor = point_of(base, rank, level)
-        return cls(base, level, anchor, rank)
+        return cls(base, level, rank)
+
+    @property
+    def anchor(self) -> GroupPoint:
+        """The cylinder's point with zero digits beyond its level."""
+        return point_of(self.base, self.rank, self.level)
 
     @property
     def measure(self) -> float:
@@ -289,15 +291,13 @@ class Cylinder:
 
     def block(self, level: int) -> range:
         """Contiguous rank block this cylinder occupies at a finer level."""
-        if level < self.level:
-            raise ValueError(f"level {level} is coarser than the cylinder level {self.level}")
-        self.base.require_level(level)
+        self.base.require_finer(level, self.level, "cylinder level")
         width = self.base.orders[level] // self.base.orders[self.level]
         return range(self.rank * width, (self.rank + 1) * width)
 
     def contains(self, point: GroupPoint) -> bool:
-        _check_same_base(self.anchor.base, point.base)
-        return point.coords[: self.level] == self.anchor.coords[: self.level]
+        _check_same_base(self.base, point.base)
+        return rank_of(point, self.level) == self.rank
 
 
 def coset_partition(base: VilenkinBase, level: int) -> list[Cylinder]:

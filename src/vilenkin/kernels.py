@@ -29,7 +29,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .functions import LevelFunction
-from .group import Cylinder, GroupPoint, VilenkinBase, _check_same_base, coset_partition, point_of, subtract_rank_table
+from .group import Cylinder, GroupPoint, VilenkinBase, coset_partition, point_of, subtract_rank_table
 from .transform import CharacterSampler, Spectrum, forward, inverse
 
 __all__ = [
@@ -158,8 +158,7 @@ def gat_closed_form(base: VilenkinBase, exponent: int, x: GroupPoint) -> float:
 
 def gat_kernel(base: VilenkinBase, exponent: int, level: int) -> LevelFunction:
     """The dyadic closed form sampled on all level cylinders."""
-    if level < exponent:
-        raise ValueError(f"level {level} cannot resolve exponent {exponent}")
+    base.require_finer(level, exponent, "exponent")
     vals = np.array(
         [
             gat_closed_form(base, exponent, point_of(base, r, level))
@@ -250,15 +249,12 @@ def convolve(f: LevelFunction, g: LevelFunction) -> LevelFunction:
     Evaluated literally through rank subtraction, O(M^2); this is the
     sample-domain partner that ties kernels to means in the tests.
     """
-    _check_same_base(f.base, g.base)
-    level = max(f.level, g.level)
-    fv = f.at_level(level).values
-    gv = g.at_level(level).values
-    total = f.base.orders[level]
+    f, g = f._align(g)
+    total = f.base.orders[f.level]
     out = np.empty(total, dtype=np.complex128)
     for r in range(total):
-        out[r] = fv @ gv[subtract_rank_table(f.base, level, r)]
-    return LevelFunction(f.base, level, out / total)
+        out[r] = f.values @ g.values[subtract_rank_table(f.base, f.level, r)]
+    return LevelFunction(f.base, f.level, out / total)
 
 
 # ----------------------------------------------------------------------
@@ -328,15 +324,11 @@ class LocalizationSweep:
     kernel_ratios: np.ndarray  # shape (cells, n)
     tail_ratios: np.ndarray  # shape (cells, n)
 
-    def family_ratios(self, which: str, kind: str) -> np.ndarray:
-        table = self.kernel_ratios if which == "kernel" else self.tail_ratios
-        rows = [i for i, c in enumerate(self.cells) if c.kind == kind]
-        return table[rows]
-
     def family_max_series(self, which: str, kind: str) -> np.ndarray:
         """Running max over n of the per-n max across the family's cells."""
-        per_n = self.family_ratios(which, kind).max(axis=0)
-        return np.maximum.accumulate(per_n)
+        table = self.kernel_ratios if which == "kernel" else self.tail_ratios
+        rows = [i for i, c in enumerate(self.cells) if c.kind == kind]
+        return np.maximum.accumulate(table[rows].max(axis=0))
 
     def c_emp(self, which: str, kind: str) -> float:
         return float(self.family_max_series(which, kind)[-1])

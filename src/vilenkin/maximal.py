@@ -89,11 +89,6 @@ class WeightSpec:
     def custom(cls, values: Sequence[float]) -> "WeightSpec":
         return cls("custom_table", table=tuple(float(v) for v in values))
 
-    @property
-    def is_concrete_form(self) -> bool:
-        """Operator-defining forms, exempt from the phi >= 1 hypothesis."""
-        return self.kind in _OPERATOR_FORMS
-
     def divisors(self, n_max: int) -> np.ndarray:
         """Divisor table for n = 1..n_max (index n-1)."""
         n = np.arange(1, n_max + 1, dtype=np.float64)
@@ -206,7 +201,7 @@ def weighted_riesz_star(f: LevelFunction, weight: WeightSpec, n_max: int) -> Max
     monotonicity hypotheses on the evaluated range.
     """
     d = weight.divisors(n_max)
-    if not weight.is_concrete_form:
+    if weight.kind not in _OPERATOR_FORMS:  # operator-defining forms are exempt from phi >= 1
         if np.min(d) < 1.0 - 1e-12:
             raise ValueError(f"weight dips below 1 on [1, {n_max}] (min {np.min(d):.6g})")
         if np.any(np.diff(d) < -1e-12):

@@ -83,7 +83,6 @@ class CharacterSampler:
     """
 
     def __init__(self, base: VilenkinBase, level: int):
-        base.require_level(level)
         self.base = base
         self.level = level
         self.dtype = np.dtype(np.float64 if set(base.moduli[:level]) <= {2} else np.complex128)
@@ -229,8 +228,6 @@ def forward(f: LevelFunction) -> Spectrum:
 def inverse(s: Spectrum) -> LevelFunction:
     """Synthesis: f(x) = sum_k f_hat(k) psi_k(x), exact at the level."""
     n = s.level
-    if n == 0:
-        return LevelFunction(s.base, 0, s.coeffs.copy())
     moduli = s.base.moduli[:n]
     arr = s.coeffs.reshape(tuple(reversed(moduli)))
     arr = arr.transpose(tuple(reversed(range(n))))  # axes now k_0 .. k_{N-1}

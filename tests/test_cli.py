@@ -281,6 +281,22 @@ def test_wrong_typed_loader_field_is_one_line(tmp_path, capsys, flag, payload, m
     assert err == "error: " + message.format(path=f"config {path}") + "\n"
 
 
+@pytest.mark.parametrize("which", ["dirichlet", "riesz"])
+def test_kernel_dump_refuses_a_convention_its_kernel_ignores(capsys, which):
+    argv = ["--base", "2", "--depth", "4", "kernel", "dump", "--which", which, "--n", "3", "--convention", "zero_based"]
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err == f"error: --which {which} takes no --convention\n"
+
+
+@pytest.mark.parametrize("which", ["dirichlet", "riesz"])
+def test_spectrum_dump_refuses_a_convention_its_kernel_ignores(capsys, which):
+    argv = ["--base", "2", "--depth", "4", "spectrum", "dump", "--which", which, "--n", "3", "--convention", "shifted"]
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err == f"error: --which {which} takes no --convention\n"
+
+
 def test_library_value_error_is_one_line(capsys):
     code = main(["--base", "2", "--depth", "3", "kernel", "dump", "--which", "riesz", "--n", "100"])
     captured = capsys.readouterr()

@@ -183,6 +183,23 @@ def test_cylinder_block_and_contains():
     assert cell.measure == pytest.approx(1 / 6)
 
 
+@pytest.mark.parametrize("moduli", [(2, 3), (3,), (5, 4, 3)])
+def test_cylinder_is_its_rank_at_every_point_and_level(moduli):
+    """A cylinder built from a point or from its rank is the set of points
+    sharing that point's first n digits, checked on every point and level."""
+    base = make_base(moduli, 3)
+    points = [GroupPoint(base, c) for c in itertools.product(*(range(m) for m in base.moduli))]
+    for p in points:
+        for n in range(base.depth + 1):
+            cell = Cylinder.at(p, n)
+            assert cell == Cylinder.from_rank(base, n, rank_of(p, n))
+            assert cell.anchor.coords == p.coords[:n] + (0,) * (base.depth - n)
+            assert [cell.contains(q) for q in points] == [q.coords[:n] == p.coords[:n] for q in points]
+            for m in range(n, base.depth + 1):
+                shared = [r for r in range(base.orders[m]) if point_of(base, r, m).coords[:n] == p.coords[:n]]
+                assert list(cell.block(m)) == shared
+
+
 def test_unit_point_multiples():
     base = make_base((5,), 3)
     assert unit_point(base, 1).coords == (0, 1, 0)

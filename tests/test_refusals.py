@@ -17,9 +17,9 @@ import pytest
 import vilenkin
 from vilenkin.counterexample import blowup_table, build_instance, partial_sum_closed_form
 from vilenkin.functions import LevelFunction, constant, indicator, pointwise_sup
-from vilenkin.group import Cylinder, make_base, unit_point, zero_point
+from vilenkin.group import Cylinder, make_base, point_of, unit_point, zero_point
 from vilenkin.hardy import CorpusSpec, Martingale, PAtom, assemble_from_atoms, random_atom, validate_atom
-from vilenkin.kernels import convolve, gat_closed_form, kernel_integral_sweep, localization_sweeps
+from vilenkin.kernels import convolve, gat_closed_form, gat_kernel, kernel_integral_sweep, localization_sweeps
 from vilenkin.maximal import WeightSpec
 from vilenkin.transform import CharacterSampler, rademacher
 
@@ -89,6 +89,15 @@ _RANGE = {
         lambda: indicator(Cylinder.from_rank(_BASE, 3, 0), 2),
         "level 2 is coarser than the cylinder level 3",
     ),
+    "at_level": (lambda: _ONE.at_level(2), "level 2 is coarser than the function level 4"),
+    "conditional_expectation": (
+        lambda: constant(_BASE, 2, 1.0).conditional_expectation(3),
+        "level 2 is coarser than the conditional-expectation level 3",
+    ),
+    "gat_kernel-coarser": (lambda: gat_kernel(_BASE, 3, 2), "level 2 is coarser than the exponent 3"),
+    "gat_kernel-past-depth": (lambda: gat_kernel(_BASE, 2, 6), "level 6 outside [0, 4]"),
+    "point_of": (lambda: point_of(_BASE, 9, 3), "index 9 outside the representable range [0, 8)"),
+    "Cylinder.from_rank": (lambda: Cylinder.from_rank(_BASE, 3, 8), "index 8 outside the representable range [0, 8)"),
     "gat_closed_form": (lambda: gat_closed_form(_BASE, 5, zero_point(_BASE)), "level 5 outside [0, 4]"),
     "localization_sweeps-level-0": (
         lambda: localization_sweeps(_BASE, (0,), 16),
@@ -140,7 +149,7 @@ def test_an_explicit_support_level_draws_the_same_atom():
 _RANGE_TEXTS = (
     "not resolvable at level",
     "outside the representable range",
-    "is coarser than the cylinder level",
+    "is coarser than the {noun}",
     "position {k} outside",
     "outside [1, {base.depth}]",
 )
