@@ -36,7 +36,6 @@ from .hardy import (
     validate_atom,
 )
 from .kernels import (
-    HarmonicSums,
     KernelConvention,
     all_partial_sums,
     convolve,
@@ -44,6 +43,7 @@ from .kernels import (
     fejer_kernel,
     fejer_mean,
     gat_closed_form,
+    harmonic_sums,
     kernel_integral_sweep,
     localization_sweep,
     partial_sum,

@@ -17,7 +17,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -38,6 +38,8 @@ SIZE_GUARD = 2**20
 _CLI_WEIGHTS = ("unit", "log", "power_log", "power_log_sq")
 # the suite keyword each verify flag feeds; a (suite, flag) pair not listed is refused
 _SUITE_KWARGS = {
+    ("identities", "seed"): "seed",
+    ("atoms", "seed"): "seed",
     ("kernels", "max_a"): "max_exponent",
     ("lemmas", "max_a"): "max_cylinder_level",
     ("atoms", "count"): "count",
@@ -55,7 +57,11 @@ class RunConfig:
     format: str
 
     def base(self) -> VilenkinBase:
-        return _guarded(make_base(self.moduli, self.depth))
+        """The base, behind the resource guard every command applies."""
+        base = make_base(self.moduli, self.depth)
+        if base.size > SIZE_GUARD:
+            raise ValueError(f"refusing to run: base has {base.size} cells, guard is {SIZE_GUARD}")
+        return base
 
     def echo(self) -> dict[str, Any]:
         return {
@@ -64,13 +70,6 @@ class RunConfig:
             "seed": self.seed,
             "format": self.format,
         }
-
-
-def _guarded(base: VilenkinBase) -> VilenkinBase:
-    """The resource guard every command applies to its base."""
-    if base.size > SIZE_GUARD:
-        raise ValueError(f"refusing to run: base has {base.size} cells, guard is {SIZE_GUARD}")
-    return base
 
 
 def _fmt(x: float) -> str:
@@ -103,13 +102,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _json_default(obj: Any) -> Any:
-    """Fold numpy scalars into plain JSON types."""
-    if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _emit_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -118,7 +110,7 @@ def _emit_text(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload: dict[str, Any], out: str | None) -> None:
-    _emit_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n", out)
+    _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _emit_rows(header: list[str], rows: list[list[Any]], cfg: RunConfig) -> None:
@@ -149,12 +141,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     cfg.base()  # applies the resource guard
     kwargs: dict[str, Any] = {}
-    for flag in ("max_a", "count"):
-        if getattr(args, flag) is not None:
+    for flag in ("seed", "max_a", "count"):
+        if getattr(args, flag, None) is not None:
             if (args.suite, flag) not in _SUITE_KWARGS:
                 raise ValueError(f"verify {args.suite} takes no --{flag.replace('_', '-')}")
             kwargs[_SUITE_KWARGS[args.suite, flag]] = getattr(args, flag)
-    report = run_suite(args.suite, seed=cfg.seed, **kwargs)
+    report = run_suite(args.suite, **kwargs)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         extras = " ".join(f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in check.detail.items())
@@ -217,9 +209,12 @@ def _cmd_atoms_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_maximal_table(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    for flag in ("config", "base", "depth", "seed"):
+        if getattr(args, flag, None) is not None:
+            raise ValueError(f"maximal table takes no --{flag}: the base, depth and seed come from --input")
     spec = CorpusSpec.from_path(args.input)
-    base = _guarded(spec.base())
+    cfg = replace(_resolve_config(args), moduli=spec.moduli, depth=spec.depth, seed=spec.seed)  # echoed as read
+    base = cfg.base()
     n_max = args.nmax if args.nmax is not None else base.size
     weight = _parse_weight(args.weight, args.p)
     op = "weighted_riesz" if args.op == "riesz" and weight.kind != "unit" else args.op

@@ -16,7 +16,7 @@ import numpy as np
 from .functions import LevelFunction, pointwise_sup, require_positive
 from .group import VilenkinBase
 from .hardy import hardy_quasinorm, martingale_from_function
-from .kernels import HarmonicSums, dirichlet, partial_sum, riesz_mean
+from .kernels import dirichlet, harmonic_sums, partial_sum, riesz_mean
 from .maximal import WeightSpec
 from .transform import CharacterSampler, forward
 
@@ -41,17 +41,16 @@ class CounterexampleInstance:
 
     base: VilenkinBase
     k: int
-    n_k: int
-    f: LevelFunction  # resolved at level 2 n_k + 1
-    probe_indices: tuple[int, ...]  # M_{2 n_k} + M_{2s} for s = 0 .. n_k - 1
+    f: LevelFunction  # resolved at level 2k + 1
+    probe_indices: tuple[int, ...]  # M_{2k} + M_{2s} for s = 0 .. k - 1
 
     @property
     def block_start(self) -> int:
-        return self.base.orders[2 * self.n_k]
+        return self.base.orders[2 * self.k]
 
     @property
     def block_stop(self) -> int:
-        return self.base.orders[2 * self.n_k + 1]
+        return self.base.orders[2 * self.k + 1]
 
 
 def build_instance(k: int, base: VilenkinBase) -> CounterexampleInstance:
@@ -64,12 +63,11 @@ def build_instance(k: int, base: VilenkinBase) -> CounterexampleInstance:
     would not be harmless).  The defining spectrum property, the
     indicator of [M_{2k}, M_{2k+1}), is verified against the transform.
     """
-    n_k = k
-    level = 2 * n_k + 1
+    level = 2 * k + 1
     if level > base.depth:
         raise ValueError(f"stage {k} needs depth >= {level}, base has {base.depth}")
-    lo = base.orders[2 * n_k]
-    hi = base.orders[2 * n_k + 1]
+    lo = base.orders[2 * k]
+    hi = base.orders[2 * k + 1]
     vals = np.zeros(hi, dtype=np.complex128)
     vals[: hi // lo] = -lo
     vals[0] = hi - lo
@@ -80,8 +78,8 @@ def build_instance(k: int, base: VilenkinBase) -> CounterexampleInstance:
     residual = np.max(np.abs(coeffs - expected))
     if residual > _SPECTRUM_TOL:
         raise AssertionError(f"spectrum indicator violated (residual {residual:.3e})")
-    probes = tuple(lo + base.orders[2 * s] for s in range(n_k))
-    return CounterexampleInstance(base, k, n_k, f, probes)
+    probes = tuple(lo + base.orders[2 * s] for s in range(k))
+    return CounterexampleInstance(base, k, f, probes)
 
 
 def partial_sum_closed_form(inst: CounterexampleInstance, i: int) -> LevelFunction:
@@ -152,10 +150,10 @@ class RieszProbe:
 
 def _weighted_probe(inst: CounterexampleInstance, s: int, weight: WeightSpec) -> tuple[int, float, LevelFunction]:
     """Probe index q = M_{2k} + M_{2s}, phi(q) and |R_q f| / phi(q)."""
-    if not 0 <= s < inst.n_k:
-        raise ValueError(f"probe stage {s} outside [0, {inst.n_k})")
+    if not 0 <= s < inst.k:
+        raise ValueError(f"probe stage {s} outside [0, {inst.k})")
     q = inst.probe_indices[s]
-    phi = float(weight.divisors(q)[q - 1])
+    phi = float(weight.phi(q)[q - 1])
     return q, phi, (1.0 / phi) * riesz_mean(inst.f, q).modulus()
 
 
@@ -164,7 +162,7 @@ def riesz_at_q(inst: CounterexampleInstance, s: int, weight: WeightSpec) -> Ries
     q, phi, weighted = _weighted_probe(inst, s, weight)
     base = inst.base
     level = inst.f.level
-    harm = HarmonicSums.upto(q)
+    harm = harmonic_sums(q)
 
     m = inst.block_start
     m2s = base.orders[2 * s]
@@ -244,17 +242,17 @@ def blowup_table(
         inst = build_instance(k, base)
         mart = martingale_from_function(inst.f)
         hp = hardy_quasinorm(mart, p)
-        probes = [_weighted_probe(inst, s, weight) for s in range(inst.n_k)]
+        probes = [_weighted_probe(inst, s, weight) for s in range(k)]
         sup_fn = pointwise_sup(weighted for _, _, weighted in probes)
         m2k = base.orders[2 * k]
         if p == 0.5:
             numerator = sup_fn.lp_quasinorm(0.5)  # equals (integral |T f|^(1/2))^2
-            analytic = k / float(weight.divisors(base.orders[2 * k + 1])[-1])
+            analytic = k / float(weight.phi(base.orders[2 * k + 1])[-1])
         else:
             q0, phi0, _ = probes[0]  # the first probe's index and weight
-            lam = 1.0 / (phi0 * HarmonicSums.upto(q0)[q0] * q0)
+            lam = 1.0 / (phi0 * harmonic_sums(q0)[q0] * q0)
             numerator = sup_fn.weak_lp_at(p, lam)
-            phi_q = float(weight.divisors(m2k + 1)[-1])
+            phi_q = float(weight.phi(m2k + 1)[-1])
             analytic = (m2k + 1) ** (1.0 / p - 2.0) / (phi_q * np.log(m2k + 1))
         rows.append(
             BlowupRow(

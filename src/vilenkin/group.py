@@ -276,10 +276,6 @@ class Cylinder:
     def at(cls, point: GroupPoint, level: int) -> "Cylinder":
         return cls(point.base, level, rank_of(point, level))
 
-    @classmethod
-    def from_rank(cls, base: VilenkinBase, level: int, rank: int) -> "Cylinder":
-        return cls(base, level, rank)
-
     @property
     def anchor(self) -> GroupPoint:
         """The cylinder's point with zero digits beyond its level."""

@@ -198,29 +198,25 @@ def random_atom(
     base: VilenkinBase,
     p: float,
     rng: np.random.Generator,
-    support_level: int | None = None,
     extra_depth: int = 2,
     level_range: tuple[int, int] | None = None,
 ) -> PAtom:
     """Draw a saturated random atom.
 
-    Support level uniform over ``level_range`` (or fixed), values i.i.d.
-    uniform in [-1, 1] on the sub-cylinders ``extra_depth`` levels below
-    the support, projected to zero mean and rescaled so the sup norm hits
-    mu(I)^(-1/p) exactly.  Two levels keeps dyadic draws nondegenerate
-    (one level down a dyadic mean-zero draw is a Haar shape up to sign).
-    The exponent, extra depth and capped range (of one level, if fixed) go
-    through ``_check_draw``, which a ``CorpusSpec`` also calls, so a corpus
-    of no atoms is refused alike.
+    Support level uniform over ``level_range`` (``(L, L)`` fixes it at L),
+    values i.i.d. uniform in [-1, 1] on the sub-cylinders ``extra_depth``
+    levels below the support, projected to zero mean and rescaled so the
+    sup norm hits mu(I)^(-1/p) exactly.  Two levels keeps dyadic draws
+    nondegenerate (one level down a dyadic mean-zero draw is a Haar shape
+    up to sign).  The exponent, extra depth and capped range go through
+    ``_check_draw``, which a ``CorpusSpec`` also calls, so a corpus of no
+    atoms is refused alike.
     """
-    if support_level is not None:
-        level_range = (support_level, support_level)
     lo, hi = level_range or (0, base.depth - 1)
     _check_draw(p, base.depth, extra_depth, (lo, hi))
-    if support_level is None:
-        support_level = int(rng.integers(lo, min(hi, base.depth - extra_depth) + 1))
+    support_level = int(rng.integers(lo, min(hi, base.depth - extra_depth) + 1))
     resolution = support_level + extra_depth
-    support = Cylinder.from_rank(base, support_level, 0)
+    support = Cylinder(base, support_level, 0)
     cells = base.orders[resolution] // base.orders[support_level]
     draw = rng.uniform(-1.0, 1.0, size=cells)
     draw -= draw.mean()

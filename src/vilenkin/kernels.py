@@ -29,12 +29,12 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .functions import LevelFunction
-from .group import Cylinder, GroupPoint, VilenkinBase, coset_partition, point_of, subtract_rank_table
+from .group import Cylinder, GroupPoint, VilenkinBase, coset_partition, subtract_rank_table, unit_point
 from .transform import CharacterSampler, Spectrum, forward, inverse
 
 __all__ = [
-    "HarmonicSums",
     "KernelConvention",
+    "harmonic_sums",
     "dirichlet",
     "fejer_kernel",
     "gat_closed_form",
@@ -56,22 +56,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HarmonicSums:
-    """Partial sums l_n = 1 + 1/2 + ... + 1/n, with l_0 = 0 as sentinel."""
-
-    values: np.ndarray
-
-    @classmethod
-    def upto(cls, n_max: int) -> "HarmonicSums":
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max}")
-        vals = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, n_max + 1))])
-        vals.setflags(write=False)
-        return cls(vals)
-
-    def __getitem__(self, n: int) -> float:
-        return float(self.values[n])
+def harmonic_sums(n_max: int) -> np.ndarray:
+    """Read-only partial sums l_0..l_{n_max}, l_n = 1 + 1/2 + ... + 1/n, with l_0 = 0 as sentinel."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    vals = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, n_max + 1))])
+    vals.setflags(write=False)
+    return vals
 
 
 class KernelConvention(enum.Enum):
@@ -123,8 +114,8 @@ def _mean_weights(n: int, convention: KernelConvention) -> np.ndarray:
 
 def _riesz_weights(n: int) -> np.ndarray:
     """Per-character weights (l_n - l_j) / l_n of the Riesz kernel, j < n."""
-    harm = HarmonicSums.upto(n)
-    return 1.0 - harm.values[:n] / harm[n]
+    harm = harmonic_sums(n)
+    return 1.0 - harm[:n] / harm[n]
 
 
 def fejer_kernel(
@@ -157,15 +148,18 @@ def gat_closed_form(base: VilenkinBase, exponent: int, x: GroupPoint) -> float:
 
 
 def gat_kernel(base: VilenkinBase, exponent: int, level: int) -> LevelFunction:
-    """The dyadic closed form sampled on all level cylinders."""
+    """The dyadic closed form sampled on all level cylinders, one cylinder
+    block per case: 2^(t-1) on the level-A cylinder of e_t for each t < A,
+    then (2^A + 1) / 2 on the zero level-A cylinder, and 0 elsewhere."""
     base.require_finer(level, exponent, "exponent")
-    vals = np.array(
-        [
-            gat_closed_form(base, exponent, point_of(base, r, level))
-            for r in range(base.orders[level])
-        ],
-        dtype=np.complex128,
-    )
+    if not base.is_dyadic:
+        raise ValueError("closed form requires an all-2 base")
+    vals = np.zeros(base.orders[level], dtype=np.complex128)
+    for t in range(exponent):
+        block = Cylinder.at(unit_point(base, t), exponent).block(level)
+        vals[block.start : block.stop] = 2.0 ** (t - 1)
+    zero = Cylinder(base, exponent, 0).block(level)
+    vals[zero.start : zero.stop] = (2.0**exponent + 1.0) / 2.0
     return LevelFunction(base, level, vals)
 
 
@@ -191,7 +185,7 @@ def _riesz_abel(base: VilenkinBase, level: int, n: int, f: LevelFunction | None 
     """Shared Abel sum over the partial sums S_j of ``f`` (D_j if None)."""
     base.require_count(n, level, "kernel index" if f is None else "mean index")
     coeffs = None if f is None else forward(f).coeffs
-    harm = HarmonicSums.upto(n)
+    harm = harmonic_sums(n)
     total = base.orders[level]
     sampler = CharacterSampler(base, level)
     dtype = sampler.dtype if f is None else np.complex128  # the stream's dtype
@@ -268,10 +262,6 @@ class KernelIntegralSweep:
     convention: KernelConvention
     integrals: np.ndarray  # index n-1 holds the integral of |K_n|
     running_max: np.ndarray
-
-    def growth(self, n_lo: int, n_hi: int) -> float:
-        """Relative growth of the running max between two indices."""
-        return float(self.running_max[n_hi - 1] / self.running_max[n_lo - 1] - 1.0)
 
 
 def kernel_integral_sweep(
@@ -402,7 +392,7 @@ def localization_sweeps(
             if n >= m_n:  # each class is one row of equal-width level-N blocks
                 mass[:, n - m_n] = kn_abs.reshape(m_n, -1)[rows].sum(axis=1) / total
 
-    harm = HarmonicSums.upto(n_max)
+    harm = harmonic_sums(n_max)
     orders = np.array(base.orders)
     sweeps = []
     for n_cells, cs, mass in zip(levels, cells, masses):
@@ -414,6 +404,6 @@ def localization_sweeps(
         kernel_ratios = mass / np.where(pair, scale / n_values, scale)
         steps = mass / (n_values + 1)
         steps[:, 0] = 0.0  # the tail sum starts at j = M_N + 1
-        tail_ratios = np.cumsum(steps, axis=1) / np.where(pair, mk_ml / m_n**2, scale * harm.values[n_values])
+        tail_ratios = np.cumsum(steps, axis=1) / np.where(pair, mk_ml / m_n**2, scale * harm[n_values])
         sweeps.append(LocalizationSweep(base, n_cells, m_n, n_values, tuple(cs), kernel_ratios, tail_ratios))
     return tuple(sweeps)

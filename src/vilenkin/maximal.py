@@ -23,7 +23,7 @@ import numpy as np
 
 from .functions import LevelFunction
 from .hardy import hardy_quasinorm, martingale_from_function
-from .kernels import HarmonicSums
+from .kernels import harmonic_sums
 from .transform import CharacterSampler, forward
 
 __all__ = [
@@ -105,6 +105,19 @@ class WeightSpec:
             raise ValueError(f"custom table covers n <= {len(self.table)}, need {n_max}")
         return np.asarray(self.table[:n_max], dtype=np.float64)
 
+    def phi(self, n_max: int) -> np.ndarray:
+        """:meth:`divisors`, checked against the phi >= 1 and monotonicity
+        hypotheses on [1, n_max]; the operator-defining forms are exempt.
+        Every weight read of the maximal operators and the blow-up probes
+        goes through here."""
+        d = self.divisors(n_max)
+        if self.kind not in _OPERATOR_FORMS:
+            if np.min(d) < 1.0 - 1e-12:
+                raise ValueError(f"weight dips below 1 on [1, {n_max}] (min {np.min(d):.6g})")
+            if np.any(np.diff(d) < -1e-12):
+                raise ValueError(f"weight is not nondecreasing on [1, {n_max}]")
+        return d
+
 
 @dataclass(frozen=True, eq=False)
 class MaximalReport:
@@ -147,7 +160,7 @@ def _stream_sup(
     if mode == "sigma":
         a, b = np.ones(n_max), ns
     else:
-        a, b = ns, HarmonicSums.upto(n_max).values[1:]
+        a, b = ns, harmonic_sums(n_max)[1:]
     w = (1.0 / a).astype(np.complex128)  # numpy divides by a real through its reciprocal: S_n * w_n == S_n / a_n
     g = f.compress()
     total = g.base.orders[g.level]
@@ -195,18 +208,9 @@ def riesz_star(f: LevelFunction, n_max: int) -> MaximalReport:
 
 
 def weighted_riesz_star(f: LevelFunction, weight: WeightSpec, n_max: int) -> MaximalReport:
-    """sup over n = 1..n_max of |R_n f| / weight(n).
-
-    Generic weight kinds are validated against the phi >= 1 and
-    monotonicity hypotheses on the evaluated range.
-    """
-    d = weight.divisors(n_max)
-    if weight.kind not in _OPERATOR_FORMS:  # operator-defining forms are exempt from phi >= 1
-        if np.min(d) < 1.0 - 1e-12:
-            raise ValueError(f"weight dips below 1 on [1, {n_max}] (min {np.min(d):.6g})")
-        if np.any(np.diff(d) < -1e-12):
-            raise ValueError(f"weight is not nondecreasing on [1, {n_max}]")
-    return _stream_sup(f, n_max, "riesz", d, f"riesz_star/{weight.kind}")
+    """sup over n = 1..n_max of |R_n f| / weight(n), the weight read through
+    :meth:`WeightSpec.phi`."""
+    return _stream_sup(f, n_max, "riesz", weight.phi(n_max), f"riesz_star/{weight.kind}")
 
 
 @dataclass(frozen=True)

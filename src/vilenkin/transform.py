@@ -29,7 +29,6 @@ __all__ = [
     "Spectrum",
     "rademacher",
     "character",
-    "character_samples",
     "character_matrix",
     "CharacterSampler",
     "forward",
@@ -62,11 +61,6 @@ def character(n: int, x: GroupPoint) -> complex:
     digits = nat_expand(base, n).digits  # refuses n outside [0, M_K)
     phase = sum(d * xk / m for d, xk, m in zip(digits, x.coords, base.moduli))
     return complex(np.exp(2j * np.pi * phase))
-
-
-def character_samples(base: VilenkinBase, n: int, level: int) -> np.ndarray:
-    """Character n sampled on all level cylinders, in rank order."""
-    return CharacterSampler(base, level).character(n)
 
 
 class CharacterSampler:

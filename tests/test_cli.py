@@ -225,6 +225,8 @@ def test_maximal_table_refuses_a_weight_sigma_ignores(tmp_path, capsys, weight):
         (["verify", "kernels", "--count", "3"], "kernels takes no --count"),
         (["verify", "lemmas", "--count", "3"], "lemmas takes no --count"),
         (["--seed", "1", "verify", "atoms", "--max-a", "3"], "atoms takes no --max-a"),
+        (["--seed", "4", "verify", "kernels"], "kernels takes no --seed"),
+        (["verify", "lemmas", "--seed", "4"], "lemmas takes no --seed"),
     ],
 )
 def test_verify_refuses_a_flag_its_suite_ignores(capsys, argv, flag):
@@ -428,10 +430,11 @@ _NO_ATOMS = "the atoms suite needs at least one atom, got count"
         (["verify", "lemmas", "--max-a", "-2"], "no cylinder level to sweep"),
         (["--seed", "1", "verify", "atoms", "--count", "0"], f"{_NO_ATOMS} 0"),
         (["--seed", "1", "verify", "atoms", "--count", "-3"], f"{_NO_ATOMS} -3"),
+        (["verify", "atoms", "--count", "2"], "the atoms suite is randomized and needs an explicit seed"),
     ],
 )
 def test_verify_refuses_an_empty_check(capsys, argv, message):
-    # a suite with nothing to check must not read as PASS (or as FAIL)
+    # a suite with nothing to check, or no seed to draw it from, must not read as PASS (or as FAIL)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -562,6 +565,49 @@ def test_maximal_table_refuses_an_nmax_outside_the_level_of_an_empty_corpus(tmp_
     code, err = _refusal(capsys, argv)
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+def test_maximal_table_json_echoes_the_corpus(tmp_path, capsys):
+    # the table reads its base, depth and seed from --input, so the echo shows the corpus's
+    corpus = tmp_path / "corpus.json"
+    argv = ["--base", "2,3", "--depth", "7", "--seed", "3", "--out", str(corpus), "atoms", "corpus", "--count", "7"]
+    assert main(argv + ["--p", "0.5"]) == 0
+    argv = ["--format", "json", "maximal", "table", "--op", "sigma", "--p", "0.5", "--input", str(corpus)]
+    payload = json.loads(_stdout(capsys, argv))
+    assert payload["config"] == {"depth": 7, "format": "json", "moduli": [2, 3], "seed": 3}
+    assert len(payload["rows"]) == 7
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--base", "5"], ["--depth", "2"], ["--seed", "3"], ["--config", "base.json"]],
+    ids=["base", "depth", "seed", "config"],
+)
+def test_maximal_table_refuses_a_base_flag_its_corpus_overrides(tmp_path, capsys, flags):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(_DESCRIPTOR))
+    argv = [*flags, "maximal", "table", "--op", "sigma", "--p", "0.5", "--input", str(corpus)]
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err == f"error: maximal table takes no {flags[0]}: the base, depth and seed come from --input\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "sweep", "--phi", "power_log_sq", "--p", "0.5", "--kmax", "3"],
+        ["maximal", "table", "--op", "riesz", "--weight", "power_log_sq", "--p", "0.5", "--nmax", "5"],
+    ],
+    ids=["sweep", "table"],
+)
+def test_every_weight_reader_refuses_a_phi_below_one(tmp_path, capsys, argv):
+    # log(n+1)^2 is 0.48 at n = 1: the phi >= 1 hypothesis fails on [1, 5] for the sweep's first probe too
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(_DESCRIPTOR))
+    extra = ["--input", str(corpus)] if "maximal" in argv else []
+    code, err = _refusal(capsys, argv + extra)
+    assert code == 2
+    assert err == "error: weight dips below 1 on [1, 5] (min 0.480453)\n"
 
 
 def _dump_payload(header, rows, moduli):

@@ -11,9 +11,9 @@ from vilenkin.counterexample import (
 from vilenkin.functions import LevelFunction
 from vilenkin.group import make_base
 from vilenkin.hardy import hardy_quasinorm, martingale_from_function
-from vilenkin.kernels import HarmonicSums, dirichlet
+from vilenkin.kernels import dirichlet, harmonic_sums
 from vilenkin.maximal import WeightSpec
-from vilenkin.transform import character_samples, forward
+from vilenkin.transform import CharacterSampler, forward
 
 
 def test_build_instance_dyadic_stage_one():
@@ -57,7 +57,7 @@ def test_shift_identity_first_index():
     inst = build_instance(1, base)
     m = inst.block_start
     lhs = dirichlet(base, m + 1, inst.f.level) - dirichlet(base, m, inst.f.level)
-    psi = character_samples(base, m, inst.f.level)
+    psi = CharacterSampler(base, inst.f.level).character(m)
     assert np.max(np.abs(lhs.values - psi)) < 1e-12  # both sides are the block character
     assert shift_identity_check(inst, 1) < 1e-12
 
@@ -85,7 +85,7 @@ def test_shift_identity_range_check():
 def test_riesz_probe_identity_and_bounds():
     base = make_base((2,), 13)
     inst = build_instance(3, base)
-    for s in range(inst.n_k):
+    for s in range(inst.k):
         probe = riesz_at_q(inst, s, WeightSpec.unit())
         assert probe.identity_residual_on_support < 1e-9
         assert probe.triangle_slack < 1e-12  # modulus never beats the term-wise sum
@@ -102,7 +102,7 @@ def test_riesz_probe_first_stage_single_term():
         inst = build_instance(k, base)
         probe = riesz_at_q(inst, 0, WeightSpec.unit())
         q = inst.probe_indices[0]
-        expect = 1.0 / (HarmonicSums.upto(q)[q] * (1 + inst.block_start))
+        expect = 1.0 / (harmonic_sums(q)[q] * (1 + inst.block_start))
         assert np.max(np.abs(probe.weighted.values.real - expect)) < 1e-12
 
 
@@ -141,7 +141,7 @@ def test_blowup_sup_is_the_max_of_the_riesz_probes(moduli, depth):
     base = make_base(moduli, depth)
     k, weight = 3, WeightSpec.log()
     inst = build_instance(k, base)
-    probes = [np.real(riesz_at_q(inst, s, weight).weighted.values) for s in range(inst.n_k)]
+    probes = [np.real(riesz_at_q(inst, s, weight).weighted.values) for s in range(inst.k)]
     sup = LevelFunction(base, inst.f.level, np.max(probes, axis=0))
     row = blowup_table(base, weight, 0.5, range(k, k + 1)).rows[0]
     assert row.numerator == sup.lp_quasinorm(0.5)

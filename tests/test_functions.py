@@ -3,7 +3,7 @@ import pytest
 
 from vilenkin.functions import LevelFunction, constant, indicator, pointwise_sup
 from vilenkin.group import Cylinder, make_base
-from vilenkin.transform import character_samples
+from vilenkin.transform import CharacterSampler
 
 TOL = 1e-9
 
@@ -18,14 +18,14 @@ def test_integrate_constant_and_block():
     assert constant(base, 4).integrate() == pytest.approx(1.0)
     # a cylinder indicator scaled by the cylinder count integrates to one
     for level in range(base.depth + 1):
-        cell = Cylinder.from_rank(base, level, 0)
+        cell = Cylinder(base, level, 0)
         f = indicator(cell, base.depth, base.orders[level])
         assert f.integrate() == pytest.approx(1.0)
 
 
 def test_integrate_character_orthogonal_to_constants():
     base = make_base((2,), 3)
-    psi1 = LevelFunction(base, 3, character_samples(base, 1, 3))
+    psi1 = LevelFunction(base, 3, CharacterSampler(base, 3).character(1))
     assert abs(psi1.integrate()) < 1e-15
 
 
@@ -36,7 +36,7 @@ def test_lp_quasinorm_examples():
     assert f.lp_quasinorm(0.5) == pytest.approx(0.5)  # ((1/2) sqrt 2)^2
     base2 = make_base((3, 2), 2)
     for n in range(base2.size):
-        psi = LevelFunction(base2, 2, character_samples(base2, n, 2))
+        psi = LevelFunction(base2, 2, CharacterSampler(base2, 2).character(n))
         for p in (0.3, 1.0, 2.0):
             assert psi.lp_quasinorm(p) == pytest.approx(1.0)
 

@@ -158,7 +158,7 @@ def test_coset_partition_tiles_complement_exactly(moduli, depth):
         covered: list[int] = []
         for c in cells:
             covered.extend(c.block(base.depth))
-        zero_block = Cylinder.from_rank(base, level, 0).block(base.depth)
+        zero_block = Cylinder(base, level, 0).block(base.depth)
         expected = set(range(base.size)) - set(zero_block)
         assert len(covered) == len(expected)  # pairwise disjoint
         assert set(covered) == expected
@@ -192,7 +192,7 @@ def test_cylinder_is_its_rank_at_every_point_and_level(moduli):
     for p in points:
         for n in range(base.depth + 1):
             cell = Cylinder.at(p, n)
-            assert cell == Cylinder.from_rank(base, n, rank_of(p, n))
+            assert cell == Cylinder(base, n, rank_of(p, n))
             assert cell.anchor.coords == p.coords[:n] + (0,) * (base.depth - n)
             assert [cell.contains(q) for q in points] == [q.coords[:n] == p.coords[:n] for q in points]
             for m in range(n, base.depth + 1):

@@ -17,11 +17,11 @@ from vilenkin.hardy import (
     validate_atom,
 )
 from vilenkin.kernels import partial_sum
-from vilenkin.transform import character_samples, forward
+from vilenkin.transform import CharacterSampler, forward
 
 
 def _psi(base, n, level):
-    return LevelFunction(base, level, character_samples(base, n, level))
+    return LevelFunction(base, level, CharacterSampler(base, level).character(n))
 
 
 def test_martingale_from_character():
@@ -56,7 +56,7 @@ def test_martingale_adaptedness_enforced():
 def test_adaptedness_tolerance_scales_with_atom_height(p, support_level):
     # sup norms of 1e10..1e23: averaging error exceeds any absolute tolerance
     base = make_base((2, 3), 10)
-    atom = random_atom(base, p, np.random.default_rng(0), support_level=support_level)
+    atom = random_atom(base, p, np.random.default_rng(0), level_range=(support_level, support_level))
     mart = martingale_from_function(atom.values)
     assert mart.top_level == atom.values.level
     assert np.isfinite(hardy_quasinorm(mart, p))
@@ -143,7 +143,7 @@ def test_martingale_spectrum_stabilizes():
 
 def test_character_atom_on_whole_group_is_valid():
     base = make_base((2,), 3)
-    atom = PAtom(0.5, Cylinder.from_rank(base, 0, 0), _psi(base, 1, 3))
+    atom = PAtom(0.5, Cylinder(base, 0, 0), _psi(base, 1, 3))
     check = validate_atom(atom)
     assert check.ok, check.failures
     for p in (0.0, float("nan")):
@@ -153,7 +153,7 @@ def test_character_atom_on_whole_group_is_valid():
 
 def test_constant_function_is_not_an_atom():
     base = make_base((2,), 3)
-    atom = PAtom(0.5, Cylinder.from_rank(base, 0, 0), constant(base, 3))
+    atom = PAtom(0.5, Cylinder(base, 0, 0), constant(base, 3))
     check = validate_atom(atom)
     assert not check.ok
     assert "mean_not_zero" in check.failures
@@ -163,11 +163,11 @@ def test_child_difference_atom():
     base = make_base((2,), 4)
     level = 2
     p = 0.5
-    support = Cylinder.from_rank(base, level, 0)
+    support = Cylinder(base, level, 0)
     amp = base.orders[level] ** (1 / p)
     kids = base.moduli[level]
-    child0 = Cylinder.from_rank(base, level + 1, 0)
-    child1 = Cylinder.from_rank(base, level + 1, 1)
+    child0 = Cylinder(base, level + 1, 0)
+    child1 = Cylinder(base, level + 1, 1)
     f = indicator(child0, 4, amp) - indicator(child1, 4, amp)
     atom = PAtom(p, support, f)
     assert validate_atom(atom).ok
@@ -179,7 +179,7 @@ def test_child_difference_atom():
 
 def test_support_violation_detected():
     base = make_base((2,), 3)
-    atom = PAtom(1.0, Cylinder.from_rank(base, 1, 0), constant(base, 3, 0.5))
+    atom = PAtom(1.0, Cylinder(base, 1, 0), constant(base, 3, 0.5))
     check = validate_atom(atom)
     assert "support_violated" in check.failures
 
@@ -219,7 +219,7 @@ def test_random_atom_refuses_empty_level_range():
 def test_assemble_single_atom_resolves_to_itself():
     base = make_base((2,), 5)
     rng = np.random.default_rng(5)
-    atom = random_atom(base, 0.5, rng, support_level=1)
+    atom = random_atom(base, 0.5, rng, level_range=(1, 1))
     out = assemble_from_atoms(base, [atom], [1.0], 5)
     assert out.component.max_abs_diff(atom.values.at_level(5)) < 1e-12
     assert out.budget == pytest.approx(1.0)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from vilenkin.functions import LevelFunction, constant, indicator
 from vilenkin.group import Cylinder, coset_partition, make_base, point_of
 from vilenkin.kernels import (
-    HarmonicSums,
     KernelConvention,
     all_partial_sums,
     convolve,
@@ -15,6 +14,7 @@ from vilenkin.kernels import (
     fejer_mean,
     gat_closed_form,
     gat_kernel,
+    harmonic_sums,
     kernel_integral_sweep,
     localization_sweep,
     localization_sweeps,
@@ -24,7 +24,7 @@ from vilenkin.kernels import (
     riesz_mean,
     riesz_mean_abel,
 )
-from vilenkin.transform import character_samples
+from vilenkin.transform import CharacterSampler
 
 ZERO_BASED = KernelConvention.ZERO_BASED
 SHIFTED = KernelConvention.SHIFTED
@@ -36,10 +36,12 @@ def _random(base, level, rng):
 
 
 def test_harmonic_sums_invariants():
-    h = HarmonicSums.upto(50)
+    h = harmonic_sums(50)
     assert h[1] == 1.0
-    assert np.all(np.diff(h.values[1:]) > 0)
+    assert np.all(np.diff(h[1:]) > 0)
     assert h[4] == pytest.approx(25 / 12)
+    with pytest.raises(ValueError, match="read-only"):
+        h[1] = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -51,7 +53,7 @@ def test_dirichlet_block_formula(moduli, depth):
     base = make_base(moduli, depth)
     for n in range(base.depth + 1):
         dn = dirichlet(base, base.orders[n], base.depth)
-        block = indicator(Cylinder.from_rank(base, n, 0), base.depth, base.orders[n])
+        block = indicator(Cylinder(base, n, 0), base.depth, base.orders[n])
         assert dn.max_abs_diff(block) < 1e-12
 
 
@@ -62,7 +64,7 @@ def test_dirichlet_small_values():
     # naive character-sum oracle at level 2
     base2 = make_base((2,), 2)
     d3 = dirichlet(base2, 3, 2)
-    oracle = sum(character_samples(base2, k, 2) for k in range(3))
+    oracle = sum(CharacterSampler(base2, 2).character(k) for k in range(3))
     assert np.max(np.abs(d3.values - oracle)) < 1e-14
     assert np.allclose(d3.values.real, [3, 1, 1, -1])
 
@@ -146,6 +148,14 @@ def test_gat_closed_form_matches_brute_force():
         assert brute.max_abs_diff(gat_kernel(base, a, 6)) < 1e-10
 
 
+def test_gat_kernel_equals_the_closed_form_at_every_cell():
+    base = make_base((2,), 8)
+    for level in range(base.depth + 1):
+        for a in range(level + 1):
+            cells = [gat_closed_form(base, a, point_of(base, r, level)) for r in range(base.orders[level])]
+            assert np.array_equal(gat_kernel(base, a, level).values, np.array(cells, dtype=np.complex128))
+
+
 def test_gat_closed_form_rejects_non_dyadic():
     base = make_base((2, 3), 2)
     with pytest.raises(ValueError):
@@ -163,7 +173,7 @@ def test_riesz_kernel_first_is_one():
 
 def test_riesz_kernel_matches_literal_sum():
     base = make_base((2, 3), 4)
-    h = HarmonicSums.upto(9)
+    h = harmonic_sums(9)
     for n in (1, 2, 5, 9):
         literal = sum(dirichlet(base, k, 4) * (1.0 / k) for k in range(1, n + 1)) * (1.0 / h[n])
         assert riesz_kernel(base, n, 4).max_abs_diff(literal) < 1e-12
@@ -188,7 +198,7 @@ def test_riesz_kernel_unit_integral():
 
 def test_partial_sum_of_character():
     base = make_base((2,), 4)
-    psi3 = LevelFunction(base, 4, character_samples(base, 3, 4))
+    psi3 = LevelFunction(base, 4, CharacterSampler(base, 4).character(3))
     for k in range(4):
         assert np.max(np.abs(partial_sum(psi3, k).values)) < 1e-13
     for k in (4, 9, 16):
@@ -229,7 +239,7 @@ def test_all_partial_sums_consistent():
 
 def test_riesz_mean_of_single_character():
     base = make_base((2,), 4)
-    psi3 = LevelFunction(base, 4, character_samples(base, 3, 4))
+    psi3 = LevelFunction(base, 4, CharacterSampler(base, 4).character(3))
     got = riesz_mean(psi3, 4)
     assert got.max_abs_diff(psi3 * (3 / 25)) < 1e-13  # (1/l_4)(1/4), l_4 = 25/12
 
@@ -255,7 +265,7 @@ def test_means_match_literal_partial_sum_averages():
     base = make_base((2, 3), 4)
     rng = np.random.default_rng(12)
     f = _random(base, 4, rng)
-    h = HarmonicSums.upto(11)
+    h = harmonic_sums(11)
     for n in (1, 3, 11):
         sums = [partial_sum(f, k) for k in range(n + 1)]
         lit_zero = sum(sums[:n], start=constant(base, 4, 0.0)) * (1.0 / n)
@@ -402,7 +412,7 @@ def test_localization_sweeps_match_oracles(case):
         for cell, kernel, tail in zip(sweep.cells, sweep.kernel_ratios, sweep.tail_ratios):
             mk = base.orders[cell.k]
             if cell.l is None:
-                masses, tails = kernel * mk / m_n, tail * mk / m_n * HarmonicSums.upto(n_max).values[ns]
+                masses, tails = kernel * mk / m_n, tail * mk / m_n * harmonic_sums(n_max)[ns]
             else:
                 ml = base.orders[cell.l]
                 masses, tails = kernel * mk * ml / (ns * m_n), tail * mk * ml / m_n**2

@@ -197,7 +197,7 @@ def test_ratio_scale_invariance():
 def test_ratio_on_half_atom_is_finite():
     base = make_base((2,), 8)
     rng = np.random.default_rng(14)
-    atom = random_atom(base, 0.5, rng, support_level=2)
+    atom = random_atom(base, 0.5, rng, level_range=(2, 2))
     f = atom.values.at_level(8)
     out = hp_to_lp_ratio(f, OperatorSpec("weighted_riesz", 256, WeightSpec.log()), 0.5)
     assert np.isfinite(out.weak) and out.weak > 0

@@ -19,13 +19,20 @@ from vilenkin.counterexample import blowup_table, build_instance, partial_sum_cl
 from vilenkin.functions import LevelFunction, constant, indicator, pointwise_sup
 from vilenkin.group import Cylinder, make_base, point_of, unit_point, zero_point
 from vilenkin.hardy import CorpusSpec, Martingale, PAtom, assemble_from_atoms, random_atom, validate_atom
-from vilenkin.kernels import convolve, gat_closed_form, gat_kernel, kernel_integral_sweep, localization_sweeps
+from vilenkin.kernels import (
+    convolve,
+    gat_closed_form,
+    gat_kernel,
+    harmonic_sums,
+    kernel_integral_sweep,
+    localization_sweeps,
+)
 from vilenkin.maximal import WeightSpec
 from vilenkin.transform import CharacterSampler, rademacher
 
 _BASE = make_base((2,), 4)
 _ONE = constant(_BASE, 4, 1.0)
-_WHOLE = Cylinder.from_rank(_BASE, 0, 0)
+_WHOLE = Cylinder(_BASE, 0, 0)
 
 # entry point -> (call with the bad value, refusal message for it)
 _POSITIVE = {
@@ -86,7 +93,7 @@ _RANGE = {
     "rademacher": (lambda: rademacher(4, zero_point(_BASE)), "position 4 outside [0, 4)"),
     "unit_point": (lambda: unit_point(_BASE, 4), "position 4 outside [0, 4)"),
     "indicator": (
-        lambda: indicator(Cylinder.from_rank(_BASE, 3, 0), 2),
+        lambda: indicator(Cylinder(_BASE, 3, 0), 2),
         "level 2 is coarser than the cylinder level 3",
     ),
     "at_level": (lambda: _ONE.at_level(2), "level 2 is coarser than the function level 4"),
@@ -97,7 +104,7 @@ _RANGE = {
     "gat_kernel-coarser": (lambda: gat_kernel(_BASE, 3, 2), "level 2 is coarser than the exponent 3"),
     "gat_kernel-past-depth": (lambda: gat_kernel(_BASE, 2, 6), "level 6 outside [0, 4]"),
     "point_of": (lambda: point_of(_BASE, 9, 3), "index 9 outside the representable range [0, 8)"),
-    "Cylinder.from_rank": (lambda: Cylinder.from_rank(_BASE, 3, 8), "index 8 outside the representable range [0, 8)"),
+    "Cylinder": (lambda: Cylinder(_BASE, 3, 8), "index 8 outside the representable range [0, 8)"),
     "gat_closed_form": (lambda: gat_closed_form(_BASE, 5, zero_point(_BASE)), "level 5 outside [0, 4]"),
     "localization_sweeps-level-0": (
         lambda: localization_sweeps(_BASE, (0,), 16),
@@ -108,11 +115,11 @@ _RANGE = {
         "partition level 5 outside [1, 4]",
     ),
     "random_atom-support-level": (
-        lambda: random_atom(_DEEP, 0.5, np.random.default_rng(0), support_level=5),
+        lambda: random_atom(_DEEP, 0.5, np.random.default_rng(0), level_range=(5, 5)),
         _CAPPED,
     ),
     "random_atom-negative-support-level": (
-        lambda: random_atom(_DEEP, 0.5, np.random.default_rng(0), support_level=-1),
+        lambda: random_atom(_DEEP, 0.5, np.random.default_rng(0), level_range=(-1, -1)),
         "support-level range [-1, -1] starts below level 0",
     ),
     "partial_sum_closed_form-negative": (
@@ -127,6 +134,7 @@ _RANGE = {
         lambda: kernel_integral_sweep(_BASE, 4, 17),
         "index 17 not resolvable at level 4 (max 16)",
     ),
+    "harmonic_sums": (lambda: harmonic_sums(0), "n_max must be >= 1, got 0"),
 }
 
 
@@ -139,7 +147,7 @@ def test_every_range_entry_point_refuses_with_its_owner_text(entry):
 
 def test_an_explicit_support_level_draws_the_same_atom():
     # a fixed level takes no random draw, so the seed alone fixes these bytes
-    atom = random_atom(_DEEP, 0.5, np.random.default_rng(14), support_level=2)
+    atom = random_atom(_DEEP, 0.5, np.random.default_rng(14), level_range=(2, 2))
     assert (atom.support.level, atom.support.rank, atom.values.level) == (2, 0, 4)
     digest = hashlib.sha256(atom.values.values.tobytes()).hexdigest()
     assert digest == "6d77c3fbdd57ded17d7e86ccc7aba11b9c04f2ec490d470275a99a1c07ad4965"
