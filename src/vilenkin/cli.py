@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -72,8 +74,12 @@ class RunConfig:
         }
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# the one full-precision formatter; a bound builtin, so map() over it runs no Python frame per cell
+_fmt: Callable[[float], str] = "{:.17g}".format
+# a JSON table cell's type and its json.dumps spelling; any other cell type is refused
+_JSON_CELLS: dict[type, Callable[[Any], str]] = {int: int.__repr__, float: float.__repr__, str: encode_basestring_ascii}
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_BLOCK_ROWS = 512  # rows spelled per block: bounds the cell strings alive at once
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -113,17 +119,56 @@ def _emit_json(payload: dict[str, Any], out: str | None) -> None:
     _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-def _emit_rows(header: list[str], rows: list[list[Any]], cfg: RunConfig) -> None:
-    """Write a rectangular report as CSV or JSON per the config; every CLI table goes through here."""
+def _json_kind(name: str, column: list[Any]) -> type:
+    """The one cell type of a JSON table column, checked once per column."""
+    kinds = set(map(type, column))
+    if len(kinds) != 1 or not kinds <= _JSON_CELLS.keys():
+        found = ", ".join(sorted(kind.__name__ for kind in kinds))
+        raise TypeError(f"table column {name!r} holds {found}: a cell is an int, float or str")
+    return kinds.pop()
+
+
+def _json_cells(kind: type, column: list[Any]) -> list[str]:
+    """Cells of one type, spelled as json.dumps spells them."""
+    cells = list(map(_JSON_CELLS[kind], column))
+    if kind is float and not all(map(math.isfinite, column)):
+        cells = list(map(_JSON_NON_FINITE.get, cells, cells))
+    return cells
+
+
+def _json_table(header: list[str], columns: list[list[Any]], echo: dict[str, Any]) -> str:
+    """The text of json.dumps({"config", "header", "rows"}, indent=2, sort_keys=True) + newline.
+
+    The rows are spliced in by column rather than walked by the pure-Python indent
+    encoder: "rows" sorts last, so its empty list ends the envelope's text.  They are
+    spelled a block at a time, so only one block's cell strings are alive at once."""
+    envelope = json.dumps({"config": echo, "header": header, "rows": []}, indent=2, sort_keys=True)
+    count = max(map(len, columns), default=0)
+    if not count:
+        return envelope + "\n"
+    kinds = [_json_kind(name, column) for name, column in zip(header, columns, strict=True)]
+    row_sep = "\n    ],\n    [\n      "
+    blocks = []
+    for start in range(0, count, _JSON_BLOCK_ROWS):
+        cells = [_json_cells(kind, column[start : start + _JSON_BLOCK_ROWS]) for kind, column in zip(kinds, columns)]
+        blocks.append(row_sep.join(map(",\n      ".join, zip(*cells, strict=True))))
+    blocks[0] = f"{envelope[:-4]}[\n    [\n      {blocks[0]}"
+    blocks[-1] += "\n    ]\n  ]\n}\n"
+    return row_sep.join(blocks)
+
+
+def _emit_rows(header: list[str], columns: list[list[Any]], cfg: RunConfig) -> None:
+    """Write a rectangular report, given by column, as CSV or JSON per the config; every CLI table goes
+    through here.  A JSON table's cells are ints, floats or strs, one type per column."""
     if cfg.format == "json":
-        _emit_json({"config": cfg.echo(), "header": header, "rows": rows}, cfg.out)
+        _emit_text(_json_table(header, columns, cfg.echo()), cfg.out)
         return
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(zip(*columns, strict=True))
     _emit_text(buf.getvalue(), cfg.out)
 
 
@@ -169,23 +214,26 @@ def _selected_kernel(args: argparse.Namespace, base: VilenkinBase) -> LevelFunct
     return riesz_kernel(base, args.n, level)
 
 
-def _complex_rows(values: np.ndarray, cell: Callable[[float], Any]) -> list[list[Any]]:
-    """The [index, real, imag] rows of both dumps; tolist() gives Python floats, which format faster."""
-    return [[i, cell(a), cell(b)] for i, (a, b) in enumerate(zip(values.real.tolist(), values.imag.tolist()))]
+def _complex_columns(values: np.ndarray, as_text: bool) -> list[list[Any]]:
+    """The index, real and imag columns of both dumps, as floats or as .17g text."""
+    parts = [values.real.tolist(), values.imag.tolist()]
+    if as_text:
+        parts = [list(map(_fmt, part)) for part in parts]
+    return [list(range(values.size)), *parts]
 
 
 def _cmd_kernel_dump(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     fn = _selected_kernel(args, cfg.base())
-    cell = float if cfg.format == "json" else _fmt  # JSON keeps numbers, CSV full-precision text
-    _emit_rows(["rank", "real", "imag"], _complex_rows(fn.values, cell), cfg)
+    # JSON keeps numbers, CSV full-precision text
+    _emit_rows(["rank", "real", "imag"], _complex_columns(fn.values, as_text=cfg.format == "csv"), cfg)
     return 0
 
 
 def _cmd_spectrum_dump(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     spec = forward(_selected_kernel(args, cfg.base()))
-    _emit_rows(["index", "real", "imag"], _complex_rows(spec.coeffs, _fmt), cfg)  # .17g text in both formats
+    _emit_rows(["index", "real", "imag"], _complex_columns(spec.coeffs, as_text=True), cfg)  # .17g in both formats
     return 0
 
 
@@ -221,20 +269,16 @@ def _cmd_maximal_table(args: argparse.Namespace) -> int:
     operator = OperatorSpec(op, n_max, weight)
     base.require_count(n_max, base.depth, "n_max")  # also for a corpus of no atoms
     header = ["atom", "support_level", "hardy_norm", "strong_ratio", "weak_ratio"]
-    rows: list[list[Any]] = []
-    for idx, atom in enumerate(spec.generate()):
-        f = atom.values.at_level(base.depth)
-        ratio = hp_to_lp_ratio(f, operator, args.p)
-        rows.append(
-            [
-                idx,
-                atom.support.level,
-                _fmt(ratio.hardy_norm),
-                _fmt(ratio.strong),
-                _fmt(ratio.weak),
-            ]
-        )
-    _emit_rows(header, rows, cfg)
+    atoms = spec.generate()
+    ratios = [hp_to_lp_ratio(atom.values.at_level(base.depth), operator, args.p) for atom in atoms]
+    columns = [
+        list(range(len(atoms))),
+        [atom.support.level for atom in atoms],
+        [_fmt(ratio.hardy_norm) for ratio in ratios],
+        [_fmt(ratio.strong) for ratio in ratios],
+        [_fmt(ratio.weak) for ratio in ratios],
+    ]
+    _emit_rows(header, columns, cfg)
     return 0
 
 
@@ -252,19 +296,17 @@ def _cmd_counterexample_sweep(args: argparse.Namespace) -> int:
         "analytic_lower_bound",
         "trend_flag",
     ]
-    rows = [
-        [
-            row.k,
-            ";".join(str(q) for q in row.probe_indices),
-            _fmt(row.hardy_norm),
-            _fmt(row.numerator),
-            _fmt(row.ratio),
-            _fmt(row.analytic_lower_bound),
-            table.flag,
-        ]
-        for row in table.rows
+    rows = table.rows
+    columns = [
+        [row.k for row in rows],
+        [";".join(map(str, row.probe_indices)) for row in rows],
+        [_fmt(row.hardy_norm) for row in rows],
+        [_fmt(row.numerator) for row in rows],
+        [_fmt(row.ratio) for row in rows],
+        [_fmt(row.analytic_lower_bound) for row in rows],
+        [table.flag] * len(rows),
     ]
-    _emit_rows(header, rows, cfg)
+    _emit_rows(header, columns, cfg)
     return 0
 
 

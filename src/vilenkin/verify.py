@@ -148,7 +148,9 @@ def check_identities(
 
 def check_kernel_integrals(moduli: tuple[int, ...], depth: int, n_max: int) -> CheckResult:
     """Criterion 4: the running max of int |K_n| grows under 1% over n_max/4..n_max."""
-    sweep = kernel_integral_sweep(make_base(moduli, depth), depth, n_max)
+    base = make_base(moduli, depth)
+    base.require_count(n_max, depth, "n_max (the growth is read over n_max/4..n_max)", least=4)
+    sweep = kernel_integral_sweep(base, depth, n_max)
     growth = float(sweep.running_max[n_max - 1] / sweep.running_max[n_max // 4 - 1] - 1.0)
     return CheckResult(
         "kernel-integral-running-max",

@@ -1,8 +1,15 @@
+import contextlib
+import csv
 import dataclasses
+import io
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilenkin import cli, hardy, verify
 from vilenkin.cli import main
@@ -610,9 +617,9 @@ def test_every_weight_reader_refuses_a_phi_below_one(tmp_path, capsys, argv):
     assert err == "error: weight dips below 1 on [1, 5] (min 0.480453)\n"
 
 
-def _dump_payload(header, rows, moduli):
+def _dump_payload(header, rows, moduli, depth=2, seed=None):
     """The bytes of a JSON dump: sorted keys, indent 2, a config echo, LF at the end."""
-    config = {"depth": 2, "format": "json", "moduli": moduli, "seed": None}
+    config = {"depth": depth, "format": "json", "moduli": moduli, "seed": seed}
     return json.dumps({"config": config, "header": header, "rows": rows}, indent=2, sort_keys=True) + "\n"
 
 
@@ -651,6 +658,88 @@ def test_counterexample_sweep_weak_type_bytes(capsys):
         "2,17;20,0.0015501963398126938,0.0022679473727057154,1.4630065330819615,5.3378403242115349,increasing\n"
         "3,65;68;80,6.1035156249999973e-05,0.00077155619147890419,12.641176641190372,14.943311034854197,increasing\n"
     )
+
+
+def test_maximal_table_json_bytes(tmp_path, capsys):
+    """A JSON table with int and string columns: the corpus of test_maximal_table_bytes."""
+    corpus = tmp_path / "corpus.json"
+    argv = ["--base", "2", "--depth", "6", "--seed", "1", "--out", str(corpus), "atoms", "corpus", "--count", "2"]
+    assert main(argv + ["--p", "0.5"]) == 0
+    argv = ["--format", "json", "maximal", "table", "--op", "riesz", "--weight", "log", "--p", "0.5"]
+    rows = [
+        [0, 2, "0.80587897295701438", "0.32506517248282846", "0.26826446409350846"],
+        [1, 3, "0.53347277394194281", "0.41095140653295048", "0.26056816493575941"],
+    ]
+    header = ["atom", "support_level", "hardy_norm", "strong_ratio", "weak_ratio"]
+    assert _stdout(capsys, argv + ["--input", str(corpus)]) == _dump_payload(header, rows, [2], depth=6, seed=1)
+
+
+def test_counterexample_sweep_json_bytes(capsys):
+    argv = ["--base", "2", "--depth", "9", "--format", "json", "counterexample", "sweep", "--phi", "log"]
+    rows = [
+        [1, "5", "0.039372532809214773", "0.048885602325656696", "1.2416169049255443", "2.9648728280046983"],
+        [2, "17;20", "0.0015501963398126938", "0.0022679473727057154", "1.4630065330819615", "5.3378403242115349"],
+        [3, "65;68;80", "6.1035156249999973e-05", "0.00077155619147890419", "12.641176641190372", "14.943311034854197"],
+    ]
+    header = ["k", "probe_indices", "hardy_norm", "numerator", "ratio", "analytic_lower_bound", "trend_flag"]
+    want = _dump_payload(header, [row + ["increasing"] for row in rows], [2], depth=9)
+    assert _stdout(capsys, argv + ["--p", "0.3", "--kmax", "3"]) == want
+
+
+_INT_CELLS = st.one_of(st.integers(), st.integers(min_value=2**63, max_value=2**80), st.integers(max_value=-(2**63)))
+_FLOAT_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]),
+)
+_STR_CELLS = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\u00e9\u4e2d\U0001f600", "a,b", "a\nb", "\r\n", "\u2028"]),
+)
+_CELLS = {int: _INT_CELLS, float: _FLOAT_CELLS, str: _STR_CELLS}
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS, key=str)), min_size=1, max_size=4))
+    count = draw(st.sampled_from([0, 1, 5]))
+    header = draw(st.lists(st.text(), min_size=len(kinds), max_size=len(kinds)))
+    return header, [draw(st.lists(_CELLS[kind], min_size=count, max_size=count)) for kind in kinds]
+
+
+def _emitted(header, columns, fmt):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit_rows(header, columns, cli.RunConfig((2, 3), 4, 7, None, fmt))
+    return buf.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_tables())
+def test_emit_rows_matches_the_stdlib_writers(table):
+    """Both table formats against the stdlib encoders they must equal byte for byte."""
+    header, columns = table
+    rows = [list(row) for row in zip(*columns)]
+    config = {"depth": 4, "format": "json", "moduli": [2, 3], "seed": 7}
+    want = json.dumps({"config": config, "header": header, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    for block_rows in (1, 2, cli._JSON_BLOCK_ROWS):  # block boundaries inside the table, and none
+        with mock.patch.object(cli, "_JSON_BLOCK_ROWS", block_rows):
+            assert _emitted(header, columns, "json") == want
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert _emitted(header, columns, "csv") == buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[None], [1, None], [True], [0.5, False], ["a", None], [1, 2.0], [np.float64(0.5)]],
+    ids=["none", "int-none", "bool", "float-bool", "str-none", "int-float", "numpy-float"],
+)
+def test_json_table_refuses_a_cell_of_another_type(column):
+    # json.dumps would write null, true, a mixed column or a float subclass; a cell is an int, float or str
+    with pytest.raises(TypeError, match=r"^table column 'c' holds .*: a cell is an int, float or str$"):
+        _emitted(["c"], [column], "json")
 
 
 def test_verify_identities_lines(capsys):

@@ -29,6 +29,7 @@ from vilenkin.kernels import (
 )
 from vilenkin.maximal import WeightSpec
 from vilenkin.transform import CharacterSampler, rademacher
+from vilenkin.verify import check_kernel_integrals
 
 _BASE = make_base((2,), 4)
 _ONE = constant(_BASE, 4, 1.0)
@@ -135,6 +136,11 @@ _RANGE = {
         "index 17 not resolvable at level 4 (max 16)",
     ),
     "harmonic_sums": (lambda: harmonic_sums(0), "n_max must be >= 1, got 0"),
+    # below n_max = 4 the range n_max/4..n_max starts at n = 0 and the growth has no evidence
+    "check_kernel_integrals": (
+        lambda: check_kernel_integrals((2,), 2, 3),
+        "n_max (the growth is read over n_max/4..n_max) must be >= 4, got 3",
+    ),
 }
 
 
