@@ -6,6 +6,11 @@ LF line endings.  Identical configuration plus seed gives byte-identical
 files.  A resource guard rejects bases with more than 2^20 cells since
 several sweeps are quadratic.
 
+Each command reads only the flags its row of ``_READS`` lists; any other flag,
+before or after the subcommand, is refused with one error line and exit code 2
+before any file is read or any base is built.  verify and atoms corpus always
+write JSON, so they take no --format.
+
 The BLAS thread pools follow the BLAS library's own variables, such as
 OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before startup.
 """
@@ -38,14 +43,20 @@ __all__ = ["main", "RunConfig"]
 
 SIZE_GUARD = 2**20
 _CLI_WEIGHTS = ("unit", "log", "power_log", "power_log_sq")
-# the suite keyword each verify flag feeds; a (suite, flag) pair not listed is refused
-_SUITE_KWARGS = {
-    ("identities", "seed"): "seed",
-    ("atoms", "seed"): "seed",
-    ("kernels", "max_a"): "max_exponent",
-    ("lemmas", "max_a"): "max_cylinder_level",
-    ("atoms", "count"): "count",
+# The shared flags each command reads, each verify flag mapped to the suite keyword it feeds; any other is refused.
+# atoms corpus lists its own required --count, which has the dest of verify's.
+_READS: dict[str, dict[str, str | None]] = {
+    "verify kernels": {"max_a": "max_exponent", "out": None},
+    "verify identities": {"seed": "seed", "out": None},
+    "verify lemmas": {"max_a": "max_cylinder_level", "out": None},
+    "verify atoms": {"seed": "seed", "count": "count", "out": None},
+    "kernel dump": dict.fromkeys(("config", "base", "depth", "out", "format")),
+    "spectrum dump": dict.fromkeys(("config", "base", "depth", "out", "format")),
+    "atoms corpus": dict.fromkeys(("config", "base", "depth", "seed", "out", "count")),  # always JSON
+    "maximal table": dict.fromkeys(("out", "format")),  # the base, depth and seed come from --input
+    "counterexample sweep": dict.fromkeys(("config", "base", "depth", "out", "format")),
 }
+_CHECKED = {flag for reads in _READS.values() for flag in reads}
 
 
 @dataclass(frozen=True)
@@ -59,7 +70,7 @@ class RunConfig:
     format: str
 
     def base(self) -> VilenkinBase:
-        """The base, behind the resource guard every command applies."""
+        """The base, behind the resource guard every command that builds one applies."""
         base = make_base(self.moduli, self.depth)
         if base.size > SIZE_GUARD:
             raise ValueError(f"refusing to run: base has {base.size} cells, guard is {SIZE_GUARD}")
@@ -82,29 +93,32 @@ _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_BLOCK_ROWS = 512  # rows spelled per block: bounds the cell strings alive at once
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    moduli: Sequence[int] | None = None
-    depth: int | None = None
-    if getattr(args, "config", None):
+def _resolve_config(args: argparse.Namespace, command: str) -> RunConfig:
+    """The shared flags given, after refusing any that the command's ``_READS`` entry lacks."""
+    given = vars(args)  # the checked flags default to SUPPRESS, so only those given are here
+    for flag in given:
+        if flag in _CHECKED and flag not in _READS[command]:
+            raise ValueError(f"{command} takes no --{flag.replace('_', '-')}")
+    moduli: Sequence[int] = (2,)  # the default base, (2,) at depth 10
+    depth = 10
+    if "config" in given:
+        if not args.config:
+            raise ValueError("--config takes a file path, got ''")
         loaded = load_base(args.config)
         moduli, depth = loaded.moduli, loaded.depth
-    if getattr(args, "base", None):
-        moduli = tuple(int(tok) for tok in args.base.split(","))
-        depth = None
-    if getattr(args, "depth", None) is not None:
-        depth = args.depth
-    if moduli is None:
-        moduli = (2,)
-        if depth is None:
-            depth = 10
-    if depth is None:
+    if "base" in given:
+        try:
+            moduli = tuple(int(tok) for tok in args.base.split(","))
+        except ValueError:
+            raise ValueError(f"--base takes comma-separated integers, got {args.base!r}") from None
         depth = len(moduli)
+    depth = given.get("depth", depth)
     return RunConfig(
         moduli=tuple(moduli),
         depth=depth,
-        seed=getattr(args, "seed", None),
-        out=getattr(args, "out", None),
-        format=getattr(args, "format", "csv") or "csv",
+        seed=given.get("seed"),
+        out=given.get("out"),
+        format=given.get("format", "csv"),
     )
 
 
@@ -183,21 +197,17 @@ def _parse_weight(spec: str, p: float) -> WeightSpec:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    cfg.base()  # applies the resource guard
-    kwargs: dict[str, Any] = {}
-    for flag in ("seed", "max_a", "count"):
-        if getattr(args, flag, None) is not None:
-            if (args.suite, flag) not in _SUITE_KWARGS:
-                raise ValueError(f"verify {args.suite} takes no --{flag.replace('_', '-')}")
-            kwargs[_SUITE_KWARGS[args.suite, flag]] = getattr(args, flag)
+    command = f"verify {args.suite}"
+    cfg = _resolve_config(args, command)
+    given = vars(args)
+    kwargs = {keyword: given[flag] for flag, keyword in _READS[command].items() if keyword and flag in given}
     report = run_suite(args.suite, **kwargs)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         extras = " ".join(f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in check.detail.items())
         print(f"[{status}] {report.suite}/{check.name} {extras}".rstrip())
     payload = {"config": cfg.echo(), **report.to_payload()}
-    if cfg.out:
+    if cfg.out is not None:
         _emit_json(payload, cfg.out)
     return 0 if report.passed else 1
 
@@ -223,7 +233,7 @@ def _complex_columns(values: np.ndarray, as_text: bool) -> list[list[Any]]:
 
 
 def _cmd_kernel_dump(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, "kernel dump")
     fn = _selected_kernel(args, cfg.base())
     # JSON keeps numbers, CSV full-precision text
     _emit_rows(["rank", "real", "imag"], _complex_columns(fn.values, as_text=cfg.format == "csv"), cfg)
@@ -231,14 +241,14 @@ def _cmd_kernel_dump(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum_dump(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, "spectrum dump")
     spec = forward(_selected_kernel(args, cfg.base()))
     _emit_rows(["index", "real", "imag"], _complex_columns(spec.coeffs, as_text=True), cfg)  # .17g in both formats
     return 0
 
 
 def _cmd_atoms_corpus(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, "atoms corpus")
     base = cfg.base()
     if cfg.seed is None:
         raise ValueError("atoms corpus is randomized: --seed is required")
@@ -257,11 +267,9 @@ def _cmd_atoms_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_maximal_table(args: argparse.Namespace) -> int:
-    for flag in ("config", "base", "depth", "seed"):
-        if getattr(args, flag, None) is not None:
-            raise ValueError(f"maximal table takes no --{flag}: the base, depth and seed come from --input")
+    cfg = _resolve_config(args, "maximal table")
     spec = CorpusSpec.from_path(args.input)
-    cfg = replace(_resolve_config(args), moduli=spec.moduli, depth=spec.depth, seed=spec.seed)  # echoed as read
+    cfg = replace(cfg, moduli=spec.moduli, depth=spec.depth, seed=spec.seed)  # echoed as read
     base = cfg.base()
     n_max = args.nmax if args.nmax is not None else base.size
     weight = _parse_weight(args.weight, args.p)
@@ -283,7 +291,7 @@ def _cmd_maximal_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, "counterexample sweep")
     base = cfg.base()
     weight = _parse_weight(args.phi, args.p)
     table = blowup_table(base, weight, args.p, range(1, args.kmax + 1))
@@ -332,7 +340,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run a property suite", parents=[common])
+    p_verify = sub.add_parser(
+        "verify", help="run a property suite", parents=[common], argument_default=argparse.SUPPRESS
+    )
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--max-a", type=int, help="exponent / cylinder-level cap for kernels and lemmas")
     p_verify.add_argument("--count", type=int, help="corpus size for the atoms suite")

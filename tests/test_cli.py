@@ -209,7 +209,7 @@ def test_weight_spec_parse_error(capsys):
 
 
 def test_invalid_base_exits_2(capsys):
-    code, err = _refusal(capsys, ["--base", "1", "verify", "lemmas"])
+    code, err = _refusal(capsys, ["--base", "1", "kernel", "dump", "--which", "riesz", "--n", "1"])
     assert code == 2
     assert err == "error: invalid Vilenkin base: every modulus must be >= 2, got 1\n"
 
@@ -240,6 +240,77 @@ def test_verify_refuses_a_flag_its_suite_ignores(capsys, argv, flag):
     code, err = _refusal(capsys, argv)
     assert code == 2
     assert err == f"error: verify {flag}\n"
+
+
+# a value for each flag the CLI checks against cli._READS; the files named here do not exist
+_FLAG_VALUES = {"config": "base.json", "base": "2", "depth": "2", "seed": "1", "out": "out.txt", "format": "json"}
+_SUITE_FLAG_VALUES = {"max_a": "3", "count": "2"}
+# a valid argv after each command's name
+_COMMAND_TAILS = {
+    "kernel dump": ["--which", "riesz", "--n", "1"],
+    "spectrum dump": ["--which", "riesz", "--n", "1"],
+    "atoms corpus": ["--count", "1", "--p", "0.5"],
+    "maximal table": ["--op", "sigma", "--p", "0.5", "--input", "corpus.json"],
+    "counterexample sweep": ["--p", "0.5", "--kmax", "1"],
+}
+
+
+def _unread_flags():
+    """Every (command, flag, position) whose flag the command's cli._READS entry lacks."""
+    for command, reads in cli._READS.items():
+        suite_flags = _SUITE_FLAG_VALUES if command.startswith("verify ") else {}
+        for flag, value in {**_FLAG_VALUES, **suite_flags}.items():
+            if flag in reads:
+                continue
+            # the shared flags are accepted before or after the subcommand, a suite flag only after it
+            for position in ("before", "after") if flag in _FLAG_VALUES else ("after",):
+                yield pytest.param(command, flag, value, position, id=f"{command}-{flag}-{position}")
+
+
+@pytest.mark.parametrize("command, flag, value, position", list(_unread_flags()))
+def test_every_command_refuses_a_flag_it_does_not_read(tmp_path, monkeypatch, capsys, command, flag, value, position):
+    # refused before any file is read or any base is built, so a missing --config or --input never shows
+    monkeypatch.chdir(tmp_path)
+    option = [f"--{flag.replace('_', '-')}", value]
+    words = [*command.split(), *_COMMAND_TAILS.get(command, [])]
+    argv = [*option, *words] if position == "before" else [*words, *option]
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err == f"error: {command} takes no --{flag.replace('_', '-')}\n"
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--base", "2", "--depth", "30", "verify", "identities"], "verify identities takes no --base"),
+        (["--seed", "1", "maximal", "table", "--op", "riesz", "--p", "0.5", "--input", "missing.json"],
+         "maximal table takes no --seed"),
+    ],
+    ids=["before-the-size-guard", "before-the-input-file"],
+)
+def test_an_unread_flag_is_refused_first(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--base", ""], "--base takes comma-separated integers, got ''"),
+        (["--base", "2,,3"], "--base takes comma-separated integers, got '2,,3'"),
+        (["--base", "two"], "--base takes comma-separated integers, got 'two'"),
+        (["--config", ""], "--config takes a file path, got ''"),
+    ],
+    ids=["base-empty", "base-empty-token", "base-word", "config-empty"],
+)
+def test_a_malformed_base_flag_is_one_line(capsys, flags, message):
+    # an empty value must not fall back to the default base
+    code, err = _refusal(capsys, [*flags, "--format", "json", "kernel", "dump", "--which", "riesz", "--n", "1"])
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 def test_unreadable_input_is_one_line(tmp_path, capsys):
@@ -596,7 +667,7 @@ def test_maximal_table_refuses_a_base_flag_its_corpus_overrides(tmp_path, capsys
     argv = [*flags, "maximal", "table", "--op", "sigma", "--p", "0.5", "--input", str(corpus)]
     code, err = _refusal(capsys, argv)
     assert code == 2
-    assert err == f"error: maximal table takes no {flags[0]}: the base, depth and seed come from --input\n"
+    assert err == f"error: maximal table takes no {flags[0]}\n"
 
 
 @pytest.mark.parametrize(
