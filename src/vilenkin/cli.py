@@ -6,10 +6,13 @@ LF line endings.  Identical configuration plus seed gives byte-identical
 files.  A resource guard rejects bases with more than 2^20 cells since
 several sweeps are quadratic.
 
-Each command reads only the flags its row of ``_READS`` lists; any other flag,
-before or after the subcommand, is refused with one error line and exit code 2
-before any file is read or any base is built.  verify and atoms corpus always
-write JSON, so they take no --format.
+Each command is a group word and a leaf word (``kernel dump``, ``verify
+kernels``) and reads only the flags its row of ``_READS`` lists.  ``main``
+resolves them once: any other flag, before or after the subcommand, and an
+empty --config or --out are refused with one error line and exit code 2
+before any file is read or any base is built.  Then it calls the command's
+handler.  verify and atoms corpus always write JSON, so they take no
+--format; verify writes its --out report before it prints a line.
 
 The BLAS thread pools follow the BLAS library's own variables, such as
 OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before startup.
@@ -93,24 +96,31 @@ _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_BLOCK_ROWS = 512  # rows spelled per block: bounds the cell strings alive at once
 
 
-def _resolve_config(args: argparse.Namespace, command: str) -> RunConfig:
+def _command(args: argparse.Namespace) -> str:
+    """The ``_READS`` key of the parsed command: its group word and its leaf word."""
+    return f"{args.command} {args.leaf}"
+
+
+def _resolve_config(parsed: argparse.Namespace) -> RunConfig:
     """The shared flags given, after refusing any that the command's ``_READS`` entry lacks."""
-    given = vars(args)  # the checked flags default to SUPPRESS, so only those given are here
+    command = _command(parsed)
+    given = vars(parsed)  # the checked flags default to SUPPRESS, so only those given are here
     for flag in given:
         if flag in _CHECKED and flag not in _READS[command]:
             raise ValueError(f"{command} takes no --{flag.replace('_', '-')}")
+    for flag in ("config", "out"):
+        if given.get(flag) == "":
+            raise ValueError(f"--{flag} takes a file path, got ''")
     moduli: Sequence[int] = (2,)  # the default base, (2,) at depth 10
     depth = 10
     if "config" in given:
-        if not args.config:
-            raise ValueError("--config takes a file path, got ''")
-        loaded = load_base(args.config)
+        loaded = load_base(parsed.config)
         moduli, depth = loaded.moduli, loaded.depth
     if "base" in given:
         try:
-            moduli = tuple(int(tok) for tok in args.base.split(","))
+            moduli = tuple(int(tok) for tok in parsed.base.split(","))
         except ValueError:
-            raise ValueError(f"--base takes comma-separated integers, got {args.base!r}") from None
+            raise ValueError(f"--base takes comma-separated integers, got {parsed.base!r}") from None
         depth = len(moduli)
     depth = given.get("depth", depth)
     return RunConfig(
@@ -127,10 +137,6 @@ def _emit_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8", newline="")
-
-
-def _emit_json(payload: dict[str, Any], out: str | None) -> None:
-    _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _json_kind(name: str, column: list[Any]) -> type:
@@ -196,19 +202,17 @@ def _parse_weight(spec: str, p: float) -> WeightSpec:
 # subcommand handlers
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    command = f"verify {args.suite}"
-    cfg = _resolve_config(args, command)
+def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     given = vars(args)
-    kwargs = {keyword: given[flag] for flag, keyword in _READS[command].items() if keyword and flag in given}
-    report = run_suite(args.suite, **kwargs)
+    kwargs = {keyword: given[flag] for flag, keyword in _READS[_command(args)].items() if keyword and flag in given}
+    report = run_suite(args.leaf, **kwargs)
+    if cfg.out is not None:  # written before any line prints, so a report that cannot be written prints none
+        payload = {"config": cfg.echo(), **report.to_payload()}
+        _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         extras = " ".join(f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in check.detail.items())
         print(f"[{status}] {report.suite}/{check.name} {extras}".rstrip())
-    payload = {"config": cfg.echo(), **report.to_payload()}
-    if cfg.out is not None:
-        _emit_json(payload, cfg.out)
     return 0 if report.passed else 1
 
 
@@ -232,23 +236,20 @@ def _complex_columns(values: np.ndarray, as_text: bool) -> list[list[Any]]:
     return [list(range(values.size)), *parts]
 
 
-def _cmd_kernel_dump(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, "kernel dump")
+def _cmd_kernel_dump(args: argparse.Namespace, cfg: RunConfig) -> int:
     fn = _selected_kernel(args, cfg.base())
     # JSON keeps numbers, CSV full-precision text
     _emit_rows(["rank", "real", "imag"], _complex_columns(fn.values, as_text=cfg.format == "csv"), cfg)
     return 0
 
 
-def _cmd_spectrum_dump(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, "spectrum dump")
+def _cmd_spectrum_dump(args: argparse.Namespace, cfg: RunConfig) -> int:
     spec = forward(_selected_kernel(args, cfg.base()))
     _emit_rows(["index", "real", "imag"], _complex_columns(spec.coeffs, as_text=True), cfg)  # .17g in both formats
     return 0
 
 
-def _cmd_atoms_corpus(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, "atoms corpus")
+def _cmd_atoms_corpus(args: argparse.Namespace, cfg: RunConfig) -> int:
     base = cfg.base()
     if cfg.seed is None:
         raise ValueError("atoms corpus is randomized: --seed is required")
@@ -266,8 +267,7 @@ def _cmd_atoms_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_maximal_table(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, "maximal table")
+def _cmd_maximal_table(args: argparse.Namespace, cfg: RunConfig) -> int:
     spec = CorpusSpec.from_path(args.input)
     cfg = replace(cfg, moduli=spec.moduli, depth=spec.depth, seed=spec.seed)  # echoed as read
     base = cfg.base()
@@ -290,8 +290,7 @@ def _cmd_maximal_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_counterexample_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, "counterexample sweep")
+def _cmd_counterexample_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     base = cfg.base()
     weight = _parse_weight(args.phi, args.p)
     table = blowup_table(base, weight, args.p, range(1, args.kmax + 1))
@@ -340,10 +339,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def leaf(
+        group: str, group_help: str, word: str, word_help: str, handler: Callable[..., int],
+        *parents: argparse.ArgumentParser,
+    ) -> argparse.ArgumentParser:
+        """The parser of ``group word``, its group's one leaf, which runs ``handler``."""
+        words = sub.add_parser(group, help=group_help).add_subparsers(dest="leaf", metavar=word, required=True)
+        p_leaf = words.add_parser(word, help=word_help, parents=[common, *parents])
+        p_leaf.set_defaults(func=handler)
+        return p_leaf
+
     p_verify = sub.add_parser(
         "verify", help="run a property suite", parents=[common], argument_default=argparse.SUPPRESS
     )
-    p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument("leaf", choices=SUITES, metavar="suite", help="|".join(SUITES))
     p_verify.add_argument("--max-a", type=int, help="exponent / cylinder-level cap for kernels and lemmas")
     p_verify.add_argument("--count", type=int, help="corpus size for the atoms suite")
     p_verify.set_defaults(func=_cmd_verify)
@@ -354,52 +363,37 @@ def _build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--n", type=int, required=True)
     dump.add_argument("--level", type=int)
     dump.add_argument("--convention", choices=("zero_based", "shifted"), help="Fejer only (default shifted)")
+    leaf("kernel", "kernel value tables", "dump", "dump one kernel as rank,real,imag", _cmd_kernel_dump, dump)
+    leaf("spectrum", "coefficient tables", "dump", "dump a kernel spectrum as index,real,imag", _cmd_spectrum_dump,
+         dump)
 
-    p_kernel = sub.add_parser("kernel", help="kernel value tables")
-    kernel_sub = p_kernel.add_subparsers(dest="kernel_command", required=True)
-    p_kdump = kernel_sub.add_parser("dump", help="dump one kernel as rank,real,imag", parents=[common, dump])
-    p_kdump.set_defaults(func=_cmd_kernel_dump)
-
-    p_spec = sub.add_parser("spectrum", help="coefficient tables")
-    spec_sub = p_spec.add_subparsers(dest="spectrum_command", required=True)
-    p_sdump = spec_sub.add_parser("dump", help="dump a kernel spectrum as index,real,imag", parents=[common, dump])
-    p_sdump.set_defaults(func=_cmd_spectrum_dump)
-
-    p_atoms = sub.add_parser("atoms", help="atom corpora")
-    atoms_sub = p_atoms.add_subparsers(dest="atoms_command", required=True)
-    p_corpus = atoms_sub.add_parser("corpus", help="emit a reproducible corpus descriptor", parents=[common])
+    p_corpus = leaf("atoms", "atom corpora", "corpus", "emit a reproducible corpus descriptor", _cmd_atoms_corpus)
     p_corpus.add_argument("--count", type=int, required=True)
     p_corpus.add_argument("--p", type=float, required=True)
     p_corpus.add_argument("--level-min", type=int, default=1)
     p_corpus.add_argument("--level-max", type=int)
-    p_corpus.set_defaults(func=_cmd_atoms_corpus)
 
-    p_max = sub.add_parser("maximal", help="maximal-operator ratio tables")
-    max_sub = p_max.add_subparsers(dest="maximal_command", required=True)
-    p_table = max_sub.add_parser("table", help="operator ratios per corpus atom", parents=[common])
+    p_table = leaf("maximal", "maximal-operator ratio tables", "table", "operator ratios per corpus atom",
+                   _cmd_maximal_table)
     p_table.add_argument("--op", choices=("sigma", "riesz"), required=True)
     p_table.add_argument("--weight", default="unit")
     p_table.add_argument("--p", type=float, required=True)
     p_table.add_argument("--nmax", type=int)
     p_table.add_argument("--input", required=True, help="corpus descriptor JSON")
-    p_table.set_defaults(func=_cmd_maximal_table)
 
-    p_cex = sub.add_parser("counterexample", help="blow-up sweeps")
-    cex_sub = p_cex.add_subparsers(dest="counterexample_command", required=True)
-    p_sweep = cex_sub.add_parser("sweep", help="stage-by-stage blow-up table", parents=[common])
+    p_sweep = leaf("counterexample", "blow-up sweeps", "sweep", "stage-by-stage blow-up table",
+                   _cmd_counterexample_sweep)
     p_sweep.add_argument("--phi", default="unit", help="weight: unit|log|power_log|power_log_sq")
     p_sweep.add_argument("--p", type=float, required=True)
     p_sweep.add_argument("--kmax", type=int, required=True)
-    p_sweep.set_defaults(func=_cmd_counterexample_sweep)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_config(args))
     except BrokenPipeError:  # a downstream pager closed the stream
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

@@ -6,7 +6,8 @@ The two differ by exactly D_n / n.  The Abel rearrangements relating
 Riesz means to Fejer means, and the dyadic closed form, are exact
 identities only under the shifted (k = 1..n) convention; desk expansion
 at small n fixes this once and the unit tests pin it.  Shifted is the
-default for kernel work; the zero-based form stays available.
+default, and the only form the sweeps stream; ``fejer_kernel`` and
+``fejer_mean`` also take the zero-based form.
 
 Every spectral-weight synthesis of a kernel or mean goes through
 ``_window`` and every sample-domain stream (here and in the maximal and
@@ -257,29 +258,23 @@ def convolve(f: LevelFunction, g: LevelFunction) -> LevelFunction:
 
 @dataclass(frozen=True)
 class KernelIntegralSweep:
-    """Per-n integrals of |K_n| with their running maximum."""
+    """Per-n integrals of |K_n| (shifted) with their running maximum."""
 
-    convention: KernelConvention
+    convention: KernelConvention  # always SHIFTED; bench/test_selftest.py rebuilds a sweep from it
     integrals: np.ndarray  # index n-1 holds the integral of |K_n|
     running_max: np.ndarray
 
 
-def kernel_integral_sweep(
-    base: VilenkinBase,
-    level: int,
-    n_max: int,
-    convention: KernelConvention = KernelConvention.SHIFTED,
-) -> KernelIntegralSweep:
-    """Integral of |K_n| for every n = 1..n_max in one streaming pass."""
+def kernel_integral_sweep(base: VilenkinBase, level: int, n_max: int) -> KernelIntegralSweep:
+    """Integral of the shifted |K_n| for every n = 1..n_max in one streaming pass."""
     base.require_count(n_max, level, "n_max")
     sampler = CharacterSampler(base, level)
     cum = np.zeros(base.orders[level], dtype=sampler.dtype)
     integrals = np.empty(n_max, dtype=np.float64)
     for n, d in enumerate(sampler.partial_sums(n_max), start=1):
         cum = cum + d
-        kn = cum if convention is KernelConvention.SHIFTED else cum - d
-        integrals[n - 1] = np.mean(np.abs(kn)) / n
-    return KernelIntegralSweep(convention, integrals, np.maximum.accumulate(integrals))
+        integrals[n - 1] = np.mean(np.abs(cum)) / n
+    return KernelIntegralSweep(KernelConvention.SHIFTED, integrals, np.maximum.accumulate(integrals))
 
 
 @dataclass(frozen=True)
@@ -331,14 +326,10 @@ class LocalizationSweep:
 
 
 def localization_sweep(
-    base: VilenkinBase,
-    cylinder_level: int,
-    n_max: int,
-    level: int | None = None,
-    convention: KernelConvention = KernelConvention.SHIFTED,
+    base: VilenkinBase, cylinder_level: int, n_max: int, level: int | None = None
 ) -> LocalizationSweep:
     """The sweep of :func:`localization_sweeps` at one cylinder level."""
-    return localization_sweeps(base, (cylinder_level,), n_max, level, convention)[0]
+    return localization_sweeps(base, (cylinder_level,), n_max, level)[0]
 
 
 def _localization_cells(partition: list[Cylinder], n_cells: int, level: int) -> list[LocalizationCell]:
@@ -357,16 +348,16 @@ def localization_sweeps(
     cylinder_levels: Iterable[int],
     n_max: int,
     level: int | None = None,
-    convention: KernelConvention = KernelConvention.SHIFTED,
 ) -> tuple[LocalizationSweep, ...]:
     """Exact kernel mass per coset-partition class against bound shapes,
     one sweep per cylinder level N, all from one stream of kernels.
 
-    For each class cylinder and each n >= M_N computes the integral of
-    |K_n(x - t)| over the zero level-N cylinder (constant in x across the
-    class, so one representative block suffices) and the cumulative tail
-    sum over j = M_N+1..n of the same integrals divided by j+1.  Ratios
-    against the constant-free bound expressions estimate the constants.
+    For each class cylinder and each n >= M_N computes the integral of the
+    shifted |K_n(x - t)| over the zero level-N cylinder (constant in x
+    across the class, so one representative block suffices) and the
+    cumulative tail sum over j = M_N+1..n of the same integrals divided by
+    j+1.  Ratios against the constant-free bound expressions estimate the
+    constants.
     """
     levels = tuple(cylinder_levels)
     if not levels:
@@ -386,7 +377,7 @@ def localization_sweeps(
     cum = np.zeros(total, dtype=sampler.dtype)
     for n, d in enumerate(sampler.partial_sums(n_max), start=1):
         cum = cum + d
-        kn_abs = np.abs(cum if convention is KernelConvention.SHIFTED else cum - d) / n
+        kn_abs = np.abs(cum) / n
         for n_cells, rows, mass in zip(levels, ranks, masses):
             m_n = base.orders[n_cells]
             if n >= m_n:  # each class is one row of equal-width level-N blocks

@@ -296,19 +296,72 @@ def test_an_unread_flag_is_refused_first(tmp_path, monkeypatch, capsys, argv, me
     assert err == f"error: {message}\n"
 
 
+def test_verify_writes_its_report_before_any_line(tmp_path, capsys):
+    # a report that cannot be written leaves no PASS line that the exit code contradicts
+    argv = ["verify", "kernels", "--max-a", "3", "--out", str(tmp_path / "missing" / "r.json")]
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: [Errno 2] No such file or directory") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--base", ""], "--base takes comma-separated integers, got ''"),
-        (["--base", "2,,3"], "--base takes comma-separated integers, got '2,,3'"),
-        (["--base", "two"], "--base takes comma-separated integers, got 'two'"),
-        (["--config", ""], "--config takes a file path, got ''"),
-    ],
-    ids=["base-empty", "base-empty-token", "base-word", "config-empty"],
+    "group, word",
+    [("kernel", "dump"), ("spectrum", "dump"), ("atoms", "corpus"), ("maximal", "table"),
+     ("counterexample", "sweep"), ("verify", "suite")],
 )
-def test_a_malformed_base_flag_is_one_line(capsys, flags, message):
-    # an empty value must not fall back to the default base
-    code, err = _refusal(capsys, [*flags, "--format", "json", "kernel", "dump", "--which", "riesz", "--n", "1"])
+def test_a_group_without_its_leaf_names_the_missing_word(capsys, group, word):
+    with pytest.raises(SystemExit) as exit_:
+        main([group])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: the following arguments are required: {word}\n")
+    assert "_command" not in err
+
+
+def _offered_commands():
+    """Every "group leaf" pair the parser accepts, read from the parser itself."""
+    top = next(action for action in cli._build_parser()._actions if action.dest == "command")
+    for group, group_parser in top.choices.items():
+        leaf = next(action for action in group_parser._actions if action.dest == "leaf")
+        for word in leaf.choices:
+            yield f"{group} {word}"
+
+
+def test_the_parser_offers_exactly_the_commands_of_the_read_table():
+    assert sorted(_offered_commands()) == sorted(cli._READS)
+
+
+_KERNEL_DUMP = ["--format", "json", "kernel", "dump", "--which", "riesz", "--n", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["--base", "", *_KERNEL_DUMP], "--base takes comma-separated integers, got ''", id="base-empty"),
+        pytest.param(
+            ["--base", "2,,3", *_KERNEL_DUMP],
+            "--base takes comma-separated integers, got '2,,3'",
+            id="base-empty-token",
+        ),
+        pytest.param(
+            ["--base", "two", *_KERNEL_DUMP], "--base takes comma-separated integers, got 'two'", id="base-word"
+        ),
+        pytest.param(["--config", "", *_KERNEL_DUMP], "--config takes a file path, got ''", id="config-empty"),
+        # refused before any work starts, so the missing --input of maximal table never shows
+        *[
+            pytest.param(
+                [*command.split(), *_COMMAND_TAILS.get(command, []), "--out", ""],
+                "--out takes a file path, got ''",
+                id=f"out-empty-{command.replace(' ', '-')}",
+            )
+            for command, reads in cli._READS.items()
+            if "out" in reads
+        ],
+    ],
+)
+def test_a_malformed_base_flag_is_one_line(capsys, argv, message):
+    # an empty value must not fall back to a default
+    code, err = _refusal(capsys, argv)
     assert code == 2
     assert err == f"error: {message}\n"
 

@@ -315,13 +315,12 @@ def test_mean_index_bounds():
 
 def test_kernel_integral_sweep_matches_pointwise_kernels():
     base = make_base((2, 3), 4)
-    for convention in (SHIFTED, ZERO_BASED):
-        sweep = kernel_integral_sweep(base, 4, 30, convention)
-        assert sweep.convention is convention
-        for n in (1, 2, 7, 19, 30):
-            direct = fejer_kernel(base, n, 4, convention).modulus().integrate().real
-            assert sweep.integrals[n - 1] == pytest.approx(direct, abs=1e-12), (convention, n)
-        assert np.all(np.diff(sweep.running_max) >= 0)
+    sweep = kernel_integral_sweep(base, 4, 30)
+    assert sweep.convention is SHIFTED
+    for n in (1, 2, 7, 19, 30):
+        direct = fejer_kernel(base, n, 4, SHIFTED).modulus().integrate().real
+        assert sweep.integrals[n - 1] == pytest.approx(direct, abs=1e-12), n
+    assert np.all(np.diff(sweep.running_max) >= 0)
 
 
 def test_localization_sweep_masses_match_direct_integrals():
@@ -356,7 +355,7 @@ _LOCALIZATION_CELLS = 512  # largest base whose sweeps are checked against fejer
 @st.composite
 def _localization_cases(draw):
     """A random mixed-radix base (moduli 2-7), a resolution level, n_max, the
-    cylinder levels n_max admits, a convention and a seed for the spot n."""
+    cylinder levels n_max admits and a seed for the spot n."""
     pattern = draw(st.lists(st.integers(2, 7), min_size=1, max_size=6))
     depth = 1
     while depth < len(pattern) and np.prod(pattern[: depth + 1]) <= _LOCALIZATION_CELLS:
@@ -366,8 +365,7 @@ def _localization_cases(draw):
     n_max = draw(st.integers(base.orders[1], base.orders[level]))
     admitted = [n for n in range(1, level + 1) if base.orders[n] <= n_max]
     levels = draw(st.lists(st.sampled_from(admitted), min_size=1, max_size=len(admitted), unique=True))
-    convention = draw(st.sampled_from(list(KernelConvention)))
-    return base, level, n_max, levels, convention, draw(st.integers(0, 2**32 - 1))
+    return base, level, n_max, levels, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -375,13 +373,13 @@ def _localization_cases(draw):
 def test_localization_sweeps_match_oracles(case):
     """One stream for all levels against per-level sweeps, the coset
     partition, and block masses of the pointwise Fejer kernel."""
-    base, level, n_max, levels, convention, seed = case
+    base, level, n_max, levels, seed = case
     total = base.orders[level]
     rng = np.random.default_rng(seed)
-    sweeps = localization_sweeps(base, levels, n_max, level, convention)
+    sweeps = localization_sweeps(base, levels, n_max, level)
     assert [s.level_n for s in sweeps] == levels
     for n_cells, sweep in zip(levels, sweeps):
-        alone = localization_sweep(base, n_cells, n_max, level, convention)
+        alone = localization_sweep(base, n_cells, n_max, level)
         assert alone.cells == sweep.cells
         for name in ("n_values", "kernel_ratios", "tail_ratios"):
             assert np.array_equal(getattr(alone, name), getattr(sweep, name)), name
@@ -400,7 +398,7 @@ def test_localization_sweeps_match_oracles(case):
 
         m_n, ns = base.orders[n_cells], sweep.n_values
         col = int(rng.integers(len(ns)))
-        kn = np.abs(fejer_kernel(base, int(ns[col]), level, convention).values)
+        kn = np.abs(fejer_kernel(base, int(ns[col]), level, SHIFTED).values)
         want = np.empty(len(sweep.cells))
         for i, cell in enumerate(sweep.cells):
             mass = kn[cell.block_start : cell.block_stop].sum() / total
