@@ -31,7 +31,6 @@ from .hardy import (
     assemble_from_atoms,
     hardy_quasinorm,
     martingale_from_function,
-    maximal_function,
     random_atom,
     validate_atom,
 )

@@ -184,19 +184,23 @@ def indicator(cell: Cylinder, level: int | None = None, amplitude: complex = 1.0
 
 
 def pointwise_sup(functions: Sequence[LevelFunction] | Iterable[LevelFunction]) -> LevelFunction:
-    """Pointwise maximum of the real parts of a family.
+    """Pointwise maximum of the moduli |f| of a family, at its finest level.
 
-    Intended for real-valued families (moduli, component envelopes);
-    imaginary parts are ignored.
+    The family is folded in order of level, and the running maximum is
+    refined only when the level goes up.  ``max`` is exact, so the result
+    does not depend on the order of the family and equals the maximum of
+    the moduli refined to the top, bit for bit.
     """
-    fs = list(functions)
+    fs = sorted(functions, key=lambda f: f.level)
     if not fs:
         raise ValueError("empty family")
-    base = fs[0].base
-    level = max(f.level for f in fs)
-    acc = np.real(fs[0].at_level(level).values).copy()
+    base, level = fs[0].base, fs[0].level
+    acc = np.abs(fs[0].values)
     for f in fs[1:]:
         _check_same_base(base, f.base)
-        np.maximum(acc, np.real(f.at_level(level).values), out=acc)
+        if f.level > level:
+            acc = np.repeat(acc, base.orders[f.level] // base.orders[level])
+            level = f.level
+        np.maximum(acc, np.abs(f.values), out=acc)
     return LevelFunction(base, level, acc)
 

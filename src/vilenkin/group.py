@@ -191,7 +191,7 @@ def unit_point(base: VilenkinBase, k: int, value: int = 1) -> GroupPoint:
 
 
 def _check_same_base(a: VilenkinBase, b: VilenkinBase) -> None:
-    if a != b:
+    if a is not b and a != b:  # identity first: one base object is shared by a whole family
         raise ValueError("mismatched bases")
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .functions import LevelFunction, require_positive
+from .functions import LevelFunction, pointwise_sup, require_positive
 from .group import Cylinder, VilenkinBase, _check_same_base, json_field, make_base
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "AtomCheck",
     "AtomAssembly",
     "martingale_from_function",
-    "maximal_function",
     "hardy_quasinorm",
     "validate_atom",
     "assemble_from_atoms",
@@ -36,6 +35,7 @@ __all__ = [
 ]
 
 _ADAPTED_RTOL = 1e-8  # relative to the sup norm of the top component
+_ATOM_TOL = 1e-9  # absolute, on each of the three atom conditions
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,22 +80,10 @@ def martingale_from_function(f: LevelFunction) -> Martingale:
     return Martingale(f.base, comps)
 
 
-def maximal_function(m: Martingale) -> LevelFunction:
-    """Pointwise supremum of the component moduli, at the top level.
-
-    The running maximum is refined one level at a time; ``max`` is exact,
-    so this equals ``pointwise_sup`` of the moduli bit for bit.
-    """
-    acc = np.abs(m.components[0].values)
-    for n, comp in enumerate(m.components[1:]):
-        acc = np.repeat(acc, m.base.moduli[n])
-        np.maximum(acc, np.abs(comp.values), out=acc)
-    return LevelFunction(m.base, m.top_level, acc)
-
-
 def hardy_quasinorm(m: Martingale, p: float) -> float:
-    """L_p quasi-norm of the maximal function."""
-    return maximal_function(m).lp_quasinorm(p)
+    """L_p quasi-norm of the maximal function f* = sup_n |f^(n)|, which is
+    ``pointwise_sup(m.components)`` at the top level."""
+    return pointwise_sup(m.components).lp_quasinorm(p)
 
 
 @dataclass(frozen=True)
@@ -117,7 +105,7 @@ class AtomCheck:
     off_support_max: float
 
 
-def validate_atom(atom: PAtom, tol: float = 1e-9) -> AtomCheck:
+def validate_atom(atom: PAtom) -> AtomCheck:
     """Check the three atom conditions; diagnostics name violations.
 
     Conditions: zero mean over the support, sup norm at most
@@ -136,11 +124,11 @@ def validate_atom(atom: PAtom, tol: float = 1e-9) -> AtomCheck:
     bound = atom.support.measure ** (-1.0 / atom.p)
     sup_excess = float(np.max(np.abs(vals)) - bound) if vals.size else -bound
     failures = []
-    if mean_residual > tol:
+    if mean_residual > _ATOM_TOL:
         failures.append("mean_not_zero")
-    if sup_excess > tol:
+    if sup_excess > _ATOM_TOL:
         failures.append("sup_bound_exceeded")
-    if outside_max > tol:
+    if outside_max > _ATOM_TOL:
         failures.append("support_violated")
     return AtomCheck(not failures, tuple(failures), float(mean_residual), sup_excess, outside_max)
 

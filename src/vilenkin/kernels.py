@@ -14,17 +14,19 @@ Every spectral-weight synthesis of a kernel or mean goes through
 counterexample modules) through :meth:`CharacterSampler.partial_sums`;
 each route is the other's oracle.  The stream is exact on dyadic and
 mod-4 digits and updates psi_n carry by carry; its kernels D_n are
-float64 when every modulus up to the level is 2, and the sweeps'
-accumulators follow its dtype.  The two routes of the public kernels
-and means, ``_window`` and ``_riesz_abel``, make the index check and
-build the coefficient table, so each public function is one call.  One
-kernel stream serves every cylinder level of the localization sweeps.
+float64 when every modulus up to the level is 2.  The sweeps and
+``_riesz_abel`` take their Fejer sums sum_{k<=n} S_k as
+``itertools.accumulate`` over the stream.  The two routes of the public
+kernels and means, ``_window`` and ``_riesz_abel``, make the index check
+and build the coefficient table, so each public function is one call.
+One kernel stream serves every cylinder level of the localization sweeps.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable
 
 import numpy as np
@@ -186,17 +188,11 @@ def _riesz_abel(base: VilenkinBase, level: int, n: int, f: LevelFunction | None 
     """Shared Abel sum over the partial sums S_j of ``f`` (D_j if None)."""
     base.require_count(n, level, "kernel index" if f is None else "mean index")
     coeffs = None if f is None else forward(f).coeffs
-    harm = harmonic_sums(n)
-    total = base.orders[level]
-    sampler = CharacterSampler(base, level)
-    dtype = sampler.dtype if f is None else np.complex128  # the stream's dtype
-    cum = np.zeros(total, dtype=dtype)  # sum_{k<=j} S_k
-    acc = np.zeros(total, dtype=dtype)  # sum_{j<n} sigma_j/(j+1)
-    for j, s in enumerate(sampler.partial_sums(n, coeffs), start=1):
-        cum = cum + s
-        if j < n:
+    acc = 0.0  # sum_{j<n} sigma_j/(j+1)
+    for j, cum in enumerate(accumulate(CharacterSampler(base, level).partial_sums(n, coeffs)), start=1):
+        if j < n:  # cum = sum_{k<=j} S_k = j sigma_j
             acc = acc + cum / (j * (j + 1))
-    return LevelFunction(base, level, (acc + cum / n) / harm[n])
+    return LevelFunction(base, level, (acc + cum / n) / harmonic_sums(n)[n])
 
 
 def partial_sum(f: LevelFunction, n: int) -> LevelFunction:
@@ -268,11 +264,8 @@ class KernelIntegralSweep:
 def kernel_integral_sweep(base: VilenkinBase, level: int, n_max: int) -> KernelIntegralSweep:
     """Integral of the shifted |K_n| for every n = 1..n_max in one streaming pass."""
     base.require_count(n_max, level, "n_max")
-    sampler = CharacterSampler(base, level)
-    cum = np.zeros(base.orders[level], dtype=sampler.dtype)
     integrals = np.empty(n_max, dtype=np.float64)
-    for n, d in enumerate(sampler.partial_sums(n_max), start=1):
-        cum = cum + d
+    for n, cum in enumerate(accumulate(CharacterSampler(base, level).partial_sums(n_max)), start=1):
         integrals[n - 1] = np.mean(np.abs(cum)) / n
     return KernelIntegralSweep(KernelConvention.SHIFTED, integrals, np.maximum.accumulate(integrals))
 
@@ -373,10 +366,7 @@ def localization_sweeps(
     ranks = [[c.block_start * base.orders[n] // total for c in cs] for n, cs in zip(levels, cells)]
     masses = [np.empty((len(cs), n_max - base.orders[n] + 1)) for n, cs in zip(levels, cells)]
 
-    sampler = CharacterSampler(base, level)
-    cum = np.zeros(total, dtype=sampler.dtype)
-    for n, d in enumerate(sampler.partial_sums(n_max), start=1):
-        cum = cum + d
+    for n, cum in enumerate(accumulate(CharacterSampler(base, level).partial_sums(n_max)), start=1):
         kn_abs = np.abs(cum) / n
         for n_cells, rows, mass in zip(levels, ranks, masses):
             m_n = base.orders[n_cells]

@@ -145,15 +145,13 @@ def _stream_sup(
     the function's effective level (means of a level-R function are
     level-R functions for every n).
 
-    One loop walks n in blocks of about _BLOCK_CELLS cells.  Up to the
-    last nonzero coefficient each row adds S_n / a_n to the row before;
-    past it S_n f = f, so the rest of the block is one sequential cumsum
-    over f / a_n (the same order of additions).  Each block is then scored
-    once, and a first-occurrence argmax with a strict improvement across
-    blocks keeps the per-step tie rule, so the result and argmax are
-    bit-identical to a plain loop over n.  Only the head rows draw a
-    partial sum, so the cost of the characters scales with the length of
-    the spectrum rather than with n_max.
+    One loop walks n in blocks of about _BLOCK_CELLS cells.  Each row of a
+    block holds its increment S_n / a_n (S_n f = f past the last nonzero
+    coefficient, so only the rows up to it draw a partial sum), and one
+    sequential cumsum from the carried acc accumulates the block in the
+    order of a plain loop over n.  A first-occurrence argmax per block with
+    a strict improvement across blocks keeps the per-step tie rule, so the
+    result and argmax are bit-identical to that loop.
     """
     f.base.require_count(n_max, f.level, "n_max")
     ns = np.arange(1, n_max + 1, dtype=np.float64)
@@ -178,9 +176,9 @@ def _stream_sup(
         k = min(rows, n_max + 1 - lo)
         h = min(k, max(0, head + 1 - lo))  # rows of the block that draw S_n
         for n, s in zip(range(lo, lo + h), stream):
-            np.add(cum[n - lo], s * w[n - 1], out=cum[n - lo + 1])
+            np.multiply(s, w[n - 1], out=cum[n - lo + 1])
         np.multiply(s, w[lo - 1 + h : lo - 1 + k, None], out=cum[h + 1 : k + 1])
-        np.cumsum(cum[h : k + 1], axis=0, out=cum[h : k + 1])  # in place, row after row
+        np.cumsum(cum[: k + 1], axis=0, out=cum[: k + 1])  # in place, row after row
         block, v = slice(lo - 1, lo - 1 + k), vals[:k]
         np.abs(cum[1 : k + 1], out=v)
         v /= b[block, None]

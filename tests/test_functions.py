@@ -139,6 +139,15 @@ def test_pointwise_algebra():
     assert np.allclose(mixed.values, f.values + 2.0)
 
 
+def test_pointwise_sup_of_a_signed_family_is_its_moduli():
+    base = make_base((2, 2), 2)
+    fine = LevelFunction(base, 2, [-3.0, 1.0, -0.5, 2.0])
+    coarse = constant(base, 1, -2.5)  # listed after the finer function, refined to it
+    sup = pointwise_sup([fine, coarse])
+    assert sup.level == 2
+    assert np.array_equal(sup.values, [3.0, 2.5, 2.5, 2.5])
+
+
 def test_refinement_preserves_norms():
     rng = np.random.default_rng(1)
     base = make_base((2, 3, 2, 2), 4)

@@ -12,7 +12,6 @@ from vilenkin.hardy import (
     assemble_from_atoms,
     hardy_quasinorm,
     martingale_from_function,
-    maximal_function,
     random_atom,
     validate_atom,
 )
@@ -76,9 +75,9 @@ def test_adaptedness_violation_rejected_at_any_scale():
 def test_maximal_function_examples():
     base = make_base((2,), 3)
     single = Martingale(base, (constant(base, 0, -2.0 + 1.5j),))
-    assert np.allclose(maximal_function(single).values, 2.5)
+    assert np.allclose(pointwise_sup(single.components).values, 2.5)
     m = martingale_from_function(_psi(base, 1, 3))
-    assert np.allclose(maximal_function(m).values, 1.0)
+    assert np.allclose(pointwise_sup(m.components).values, 1.0)
 
 
 def test_maximal_function_dominates_components():
@@ -86,7 +85,7 @@ def test_maximal_function_dominates_components():
     base = make_base((2, 3), 4)
     f = LevelFunction(base, 4, rng.standard_normal(36) + 1j * rng.standard_normal(36))
     m = martingale_from_function(f)
-    star = maximal_function(m)
+    star = pointwise_sup(m.components)
     for comp in m.components:
         gap = star - comp.modulus()
         assert np.min(gap.values.real) >= -1e-12
@@ -97,7 +96,7 @@ def test_maximal_function_matches_averaging_oracle():
     rng = np.random.default_rng(13)
     base = make_base((2, 3, 2), 3)
     f = LevelFunction(base, 3, rng.standard_normal(12))
-    star = maximal_function(martingale_from_function(f))
+    star = pointwise_sup(martingale_from_function(f).components)
     for r in range(base.size):
         best = 0.0
         for n in range(base.depth + 1):
@@ -289,18 +288,20 @@ def test_corpus_spec_refuses_a_negative_count():
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.lists(st.integers(2, 7), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
-def test_maximal_function_equals_pointwise_sup(pattern, seed):
-    # the level-by-level fold against refining every component to the top
+def test_pointwise_sup_matches_the_refine_to_top_oracle(pattern, seed):
+    # the level-by-level fold against refining every modulus to the top level
     depth = 1
     while depth < len(pattern) and np.prod(pattern[: depth + 1]) <= 4096:
         depth += 1
     base = make_base(tuple(pattern[:depth]), depth)
     rng = np.random.default_rng(seed)
-    level = int(rng.integers(0, depth + 1))
-    n = base.orders[level]
-    f = LevelFunction(base, level, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    m = martingale_from_function(f)
-    star = maximal_function(m)
-    oracle = pointwise_sup([c.modulus() for c in m.components])
-    assert star.level == oracle.level == level
-    assert np.array_equal(star.values, oracle.values)
+    levels = rng.integers(0, depth + 1, size=int(rng.integers(1, 7)))  # repeats, in no order
+    family = [
+        LevelFunction(base, lv, rng.standard_normal(base.orders[lv]) + 1j * rng.standard_normal(base.orders[lv]))
+        for lv in levels
+    ]
+    top = int(levels.max())
+    oracle = np.max(np.stack([np.abs(f.at_level(top).values) for f in family]), axis=0)
+    star = pointwise_sup(family)
+    assert star.level == top
+    assert np.array_equal(star.values, oracle)
