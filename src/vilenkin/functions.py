@@ -25,14 +25,24 @@ __all__ = [
 ]
 
 
-def frozen_level_array(base: VilenkinBase, level: int, array: np.ndarray, noun: str) -> np.ndarray:
-    """A read-only complex copy of ``array``, one entry per level cylinder."""
+def adopted_level_array(base: VilenkinBase, level: int, array: np.ndarray, noun: str) -> np.ndarray:
+    """``array`` itself, marked read-only: one complex128 entry per level
+    cylinder, C-contiguous.  Anything else is refused, never converted."""
     base.require_level(level)
-    out = np.array(array, dtype=np.complex128)
-    if out.shape != (base.orders[level],):
-        raise ValueError(f"expected {base.orders[level]} {noun} at level {level}, got shape {out.shape}")
-    out.setflags(write=False)
-    return out
+    if array.shape != (base.orders[level],):
+        raise ValueError(f"expected {base.orders[level]} {noun} at level {level}, got shape {array.shape}")
+    if array.dtype != np.complex128:
+        raise ValueError(f"expected complex128 {noun}, got {array.dtype}")
+    if not array.flags.c_contiguous:
+        raise ValueError(f"expected C-contiguous {noun}")
+    array.setflags(write=False)
+    return array
+
+
+def frozen_level_array(base: VilenkinBase, level: int, array: np.ndarray, noun: str) -> np.ndarray:
+    """A read-only complex copy of ``array``, one entry per level cylinder:
+    the caller keeps its array, and writes to it never reach the copy."""
+    return adopted_level_array(base, level, np.array(array, dtype=np.complex128), noun)
 
 
 def require_positive(value: float, noun: str) -> None:
@@ -52,6 +62,19 @@ class LevelFunction:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", frozen_level_array(self.base, self.level, self.values, "values"))
 
+    @classmethod
+    def _adopt(cls, base: VilenkinBase, level: int, values: np.ndarray) -> "LevelFunction":
+        """Keep ``values`` without a copy (see :func:`adopted_level_array`).
+
+        Only for an array the caller has just allocated and that nothing
+        else refers to: it is marked read-only and becomes the function's.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "base", base)
+        object.__setattr__(f, "level", level)
+        object.__setattr__(f, "values", adopted_level_array(base, level, values, "values"))
+        return f
+
     # ------------------------------------------------------------------
     # resolution changes
 
@@ -61,7 +84,7 @@ class LevelFunction:
             return self
         self.base.require_finer(level, self.level, "function level")
         reps = self.base.orders[level] // self.base.orders[self.level]
-        return LevelFunction(self.base, level, np.repeat(self.values, reps))
+        return LevelFunction._adopt(self.base, level, np.repeat(self.values, reps))
 
     def effective_level(self) -> int:
         """Coarsest level at which the stored values are constant on blocks."""
@@ -70,7 +93,7 @@ class LevelFunction:
         while level > 0:
             m = self.base.moduli[level - 1]
             blocks = vals.reshape(-1, m)
-            if not (blocks == blocks[:, :1]).all():
+            if not (blocks[:, 1:] == blocks[:, :1]).all():  # a column need not meet itself
                 break
             vals = blocks[:, 0]
             level -= 1
@@ -129,7 +152,7 @@ class LevelFunction:
         """Average over each level-``level`` cylinder; result at that level."""
         self.base.require_finer(self.level, level, "conditional-expectation level")
         blocks = self.values.reshape(self.base.orders[level], -1)
-        return LevelFunction(self.base, level, blocks.mean(axis=1))
+        return LevelFunction._adopt(self.base, level, blocks.mean(axis=1))
 
     # ------------------------------------------------------------------
     # pointwise algebra (operands auto-refine to the common level)

@@ -75,9 +75,22 @@ class Martingale:
 
 
 def martingale_from_function(f: LevelFunction) -> Martingale:
-    """Conditional expectations of f at every level up to its own."""
-    comps = tuple(f.conditional_expectation(n) for n in range(f.level + 1))
-    return Martingale(f.base, comps)
+    """Conditional expectations E_0 f .. E_N f of f at every level up to its own N.
+
+    Built by the tower property from the top down, E_N f = f: E_n f is the
+    sum of the m_n strided columns of E_{n+1} f reshaped to (-1, m_n),
+    divided by m_n.  Each level reads the one above it once, so the whole
+    sequence costs M_N + M_{N-1} + ... + 1 < 2 M_N cells, where taking each
+    E_n f from f would cost M_N per level.
+    """
+    base = f.base
+    comps = [f]
+    for n in reversed(range(f.level)):
+        m = base.moduli[n]
+        cols = comps[-1].values.reshape(-1, m)
+        mean = sum((cols[:, j] for j in range(1, m)), cols[:, 0]) / m
+        comps.append(LevelFunction._adopt(base, n, mean))
+    return Martingale(base, tuple(reversed(comps)))
 
 
 def hardy_quasinorm(m: Martingale, p: float) -> float:

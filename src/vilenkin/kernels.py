@@ -88,14 +88,15 @@ def _window(
 
     Every spectral-weight kernel and mean goes through here.  c is the
     spectrum of ``f`` (all ones if None: a kernel), in a fresh table scaled
-    and truncated in place; the weights are freed before the inverse runs.
+    and truncated in place and then adopted, not copied, by the Spectrum;
+    the weights are freed before the inverse runs.
     """
     base.require_count(n, level, noun, least)
     coeffs = np.ones(base.orders[level], dtype=np.complex128) if f is None else forward(f).coeffs.copy()
     if weights is not None:
         coeffs[:n] *= weights(n)
     coeffs[n:] = 0.0
-    return inverse(Spectrum(base, level, coeffs))
+    return inverse(Spectrum._adopt(base, level, coeffs))
 
 
 def dirichlet(base: VilenkinBase, n: int, level: int) -> LevelFunction:

@@ -250,8 +250,12 @@ class RatioReport:
 
 def hp_to_lp_ratio(f: LevelFunction, operator: OperatorSpec, p: float) -> RatioReport:
     """Strong and weak operator ratios of f against the Hardy quasi-norm
-    of the martingale of its conditional expectations."""
-    hp = hardy_quasinorm(martingale_from_function(f), p)
+    of the martingale of its conditional expectations.
+
+    The martingale is taken at f's own (effective) level: every component
+    above it equals f, so it adds nothing to the supremum.
+    """
+    hp = hardy_quasinorm(martingale_from_function(f.compress()), p)
     if hp == 0.0:
         raise ValueError("Hardy quasi-norm is zero")
     out = operator.apply(f).result

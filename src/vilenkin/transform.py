@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .functions import LevelFunction, frozen_level_array
+from .functions import LevelFunction, adopted_level_array, frozen_level_array
 from .group import GroupPoint, VilenkinBase, digit_rank_values, nat_expand
 
 __all__ = [
@@ -47,6 +47,16 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", frozen_level_array(self.base, self.level, self.coeffs, "coefficients"))
+
+    @classmethod
+    def _adopt(cls, base: VilenkinBase, level: int, coeffs: np.ndarray) -> "Spectrum":
+        """Keep ``coeffs`` without a copy, as :meth:`LevelFunction._adopt` does:
+        only for a table just allocated that nothing else refers to."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "base", base)
+        object.__setattr__(s, "level", level)
+        object.__setattr__(s, "coeffs", adopted_level_array(base, level, coeffs, "coefficients"))
+        return s
 
 
 def rademacher(k: int, x: GroupPoint) -> complex:
@@ -209,24 +219,26 @@ def forward(f: LevelFunction) -> Spectrum:
     """Fast transform: all M_N coefficients of a level-N function."""
     n = f.level
     if n == 0:
-        return Spectrum(f.base, 0, f.values.copy())
+        return Spectrum._adopt(f.base, 0, f.values.copy())
     moduli = f.base.moduli[:n]
     arr = _staged(f.values, moduli, -1)
     # input axes are point digits (x_0 slowest); coefficient indices are
     # little-endian in the digits, so reverse axes before flattening
     coeffs = arr.transpose(tuple(reversed(range(n)))).ravel()
     coeffs /= f.base.orders[n]  # arr is _staged's own array, never the input
-    return Spectrum(f.base, n, coeffs)
+    return Spectrum._adopt(f.base, n, coeffs)
 
 
 def inverse(s: Spectrum) -> LevelFunction:
     """Synthesis: f(x) = sum_k f_hat(k) psi_k(x), exact at the level."""
     n = s.level
+    if n == 0:
+        return LevelFunction._adopt(s.base, 0, s.coeffs.copy())
     moduli = s.base.moduli[:n]
     arr = s.coeffs.reshape(tuple(reversed(moduli)))
     arr = arr.transpose(tuple(reversed(range(n))))  # axes now k_0 .. k_{N-1}
-    out = _staged(arr.ravel(), moduli, +1)
-    return LevelFunction(s.base, n, out.ravel())
+    out = _staged(arr.ravel(), moduli, +1)  # a new array: n >= 1 runs at least one product
+    return LevelFunction._adopt(s.base, n, out.ravel())
 
 
 def character_matrix(base: VilenkinBase, level: int) -> np.ndarray:

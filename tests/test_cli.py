@@ -642,27 +642,27 @@ _MIXED_CORPUS = ["--base", "2,3", "--depth", "6", "--seed", "3", "atoms", "corpu
         (
             _DYADIC_CORPUS,
             ["--op", "riesz", "--weight", "log", "--p", "0.5"],
-            "0,2,0.80587897295701438,0.32506517248282846,0.26826446409350846\n"
+            "0,2,0.80587897295701416,0.32506517248282857,0.26826446409350851\n"
             "1,3,0.53347277394194281,0.41095140653295048,0.26056816493575941\n",
         ),
         (
             _DYADIC_CORPUS,
             ["--op", "sigma", "--p", "0.5"],
-            "0,2,0.80587897295701438,2.5781598499589475,0.81138923394276596\n"
+            "0,2,0.80587897295701416,2.578159849958948,0.81138923394276607\n"
             "1,3,0.53347277394194281,3.5762484644134656,0.70304004277386956\n",
         ),
         (
             _DYADIC_CORPUS,
             ["--op", "riesz", "--weight", "unit", "--p", "0.5"],  # riesz_star, the unweighted operator
-            "0,2,0.80587897295701438,1.0783072115062367,0.54809963886792468\n"
+            "0,2,0.80587897295701416,1.0783072115062369,0.54809963886792479\n"
             "1,3,0.53347277394194281,1.3297202618499653,0.40946454617343636\n",
         ),
         (
             _MIXED_CORPUS,
             ["--op", "riesz", "--weight", "power_log", "--p", "0.3"],
             "0,4,0.52512824545507941,2.8328174327905851,0.77092785924662066\n"
-            "1,1,0.53719550553383866,0.13889621394092935,0.46088146411699915\n"
-            "2,3,0.65218659831269865,1.2760134907500666,0.71785059534836593\n",
+            "1,1,0.53718042602915317,0.13890011297746799,0.46088534538048859\n"
+            "2,3,0.65218659831269832,1.2760134907500673,0.71785059534836604\n",
         ),
     ],
     ids=["riesz-log", "sigma", "riesz-unit", "riesz-power-log-mixed-base"],
@@ -809,7 +809,7 @@ def test_maximal_table_json_bytes(tmp_path, capsys):
     assert main(argv + ["--p", "0.5"]) == 0
     argv = ["--format", "json", "maximal", "table", "--op", "riesz", "--weight", "log", "--p", "0.5"]
     rows = [
-        [0, 2, "0.80587897295701438", "0.32506517248282846", "0.26826446409350846"],
+        [0, 2, "0.80587897295701416", "0.32506517248282857", "0.26826446409350851"],
         [1, 3, "0.53347277394194281", "0.41095140653295048", "0.26056816493575941"],
     ]
     header = ["atom", "support_level", "hardy_norm", "strong_ratio", "weak_ratio"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vilenkin import hardy, kernels, transform
 from vilenkin.functions import LevelFunction, constant, indicator, pointwise_sup
 from vilenkin.group import Cylinder, make_base
 from vilenkin.transform import CharacterSampler
@@ -182,6 +183,60 @@ def test_values_are_read_only():
     f = constant(base, 1)
     with pytest.raises(ValueError):
         f.values[0] = 2.0
+
+
+def _index(f):
+    return min(5, f.base.orders[f.level])  # a mean index the level resolves
+
+
+_PRODUCERS = {
+    "forward": lambda f: [transform.forward(f)],
+    "inverse": lambda f: [transform.inverse(transform.forward(f))],
+    "partial_sum": lambda f: [kernels.partial_sum(f, _index(f))],
+    "fejer_mean": lambda f: [kernels.fejer_mean(f, _index(f))],
+    "riesz_mean": lambda f: [kernels.riesz_mean(f, _index(f))],
+    "conditional_expectation": lambda f: [f.conditional_expectation(n) for n in range(f.level + 1)],
+    "at_level": lambda f: [f.at_level(f.base.depth)],
+    "martingale_from_function": lambda f: list(hardy.martingale_from_function(f).components),
+}
+
+
+@pytest.mark.parametrize("level", [0, 1, 3])
+@pytest.mark.parametrize("producer", sorted(_PRODUCERS))
+def test_returned_arrays_are_read_only(producer, level):
+    f = _random(make_base((2, 3), 4), level, np.random.default_rng(level))
+    for out in _PRODUCERS[producer](f):
+        arr = out.coeffs if isinstance(out, transform.Spectrum) else out.values
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+@pytest.mark.parametrize("cls", [LevelFunction, transform.Spectrum])
+def test_public_constructor_copies_the_callers_array(cls):
+    base = make_base((2, 3), 2)
+    arr = np.arange(6, dtype=np.complex128)
+    obj = cls(base, 2, arr)
+    arr[:] = -1.0  # the caller's array stays writeable
+    held = obj.coeffs if cls is transform.Spectrum else obj.values
+    assert np.array_equal(held, np.arange(6))
+
+
+@pytest.mark.parametrize("cls", [LevelFunction, transform.Spectrum])
+def test_adopt_keeps_the_array_and_refuses_what_it_would_have_to_convert(cls):
+    base = make_base((2, 3), 2)
+    arr = np.arange(6, dtype=np.complex128)
+    obj = cls._adopt(base, 2, arr)
+    assert (obj.coeffs if cls is transform.Spectrum else obj.values) is arr
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="complex128"):
+        cls._adopt(base, 2, np.arange(6, dtype=np.float64))
+    with pytest.raises(ValueError, match="expected 6 .* at level 2, got shape"):
+        cls._adopt(base, 2, np.zeros(5, dtype=np.complex128))
+    with pytest.raises(ValueError, match="expected 6 .* at level 2, got shape"):
+        cls._adopt(base, 2, np.zeros((2, 3), dtype=np.complex128))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        cls._adopt(base, 2, np.zeros(12, dtype=np.complex128)[::2])
 
 
 def test_mismatched_bases_rejected():

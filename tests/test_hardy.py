@@ -305,3 +305,22 @@ def test_pointwise_sup_matches_the_refine_to_top_oracle(pattern, seed):
     star = pointwise_sup(family)
     assert star.level == top
     assert np.array_equal(star.values, oracle)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(2, 9), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+def test_tower_martingale_matches_conditional_expectations(pattern, seed):
+    # E_n f taken from E_{n+1} f, against E_n f taken from f itself; moduli up to 9 cover m >= 8
+    depth = 1
+    while depth < len(pattern) and np.prod(pattern[: depth + 1]) <= 4096:
+        depth += 1
+    base = make_base(tuple(pattern[:depth]), depth)
+    rng = np.random.default_rng(seed)
+    level = int(rng.integers(0, depth + 1))
+    f = LevelFunction(base, level, rng.standard_normal(base.orders[level]) + 1j * rng.standard_normal(base.orders[level]))
+    m = martingale_from_function(f)
+    assert m.top_level == level
+    tol = 1e-13 * float(np.max(np.abs(f.values)))
+    for n, comp in enumerate(m.components):
+        assert comp.level == n
+        assert comp.max_abs_diff(f.conditional_expectation(n)) <= tol

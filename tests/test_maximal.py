@@ -203,6 +203,20 @@ def test_ratio_on_half_atom_is_finite():
     assert np.isfinite(out.weak) and out.weak > 0
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("moduli, level, deeper", [((2,), 5, 8), ((2, 3), 3, 6), ((3, 5), 2, 4)])
+def test_ratio_does_not_depend_on_the_level_it_is_given_at(moduli, level, deeper, p):
+    # components above the function's own level equal f, so they add nothing to the Hardy norm
+    base = make_base(moduli, deeper)
+    rng = np.random.default_rng(level * 10 + deeper)
+    f = _random(base, level, rng)
+    op = OperatorSpec("sigma", base.orders[level])
+    a = hp_to_lp_ratio(f, op, p)
+    b = hp_to_lp_ratio(f.at_level(deeper), op, p)
+    for field in ("hardy_norm", "strong", "weak"):
+        assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-13, abs=0)
+
+
 def test_ratio_rejects_zero_input():
     base = make_base((2,), 3)
     with pytest.raises(ValueError, match="zero"):
