@@ -3,8 +3,9 @@
 All output is deterministic: floats print with full double precision,
 JSON keys are sorted, CSV rows use comma separators with '.' decimals and
 LF line endings.  Identical configuration plus seed gives byte-identical
-files.  A resource guard rejects bases with more than 2^20 cells since
-several sweeps are quadratic.
+files.  A resource guard refuses a base with more than ``group.SIZE_GUARD``
+cells, the one ``verify kernels --max-a`` asks for included, since several
+sweeps are quadratic.
 
 Each command is a group word and a leaf word (``kernel dump``, ``verify
 kernels``) and reads only the flags its row of ``_READS`` lists.  ``main``
@@ -44,7 +45,6 @@ from .verify import SUITES, run_suite
 
 __all__ = ["main", "RunConfig"]
 
-SIZE_GUARD = 2**20
 _CLI_WEIGHTS = ("unit", "log", "power_log", "power_log_sq")
 # The shared flags each command reads, each verify flag mapped to the suite keyword it feeds; any other is refused.
 # atoms corpus lists its own required --count, which has the dest of verify's.
@@ -75,8 +75,7 @@ class RunConfig:
     def base(self) -> VilenkinBase:
         """The base, behind the resource guard every command that builds one applies."""
         base = make_base(self.moduli, self.depth)
-        if base.size > SIZE_GUARD:
-            raise ValueError(f"refusing to run: base has {base.size} cells, guard is {SIZE_GUARD}")
+        base.require_size()
         return base
 
     def echo(self) -> dict[str, Any]:

@@ -10,6 +10,7 @@ operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -46,9 +47,11 @@ def frozen_level_array(base: VilenkinBase, level: int, array: np.ndarray, noun: 
 
 
 def require_positive(value: float, noun: str) -> None:
-    """Refuse ``not value > 0``, so zero, negatives and NaN alike."""
+    """Refuse ``not value > 0``, so zero, negatives and NaN alike, and then +inf."""
     if not value > 0:
         raise ValueError(f"{noun} must be positive, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{noun} must be finite, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,10 +152,19 @@ class LevelFunction:
         return float(threshold * measure ** (1.0 / p))
 
     def conditional_expectation(self, level: int) -> "LevelFunction":
-        """Average over each level-``level`` cylinder; result at that level."""
+        """Average over each level-``level`` cylinder; result at that level.
+
+        The tower property, one digit at a time from the function's own level
+        (where it is the function): E_n is the sum of the m_n strided columns
+        of E_{n+1}, divided by m_n, so a walk down from level N reads < 2 M_N cells.
+        """
         self.base.require_finer(self.level, level, "conditional-expectation level")
-        blocks = self.values.reshape(self.base.orders[level], -1)
-        return LevelFunction._adopt(self.base, level, blocks.mean(axis=1))
+        f = self
+        for n in reversed(range(level, self.level)):
+            m = self.base.moduli[n]
+            cols = f.values.reshape(-1, m)
+            f = LevelFunction._adopt(self.base, n, sum((cols[:, j] for j in range(1, m)), cols[:, 0]) / m)
+        return f
 
     # ------------------------------------------------------------------
     # pointwise algebra (operands auto-refine to the common level)

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 
+SIZE_GUARD = 2**20  # cells: the largest base a command or a suite builds, since several sweeps are quadratic
+
+
 @dataclass(frozen=True)
 class VilenkinBase:
     """Digit moduli m_0..m_{K-1} with cumulative orders M_0..M_K.
@@ -99,6 +102,11 @@ class VilenkinBase:
         self.require_level(level)
         if n > self.orders[level]:
             raise ValueError(f"index {n} not resolvable at level {level} (max {self.orders[level]})")
+
+    def require_size(self) -> None:
+        """At most ``SIZE_GUARD`` cells, checked before any per-cell array is built."""
+        if self.size > SIZE_GUARD:
+            raise ValueError(f"refusing to run: base has {self.size} cells, guard is {SIZE_GUARD}")
 
     def __repr__(self) -> str:  # compact: bases show up in many reprs
         return f"VilenkinBase({list(self.moduli)})"

@@ -62,7 +62,7 @@ class Martingale:
         tol = _ADAPTED_RTOL * float(np.max(np.abs(self.components[-1].values)))
         for n in range(len(self.components) - 1):
             stepped = self.components[n + 1].conditional_expectation(n)
-            if stepped.max_abs_diff(self.components[n]) > tol:
+            if not stepped.max_abs_diff(self.components[n]) <= tol:  # NaN in either is refused
                 raise ValueError(f"components {n} and {n + 1} violate adaptedness")
 
     @property
@@ -75,22 +75,12 @@ class Martingale:
 
 
 def martingale_from_function(f: LevelFunction) -> Martingale:
-    """Conditional expectations E_0 f .. E_N f of f at every level up to its own N.
-
-    Built by the tower property from the top down, E_N f = f: E_n f is the
-    sum of the m_n strided columns of E_{n+1} f reshaped to (-1, m_n),
-    divided by m_n.  Each level reads the one above it once, so the whole
-    sequence costs M_N + M_{N-1} + ... + 1 < 2 M_N cells, where taking each
-    E_n f from f would cost M_N per level.
-    """
-    base = f.base
+    """Conditional expectations E_0 f .. E_N f of f at every level up to its own N,
+    each taken from the one above it: one digit's step of ``conditional_expectation``."""
     comps = [f]
     for n in reversed(range(f.level)):
-        m = base.moduli[n]
-        cols = comps[-1].values.reshape(-1, m)
-        mean = sum((cols[:, j] for j in range(1, m)), cols[:, 0]) / m
-        comps.append(LevelFunction._adopt(base, n, mean))
-    return Martingale(base, tuple(reversed(comps)))
+        comps.append(comps[-1].conditional_expectation(n))
+    return Martingale(f.base, tuple(reversed(comps)))
 
 
 def hardy_quasinorm(m: Martingale, p: float) -> float:
@@ -171,11 +161,7 @@ def assemble_from_atoms(
         _check_same_base(base, atom.values.base)
         if atom.p != p:
             raise ValueError("atoms in one decomposition must share the exponent")
-        if level <= atom.values.level:
-            part = atom.values.conditional_expectation(level)
-            acc += mu * part.values
-        else:
-            acc += mu * atom.values.at_level(level).values
+        acc += mu * atom.values.at_level(max(level, atom.values.level)).conditional_expectation(level).values
         budget += abs(mu) ** p
     return AtomAssembly(LevelFunction(base, level, acc), budget)
 

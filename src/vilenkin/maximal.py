@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .functions import LevelFunction
+from .functions import LevelFunction, require_positive
 from .hardy import hardy_quasinorm, martingale_from_function
 from .kernels import harmonic_sums
 from .transform import CharacterSampler, forward
@@ -61,8 +61,10 @@ class WeightSpec:
     def __post_init__(self) -> None:
         if self.kind not in _GENERIC_KINDS + _OPERATOR_FORMS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind in ("power_log", "power_log_sq") and (self.p is None or not self.p > 0):
-            raise ValueError(f"weight kind {self.kind!r} needs a positive exponent p")
+        if self.kind in ("power_log", "power_log_sq"):
+            if self.p is None or not self.p > 0:
+                raise ValueError(f"weight kind {self.kind!r} needs a positive exponent p")
+            require_positive(self.p, f"weight kind {self.kind!r} exponent p")  # refuses +inf
         if self.kind == "custom_table" and not self.table:
             raise ValueError("custom_table weight needs a table")
         for i, v in enumerate(self.table or ()):

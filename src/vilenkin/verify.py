@@ -87,6 +87,7 @@ def check_dirichlet_blocks(geometries: Iterable[Geometry]) -> CheckResult:
 def check_dyadic_fejer(max_exponent: int) -> CheckResult:
     """Criterion 2: the shifted Fejer kernel at 2^a equals Gat's closed form."""
     base = make_base((2,), max_exponent)
+    base.require_size()
     worst = 0.0
     for a in range(1, max_exponent + 1):
         brute = fejer_kernel(base, 2**a, base.depth, KernelConvention.SHIFTED)
@@ -213,6 +214,7 @@ def check_complement_mass(spec: CorpusSpec) -> CheckResult:
 
 def suite_kernels(max_exponent: int = 10) -> SuiteReport:
     """Criteria 1, 2 and 4, plus the gap between the two Fejer conventions."""
+    fejer = check_dyadic_fejer(max_exponent)  # first: its size guard refuses before any check allocates
     # The two averaging conventions differ by exactly D_n / n.
     base = make_base((2, 3), 6)
     worst = 0.0
@@ -223,7 +225,7 @@ def suite_kernels(max_exponent: int = 10) -> SuiteReport:
         worst = max(worst, gap.max_abs_diff(dirichlet(base, n, 6) * (1.0 / n)))
     checks = (
         check_dirichlet_blocks((((2,), 12), ((2, 3), 7), ((3,), 6))),
-        check_dyadic_fejer(max_exponent),
+        fejer,
         CheckResult("convention-gap-is-dirichlet-over-n", worst < 1e-12, {"residual": worst}),
         check_kernel_integrals((2,), 12, 4096),
     )

@@ -108,6 +108,18 @@ def test_resource_guard_refuses_a_huge_corpus_before_any_atom(tmp_path, monkeypa
     assert err == "error: refusing to run: base has 2097152 cells, guard is 1048576\n"
 
 
+def test_resource_guard_refuses_verify_kernels_max_a_before_any_kernel(monkeypatch, capsys):
+    # --max-a a sizes the dyadic Fejer check's base at 2^a cells
+
+    def no_kernels(*args, **kwargs):
+        raise AssertionError("a kernel was built before the guard ran")
+
+    monkeypatch.setattr(verify, "fejer_kernel", no_kernels)
+    code, err = _refusal(capsys, ["verify", "kernels", "--max-a", "21"])
+    assert code == 2
+    assert err == "error: refusing to run: base has 2097152 cells, guard is 1048576\n"
+
+
 def test_verify_kernels_passes(capsys):
     code = main(["verify", "kernels", "--max-a", "5"])
     out = capsys.readouterr().out
@@ -496,6 +508,15 @@ def test_atoms_corpus_refuses_p_zero(tmp_path, capsys):
     code, err = _refusal(capsys, argv)
     assert code == 2
     assert err == "error: atom exponent must be positive, got 0.0\n"
+    assert not out.exists()
+
+
+def test_atoms_corpus_refuses_p_inf(tmp_path, capsys):
+    out = tmp_path / "corpus.json"
+    argv = ["--base", "2", "--depth", "6", "--seed", "1", "--out", str(out), "atoms", "corpus", "--count", "2", "--p", "inf"]
+    code, err = _refusal(capsys, argv)
+    assert code == 2
+    assert err == "error: atom exponent must be finite, got inf\n"
     assert not out.exists()
 
 

@@ -49,6 +49,12 @@ def test_martingale_adaptedness_enforced():
     )
     with pytest.raises(ValueError, match="adaptedness"):
         Martingale(base, bad)
+    # NaN compares false with any tolerance, and a NaN top component makes the tolerance NaN
+    nan_middle = (constant(base, 0, 2.5), LevelFunction(base, 1, [np.nan, 3.5]), LevelFunction(base, 2, [1, 2, 3, 4]))
+    nan_top = (constant(base, 0, 2.5), LevelFunction(base, 1, [1.5, 3.5]), LevelFunction(base, 2, [1, 2, 3, np.nan]))
+    for comps in (nan_middle, nan_top):
+        with pytest.raises(ValueError, match="adaptedness"):
+            Martingale(base, comps)
 
 
 @pytest.mark.parametrize("p, support_level", [(0.3, 8), (0.2, 8), (0.1, 6)])
@@ -70,6 +76,16 @@ def test_adaptedness_violation_rejected_at_any_scale():
         comps[1] = comps[1] + constant(base, 1, 1e-6 * scale)
         with pytest.raises(ValueError, match="adaptedness"):
             Martingale(base, tuple(comps))
+
+
+def test_adaptedness_violation_rejected_at_a_wide_step():
+    # the step from level 2 to level 3 averages m_2 = 4 cells
+    base = make_base((2, 3, 4), 3)
+    good = martingale_from_function(LevelFunction(base, 3, np.arange(24.0)))
+    comps = list(good.components)
+    comps[3] = comps[3] + indicator(Cylinder(base, 3, 5), 3, 1e-3)  # moves one level-2 average by 2.5e-4
+    with pytest.raises(ValueError, match="components 2 and 3 violate adaptedness"):
+        Martingale(base, tuple(comps))
 
 
 def test_maximal_function_examples():
@@ -310,7 +326,7 @@ def test_pointwise_sup_matches_the_refine_to_top_oracle(pattern, seed):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(st.integers(2, 9), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
 def test_tower_martingale_matches_conditional_expectations(pattern, seed):
-    # E_n f taken from E_{n+1} f, against E_n f taken from f itself; moduli up to 9 cover m >= 8
+    # every E_n g, from every level of g at or above n, against NumPy's block means of f; moduli up to 9 cover m >= 8
     depth = 1
     while depth < len(pattern) and np.prod(pattern[: depth + 1]) <= 4096:
         depth += 1
@@ -322,5 +338,10 @@ def test_tower_martingale_matches_conditional_expectations(pattern, seed):
     assert m.top_level == level
     tol = 1e-13 * float(np.max(np.abs(f.values)))
     for n, comp in enumerate(m.components):
+        oracle = f.values.reshape(base.orders[n], -1).mean(axis=1)
         assert comp.level == n
-        assert comp.max_abs_diff(f.conditional_expectation(n)) <= tol
+        assert np.max(np.abs(comp.values - oracle)) <= tol
+        for above in m.components[n:]:
+            got = above.conditional_expectation(n)
+            assert got.level == n
+            assert np.max(np.abs(got.values - oracle)) <= tol

@@ -62,6 +62,21 @@ def test_every_positive_parameter_refuses_nan_and_zero(entry, value):
         call(value)
 
 
+# entry point -> its refusal of +inf: the same noun, "must be finite"; a weight names its kind and exponent
+_FINITE = {
+    **{entry: message.replace("positive", "finite") for entry, (_, message) in _POSITIVE.items()},
+    "WeightSpec.power_log": "weight kind 'power_log' exponent p must be finite, got {}",
+    "WeightSpec.power_log_sq": "weight kind 'power_log_sq' exponent p must be finite, got {}",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_POSITIVE))
+def test_every_positive_parameter_refuses_inf(entry):
+    call, _ = _POSITIVE[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(_FINITE[entry].format(float('inf')))}$"):
+        call(float("inf"))
+
+
 _OTHER = constant(make_base((3,), 4), 4, 1.0)
 _MISMATCHED = {
     "add": lambda: _ONE + _OTHER,
