@@ -277,7 +277,7 @@ def _cmd_maximal_table(args: argparse.Namespace, cfg: RunConfig) -> int:
     base.require_count(n_max, base.depth, "n_max")  # also for a corpus of no atoms
     header = ["atom", "support_level", "hardy_norm", "strong_ratio", "weak_ratio"]
     atoms = spec.generate()
-    ratios = [hp_to_lp_ratio(atom.values.at_level(base.depth), operator, args.p) for atom in atoms]
+    ratios = [hp_to_lp_ratio(atom.values, operator, args.p) for atom in atoms]
     columns = [
         list(range(len(atoms))),
         [atom.support.level for atom in atoms],

@@ -15,7 +15,6 @@ import numpy as np
 
 from .functions import LevelFunction, pointwise_sup, require_positive
 from .group import VilenkinBase
-from .hardy import hardy_quasinorm, martingale_from_function
 from .kernels import dirichlet, harmonic_sums, partial_sum, riesz_mean
 from .maximal import WeightSpec
 from .transform import CharacterSampler, forward
@@ -230,7 +229,8 @@ def blowup_table(
     (integral of |T f|^(1/2))^2; otherwise the weak threshold expression
     lambda * mu(|T f| >= lambda)^(1/p) at the first-probe threshold
     lambda = 1 / (phi(q0) l_{q0} q0).  The ratio column divides by the
-    exact Hardy quasi-norm; ``BlowupTable`` describes the flag.
+    exact Hardy quasi-norm ||f_k||_p: the spectrum starts at M_{2k}, so
+    E_n f_k = 0 for n <= 2k and f* = |f_k|.  ``BlowupTable`` describes the flag.
     """
     require_positive(p, "p")
     if not k_range:
@@ -240,8 +240,7 @@ def blowup_table(
         if k < 1:
             raise ValueError("stages start at k = 1")
         inst = build_instance(k, base)
-        mart = martingale_from_function(inst.f)
-        hp = hardy_quasinorm(mart, p)
+        hp = inst.f.lp_quasinorm(p)
         probes = [_weighted_probe(inst, s, weight) for s in range(k)]
         sup_fn = pointwise_sup(weighted for _, _, weighted in probes)
         m2k = base.orders[2 * k]

@@ -54,6 +54,12 @@ def require_positive(value: float, noun: str) -> None:
         raise ValueError(f"{noun} must be finite, got {value}")
 
 
+def require_seed(seed: int) -> None:
+    """Refuse a negative seed, which numpy's generators reject in words that name no field."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True, eq=False)
 class LevelFunction:
     """Complex function resolved at ``level``: one value per cylinder rank."""

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .functions import LevelFunction, pointwise_sup, require_positive
+from .functions import LevelFunction, pointwise_sup, require_positive, require_seed
 from .group import Cylinder, VilenkinBase, _check_same_base, json_field, make_base
 
 __all__ = [
@@ -236,6 +236,7 @@ class CorpusSpec:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError(f"corpus count must be >= 0, got {self.count}")
+        require_seed(self.seed)
         # base() first: an invalid base is refused before the range it caps is read
         _check_draw(self.p, self.base().depth, self.extra_depth, (self.support_level_min, self.support_level_max))
 

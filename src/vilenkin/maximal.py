@@ -143,9 +143,9 @@ def _stream_sup(
     Both means are one weighted average of the partial sums S_n f from
     :meth:`CharacterSampler.partial_sums`: acc_n = acc_{n-1} + S_n / a_n and
     mean_n = |acc_n| / b_n, with a_n = 1, b_n = n for Fejer (the shifted
-    mean sigma_n) and a_n = n, b_n = l_n for Riesz.  Computation happens at
-    the function's effective level (means of a level-R function are
-    level-R functions for every n).
+    mean sigma_n) and a_n = n, b_n = l_n for Riesz.  n_max is a count in the
+    base's range; computation happens at the function's effective level
+    (means of a level-R function are level-R functions for every n).
 
     One loop walks n in blocks of about _BLOCK_CELLS cells.  Each row of a
     block holds its increment S_n / a_n (S_n f = f past the last nonzero
@@ -155,7 +155,7 @@ def _stream_sup(
     a strict improvement across blocks keeps the per-step tie rule, so the
     result and argmax are bit-identical to that loop.
     """
-    f.base.require_count(n_max, f.level, "n_max")
+    f.base.require_count(n_max, f.base.depth, "n_max")
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     if mode == "sigma":
         a, b = np.ones(n_max), ns
@@ -254,13 +254,14 @@ def hp_to_lp_ratio(f: LevelFunction, operator: OperatorSpec, p: float) -> RatioR
     """Strong and weak operator ratios of f against the Hardy quasi-norm
     of the martingale of its conditional expectations.
 
-    The martingale is taken at f's own (effective) level: every component
-    above it equals f, so it adds nothing to the supremum.
+    All three are taken on f at its effective level, so they are the same bit
+    for bit at any level f is given at (the components above it equal f).
     """
-    hp = hardy_quasinorm(martingale_from_function(f.compress()), p)
+    g = f.compress()
+    hp = hardy_quasinorm(martingale_from_function(g), p)
     if hp == 0.0:
         raise ValueError("Hardy quasi-norm is zero")
-    out = operator.apply(f).result
+    out = operator.apply(g).result
     return RatioReport(
         strong=out.lp_quasinorm(p) / hp,
         weak=out.weak_lp(p) / hp**p,

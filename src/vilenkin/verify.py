@@ -15,7 +15,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .counterexample import build_instance, partial_sum_closed_form, riesz_at_q, shift_identity_check
-from .functions import LevelFunction, indicator
+from .functions import LevelFunction, indicator, require_seed
 from .group import Cylinder, make_base
 from .hardy import CorpusSpec, Martingale, assemble_from_atoms, hardy_quasinorm, validate_atom
 from .kernels import (
@@ -86,6 +86,8 @@ def check_dirichlet_blocks(geometries: Iterable[Geometry]) -> CheckResult:
 
 def check_dyadic_fejer(max_exponent: int) -> CheckResult:
     """Criterion 2: the shifted Fejer kernel at 2^a equals Gat's closed form."""
+    if max_exponent < 1:
+        raise ValueError(f"max exponent must be >= 1, got {max_exponent}")
     base = make_base((2,), max_exponent)
     base.require_size()
     worst = 0.0
@@ -103,6 +105,7 @@ def check_identities(
     """Criterion 3, one check per identity: the Abel routes of Riesz means (one random
     function per case, drawn in order from ``seed``) and kernels, then the partial-sum
     case values, shift identity and modulus-sum identity on blow-up stages 1 and 2."""
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     worst_mean = 0.0
     for moduli, depth, ns in mean_cases:
@@ -245,6 +248,8 @@ def suite_identities(seed: int = 0) -> SuiteReport:
 
 def suite_lemmas(max_cylinder_level: int = 5) -> SuiteReport:
     """Criterion 5, on levels 1..max_cylinder_level with n <= 4096."""
+    if max_cylinder_level < 1:
+        raise ValueError(f"max cylinder level must be >= 1, got {max_cylinder_level}")
     checks = check_localization((2,), _LEMMAS_DEPTH, 2**_LEMMAS_DEPTH, range(1, max_cylinder_level + 1))
     return SuiteReport("lemmas", checks)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from vilenkin import cli, hardy, verify
 from vilenkin.cli import main
 from vilenkin.hardy import hardy_quasinorm
-from vilenkin.maximal import weighted_riesz_star
+from vilenkin.maximal import OperatorSpec, WeightSpec, hp_to_lp_ratio, weighted_riesz_star
 
 
 def test_kernel_dump_riesz_one_is_constant(tmp_path):
@@ -163,6 +163,33 @@ def test_maximal_table_on_corpus(tmp_path):
     for line in lines[1:]:
         fields = line.split(",")
         assert np.isfinite(float(fields[3]))
+
+
+@pytest.mark.parametrize(
+    "corpus_argv, op, weight, p",
+    [
+        (["--base", "2", "--depth", "8", "--seed", "7"], "riesz", "log", "0.5"),
+        (["--base", "2", "--depth", "8", "--seed", "7"], "sigma", "unit", "0.5"),
+        (["--base", "2,3", "--depth", "6", "--seed", "3"], "riesz", "power_log", "0.3"),
+        (["--base", "3", "--depth", "5", "--seed", "2"], "riesz", "unit", "1"),
+    ],
+)
+def test_maximal_table_rows_are_the_ratios_of_the_atoms_at_full_depth(tmp_path, capsys, corpus_argv, op, weight, p):
+    # the table passes each atom at its own level; the rows read as if it were refined to the depth
+    corpus = tmp_path / "corpus.json"
+    assert main([*corpus_argv, "--out", str(corpus), "atoms", "corpus", "--count", "4", "--p", p]) == 0
+    argv = ["maximal", "table", "--op", op, "--weight", weight, "--p", p, "--input", str(corpus)]
+    lines = _stdout(capsys, argv).splitlines()
+    spec = hardy.CorpusSpec.from_path(corpus)
+    base = spec.base()
+    kind = WeightSpec(weight, p=float(p) if weight == "power_log" else None)
+    operator = OperatorSpec(op if weight == "unit" else "weighted_riesz", base.size, kind)
+    want = []
+    for i, atom in enumerate(spec.generate()):
+        ratio = hp_to_lp_ratio(atom.values.at_level(base.depth), operator, float(p))
+        cells = (ratio.hardy_norm, ratio.strong, ratio.weak)
+        want.append(",".join([str(i), str(atom.support.level), *(f"{v:.17g}" for v in cells)]))
+    assert lines[1:] == want
 
 
 def test_maximal_table_empty_corpus(tmp_path):
@@ -578,11 +605,13 @@ _NO_ATOMS = "the atoms suite needs at least one atom, got count"
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["verify", "lemmas", "--max-a", "0"], "no cylinder level to sweep"),
-        (["verify", "lemmas", "--max-a", "-2"], "no cylinder level to sweep"),
+        (["verify", "lemmas", "--max-a", "0"], "max cylinder level must be >= 1, got 0"),
+        (["verify", "lemmas", "--max-a", "-2"], "max cylinder level must be >= 1, got -2"),
         (["--seed", "1", "verify", "atoms", "--count", "0"], f"{_NO_ATOMS} 0"),
         (["--seed", "1", "verify", "atoms", "--count", "-3"], f"{_NO_ATOMS} -3"),
         (["verify", "atoms", "--count", "2"], "the atoms suite is randomized and needs an explicit seed"),
+        (["verify", "kernels", "--max-a", "0"], "max exponent must be >= 1, got 0"),
+        (["verify", "kernels", "--max-a", "-2"], "max exponent must be >= 1, got -2"),
     ],
 )
 def test_verify_refuses_an_empty_check(capsys, argv, message):
@@ -599,6 +628,27 @@ def test_atoms_corpus_refuses_a_negative_count(tmp_path, capsys):
                  "atoms", "corpus", "--count", "-3", "--p", "0.5"])
     assert code == 2
     assert capsys.readouterr().err == "error: corpus count must be >= 0, got -3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "-3", "--base", "2", "--depth", "8", "atoms", "corpus", "--count", "2", "--p", "0.5"],
+        ["--seed", "-3", "verify", "identities"],
+        ["--seed", "-3", "verify", "atoms", "--count", "2"],
+        ["maximal", "table", "--op", "sigma", "--p", "0.5", "--input", "{corpus}"],  # a descriptor written by hand
+    ],
+    ids=["atoms-corpus", "verify-identities", "verify-atoms", "maximal-table-input"],
+)
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys, argv):
+    # numpy's own refusal names no field; no descriptor or report is written
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({**_DESCRIPTOR, "seed": -3}))
+    out = tmp_path / "out.json"
+    code, err = _refusal(capsys, ["--out", str(out), *(arg.format(corpus=corpus) for arg in argv)])
+    assert code == 2
+    assert err == "error: seed must be >= 0, got -3\n"
     assert not out.exists()
 
 
@@ -663,8 +713,8 @@ _MIXED_CORPUS = ["--base", "2,3", "--depth", "6", "--seed", "3", "atoms", "corpu
         (
             _DYADIC_CORPUS,
             ["--op", "riesz", "--weight", "log", "--p", "0.5"],
-            "0,2,0.80587897295701416,0.32506517248282857,0.26826446409350851\n"
-            "1,3,0.53347277394194281,0.41095140653295048,0.26056816493575941\n",
+            "0,2,0.80587897295701416,0.3250651724828284,0.26826446409350851\n"
+            "1,3,0.53347277394194281,0.41095140653295043,0.26056816493575941\n",
         ),
         (
             _DYADIC_CORPUS,
@@ -675,15 +725,15 @@ _MIXED_CORPUS = ["--base", "2,3", "--depth", "6", "--seed", "3", "atoms", "corpu
         (
             _DYADIC_CORPUS,
             ["--op", "riesz", "--weight", "unit", "--p", "0.5"],  # riesz_star, the unweighted operator
-            "0,2,0.80587897295701416,1.0783072115062369,0.54809963886792479\n"
+            "0,2,0.80587897295701416,1.0783072115062371,0.54809963886792479\n"
             "1,3,0.53347277394194281,1.3297202618499653,0.40946454617343636\n",
         ),
         (
             _MIXED_CORPUS,
             ["--op", "riesz", "--weight", "power_log", "--p", "0.3"],
             "0,4,0.52512824545507941,2.8328174327905851,0.77092785924662066\n"
-            "1,1,0.53718042602915317,0.13890011297746799,0.46088534538048859\n"
-            "2,3,0.65218659831269832,1.2760134907500673,0.71785059534836604\n",
+            "1,1,0.53718042602915317,0.13890011297746779,0.46088534538048859\n"
+            "2,3,0.65218659831269832,1.2760134907500666,0.71785059534836604\n",
         ),
     ],
     ids=["riesz-log", "sigma", "riesz-unit", "riesz-power-log-mixed-base"],
@@ -830,8 +880,8 @@ def test_maximal_table_json_bytes(tmp_path, capsys):
     assert main(argv + ["--p", "0.5"]) == 0
     argv = ["--format", "json", "maximal", "table", "--op", "riesz", "--weight", "log", "--p", "0.5"]
     rows = [
-        [0, 2, "0.80587897295701416", "0.32506517248282857", "0.26826446409350851"],
-        [1, 3, "0.53347277394194281", "0.41095140653295048", "0.26056816493575941"],
+        [0, 2, "0.80587897295701416", "0.3250651724828284", "0.26826446409350851"],
+        [1, 3, "0.53347277394194281", "0.41095140653295043", "0.26056816493575941"],
     ]
     header = ["atom", "support_level", "hardy_norm", "strong_ratio", "weak_ratio"]
     assert _stdout(capsys, argv + ["--input", str(corpus)]) == _dump_payload(header, rows, [2], depth=6, seed=1)

@@ -148,12 +148,14 @@ def test_blowup_sup_is_the_max_of_the_riesz_probes(moduli, depth):
 
 
 def test_blowup_hardy_norm_against_direct_computation():
-    base = make_base((2,), 9)
-    for k in (1, 2):
-        inst = build_instance(k, base)
-        direct = hardy_quasinorm(martingale_from_function(inst.f), 0.5)
-        table = blowup_table(base, WeightSpec.unit(), 0.5, range(k, k + 1))
-        assert table.rows[0].hardy_norm == pytest.approx(direct)
+    # the spectrum starts at M_2k, so every martingale component below the top is an exact zero
+    for moduli, depth in (((2,), 13), ((2, 3), 9), ((3,), 7), ((5,), 5)):
+        base = make_base(moduli, depth)
+        stages = range(1, (depth - 1) // 2 + 1)
+        martingales = [martingale_from_function(build_instance(k, base).f) for k in stages]
+        for p in (0.3, 0.5, 1.0):
+            rows = blowup_table(base, WeightSpec.unit(), p, stages).rows
+            assert [row.hardy_norm for row in rows] == [hardy_quasinorm(m, p) for m in martingales], (moduli, p)
 
 
 def test_hardy_norm_scaling_flat_for_dyadic():

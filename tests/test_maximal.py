@@ -203,18 +203,19 @@ def test_ratio_on_half_atom_is_finite():
     assert np.isfinite(out.weak) and out.weak > 0
 
 
-@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
 @pytest.mark.parametrize("moduli, level, deeper", [((2,), 5, 8), ((2, 3), 3, 6), ((3, 5), 2, 4)])
 def test_ratio_does_not_depend_on_the_level_it_is_given_at(moduli, level, deeper, p):
-    # components above the function's own level equal f, so they add nothing to the Hardy norm
+    # every norm is taken at the effective level, so refining the input moves no bit
     base = make_base(moduli, deeper)
     rng = np.random.default_rng(level * 10 + deeper)
-    f = _random(base, level, rng)
-    op = OperatorSpec("sigma", base.orders[level])
-    a = hp_to_lp_ratio(f, op, p)
-    b = hp_to_lp_ratio(f.at_level(deeper), op, p)
-    for field in ("hardy_norm", "strong", "weak"):
-        assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-13, abs=0)
+    atom = random_atom(base, p, rng, level_range=(0, level - 2))
+    op = OperatorSpec("sigma", base.size)
+    for f in (_random(base, level, rng), atom.values):
+        a = hp_to_lp_ratio(f, op, p)
+        b = hp_to_lp_ratio(f.at_level(deeper), op, p)
+        for field in ("hardy_norm", "strong", "weak"):
+            assert getattr(b, field) == getattr(a, field), (f.level, field)
 
 
 def test_ratio_rejects_zero_input():
@@ -366,3 +367,24 @@ def test_stream_is_bit_identical_to_a_literal_loop(case):
                     where = (shape, rep.operator, n_max, block_cells)
                     assert np.array_equal(rep.result.values.real, best), where
                     assert np.array_equal(rep.argmax, arg), where
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_stream_inputs(), st.data())
+def test_a_coarse_function_reads_as_its_refinement(case, data):
+    """n_max is a count in the base's range, not the function's: the operators on
+    f at any level it is measurable at equal, once refined, the call at full depth."""
+    f, n_rand = case
+    depth = f.base.depth
+    g = f.compress()
+    coarse = g.at_level(data.draw(st.integers(g.level, depth)))
+    reps = f.base.size // coarse.values.size
+    log = WeightSpec.log()
+    runs = (sigma_star, riesz_star, lambda h, n_max: weighted_riesz_star(h, log, n_max))
+    for n_max in sorted({1, n_rand, f.base.size}):
+        for run in runs:
+            fine, rep = run(f, n_max), run(coarse, n_max)
+            where = (rep.operator, coarse.level, n_max)
+            assert rep.result.level == coarse.level, where
+            assert np.array_equal(rep.result.at_level(depth).values, fine.result.values), where
+            assert np.array_equal(np.repeat(rep.argmax, reps), fine.argmax), where

@@ -29,7 +29,7 @@ from vilenkin.kernels import (
 )
 from vilenkin.maximal import WeightSpec
 from vilenkin.transform import CharacterSampler, rademacher
-from vilenkin.verify import check_kernel_integrals
+from vilenkin.verify import check_identities, check_kernel_integrals, run_suite
 
 _BASE = make_base((2,), 4)
 _ONE = constant(_BASE, 4, 1.0)
@@ -159,6 +159,24 @@ _RANGE = {
 }
 
 
+# entry point -> call with a negative seed; numpy's generators would refuse it in words that name no field
+_SEED = {
+    "CorpusSpec": lambda: CorpusSpec((2,), 6, 0.5, 1, -3, support_level_min=1, support_level_max=3),
+    "CorpusSpec.from_json": lambda: CorpusSpec.from_json(
+        '{"kind": "atom-corpus", "moduli": [2], "depth": 6, "p": 0.5, "count": 1, "seed": -3,'
+        ' "support_level_min": 1, "support_level_max": 3}'
+    ),
+    "check_identities": lambda: check_identities(-3, (), (), ()),
+    "suite_atoms": lambda: run_suite("atoms", seed=-3, count=2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SEED))
+def test_every_seed_refuses_a_negative_value_by_name(entry):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
+        _SEED[entry]()
+
+
 @pytest.mark.parametrize("entry", sorted(_RANGE))
 def test_every_range_entry_point_refuses_with_its_owner_text(entry):
     call, message = _RANGE[entry]
@@ -181,6 +199,7 @@ _RANGE_TEXTS = (
     "is coarser than the {noun}",
     "position {k} outside",
     "outside [1, {base.depth}]",
+    "seed must be >= 0",
 )
 
 
