@@ -5,6 +5,8 @@ consecutive even/odd generalized powers, so its spectrum is the indicator
 of one dyadic-style block of indices.  Probing its Riesz means at the
 block-start-plus-M_{2s} indices isolates a single shifted Dirichlet sum,
 which is what defeats weights growing slower than the critical rate.
+That spectrum is known, so each probe is synthesized from its M_{2s}
+weights at level 2s; the instance itself is never transformed here.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import LevelFunction, pointwise_sup, require_positive
+from .functions import LevelFunction, constant, pointwise_sup, require_positive
 from .group import VilenkinBase
-from .kernels import dirichlet, harmonic_sums, partial_sum, riesz_mean
+from .kernels import dirichlet, harmonic_sums
 from .maximal import WeightSpec
-from .transform import CharacterSampler, forward
+from .transform import CharacterSampler, Spectrum, inverse
 
 __all__ = [
     "CounterexampleInstance",
@@ -30,8 +32,6 @@ __all__ = [
     "BlowupRow",
     "BlowupTable",
 ]
-
-_SPECTRUM_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +59,8 @@ def build_instance(k: int, base: VilenkinBase) -> CounterexampleInstance:
     values: M_{2k+1} - M_{2k} on the deep zero cylinder, -M_{2k} on the
     rest of the coarser one, zero elsewhere.  Storing those keeps the
     small-p quasi-norms exact (synthesis noise raised to a small power
-    would not be harmless).  The defining spectrum property, the
-    indicator of [M_{2k}, M_{2k+1}), is verified against the transform.
+    would not be harmless).  The spectrum, the indicator of [M_{2k}, M_{2k+1}),
+    is checked against the transform by ``verify.check_identities``.
     """
     level = 2 * k + 1
     if level > base.depth:
@@ -70,38 +70,24 @@ def build_instance(k: int, base: VilenkinBase) -> CounterexampleInstance:
     vals = np.zeros(hi, dtype=np.complex128)
     vals[: hi // lo] = -lo
     vals[0] = hi - lo
-    f = LevelFunction(base, level, vals)
-    coeffs = forward(f).coeffs
-    expected = np.zeros_like(coeffs)
-    expected[lo:hi] = 1.0
-    residual = np.max(np.abs(coeffs - expected))
-    if residual > _SPECTRUM_TOL:
-        raise AssertionError(f"spectrum indicator violated (residual {residual:.3e})")
     probes = tuple(lo + base.orders[2 * s] for s in range(k))
-    return CounterexampleInstance(base, k, f, probes)
+    return CounterexampleInstance(base, k, LevelFunction(base, level, vals), probes)
 
 
 def partial_sum_closed_form(inst: CounterexampleInstance, i: int) -> LevelFunction:
-    """Case value of S_i f: zero below the block, a Dirichlet difference
-    inside it, the function itself beyond.  Asserts agreement with the
-    transform-computed partial sum."""
+    """Case value of S_i f at the first level resolving i: zero below the block,
+    a Dirichlet difference inside it, the function itself beyond.  The
+    transform-computed partial sum is ``verify.check_identities``'s oracle."""
     base = inst.base
     base.require_count(i, base.depth, "partial-sum index", least=0)
     level = inst.f.level
     while base.orders[level] < i:  # deepen until i is resolvable
         level += 1
-    f = inst.f.at_level(level)
     if i <= inst.block_start:
-        closed = LevelFunction(base, level, np.zeros(base.orders[level], dtype=np.complex128))
-    elif i < inst.block_stop:
-        closed = dirichlet(base, i, level) - dirichlet(base, inst.block_start, level)
-    else:
-        closed = f
-    direct = partial_sum(f, i)
-    residual = closed.max_abs_diff(direct)
-    if residual > 1e-10:
-        raise AssertionError(f"partial-sum case value disagrees with transform ({residual:.3e})")
-    return closed
+        return LevelFunction(base, level, np.zeros(base.orders[level], dtype=np.complex128))
+    if i < inst.block_stop:
+        return dirichlet(base, i, level) - dirichlet(base, inst.block_start, level)
+    return inst.f.at_level(level)
 
 
 def shift_identity_check(inst: CounterexampleInstance, j: int) -> float:
@@ -148,19 +134,29 @@ class RieszProbe:
 
 
 def _weighted_probe(inst: CounterexampleInstance, s: int, weight: WeightSpec) -> tuple[int, float, LevelFunction]:
-    """Probe index q = M_{2k} + M_{2s}, phi(q) and |R_q f| / phi(q)."""
+    """Probe index q = M_{2k} + M_{2s}, phi(q) and |R_q f| / phi(q) at level 2s.
+
+    R_q f = psi_{M_{2k}} sum_{i < M_{2s}} w_i psi_i with w_i = 1 - l_{M_{2k}+i} / l_q
+    (shift identity), so its modulus is the level-2s synthesis of w.  At s = 0
+    that is the constant 1 / (phi(q) l_q q), kept in closed form: 1 - l_{q-1} / l_q cancels.
+    """
     if not 0 <= s < inst.k:
         raise ValueError(f"probe stage {s} outside [0, {inst.k})")
     q = inst.probe_indices[s]
     phi = float(weight.phi(q)[q - 1])
-    return q, phi, (1.0 / phi) * riesz_mean(inst.f, q).modulus()
+    harm = harmonic_sums(q)
+    if s == 0:
+        return q, phi, constant(inst.base, 0, 1.0 / (phi * harm[q] * q))
+    w = 1.0 - harm[inst.block_start : q] / harm[q]  # _riesz_weights(q)[M_{2k}:], entry for entry
+    return q, phi, (1.0 / phi) * inverse(Spectrum(inst.base, 2 * s, w)).modulus()
 
 
 def riesz_at_q(inst: CounterexampleInstance, s: int, weight: WeightSpec) -> RieszProbe:
-    """Evaluate |R_q f| / phi(q) at probe q = M_{2k} + M_{2s} exactly."""
+    """Evaluate |R_q f| / phi(q) at probe q = M_{2k} + M_{2s}, refined to the instance level."""
     q, phi, weighted = _weighted_probe(inst, s, weight)
     base = inst.base
     level = inst.f.level
+    weighted = weighted.at_level(level)
     harm = harmonic_sums(q)
 
     m = inst.block_start
@@ -225,10 +221,11 @@ def blowup_table(
     """Exact blow-up diagnostics per stage k.
 
     The operator is the sup over the probe table of the weighted Riesz
-    mean moduli.  For p = 1/2 the numerator is the strong expression
-    (integral of |T f|^(1/2))^2; otherwise the weak threshold expression
-    lambda * mu(|T f| >= lambda)^(1/p) at the first-probe threshold
-    lambda = 1 / (phi(q0) l_{q0} q0).  The ratio column divides by the
+    mean moduli, each at its level 2s, refined once to the instance level
+    so the means sum in its order.  For p = 1/2 the numerator is the strong
+    expression (integral of |T f|^(1/2))^2; otherwise the weak threshold
+    expression lambda * mu(|T f| >= lambda)^(1/p) at lambda = 1 / (phi(q0) l_{q0} q0),
+    read from the constant s = 0 probe, so mu = 1 exactly.  The ratio column divides by the
     exact Hardy quasi-norm ||f_k||_p: the spectrum starts at M_{2k}, so
     E_n f_k = 0 for n <= 2k and f* = |f_k|.  ``BlowupTable`` describes the flag.
     """
@@ -242,14 +239,13 @@ def blowup_table(
         inst = build_instance(k, base)
         hp = inst.f.lp_quasinorm(p)
         probes = [_weighted_probe(inst, s, weight) for s in range(k)]
-        sup_fn = pointwise_sup(weighted for _, _, weighted in probes)
+        sup_fn = pointwise_sup(weighted for _, _, weighted in probes).at_level(inst.f.level)
         m2k = base.orders[2 * k]
         if p == 0.5:
             numerator = sup_fn.lp_quasinorm(0.5)  # equals (integral |T f|^(1/2))^2
             analytic = k / float(weight.phi(base.orders[2 * k + 1])[-1])
         else:
-            q0, phi0, _ = probes[0]  # the first probe's index and weight
-            lam = 1.0 / (phi0 * harmonic_sums(q0)[q0] * q0)
+            lam = float(probes[0][2].values[0].real)  # the s = 0 probe, a constant
             numerator = sup_fn.weak_lp_at(p, lam)
             phi_q = float(weight.phi(m2k + 1)[-1])
             analytic = (m2k + 1) ** (1.0 / p - 2.0) / (phi_q * np.log(m2k + 1))

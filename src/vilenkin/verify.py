@@ -25,12 +25,14 @@ from .kernels import (
     gat_kernel,
     kernel_integral_sweep,
     localization_sweeps,
+    partial_sum,
     riesz_kernel,
     riesz_kernel_abel,
     riesz_mean,
     riesz_mean_abel,
 )
 from .maximal import WeightSpec, weighted_riesz_star
+from .transform import forward
 
 __all__ = [
     "CheckResult", "SuiteReport", "run_suite", "SUITES", "check_dirichlet_blocks", "check_dyadic_fejer",
@@ -103,8 +105,8 @@ def check_identities(
     seed: int, mean_cases: Iterable[Case], kernel_cases: Iterable[Case], instance_geometries: Iterable[Geometry]
 ) -> tuple[CheckResult, ...]:
     """Criterion 3, one check per identity: the Abel routes of Riesz means (one random
-    function per case, drawn in order from ``seed``) and kernels, then the partial-sum
-    case values, shift identity and modulus-sum identity on blow-up stages 1 and 2."""
+    function per case, drawn in order from ``seed``) and kernels, then the spectrum and
+    partial-sum case values, shift identity and modulus-sum identity on blow-up stages 1 and 2."""
     require_seed(seed)
     rng = np.random.default_rng(seed)
     worst_mean = 0.0
@@ -130,11 +132,12 @@ def check_identities(
             lo, hi = inst.block_start, inst.block_stop
             probe_is = {0, 1, lo - 1, lo, lo + 1, (lo + hi) // 2, hi - 1, hi}
             probe_is.update(range(hi + 1, min(hi + 3, base.size) + 1))
-            try:
-                for i in sorted(probe_is):
-                    partial_sum_closed_form(inst, i)  # raises on any mismatch
-            except AssertionError:
-                cases_ok = False
+            spectrum = forward(inst.f).coeffs.copy()
+            spectrum[lo:hi] -= 1.0  # the indicator of [M_{2k}, M_{2k+1})
+            cases_ok &= bool(np.max(np.abs(spectrum)) <= 1e-10)
+            for i in sorted(probe_is):
+                closed = partial_sum_closed_form(inst, i)
+                cases_ok &= closed.max_abs_diff(partial_sum(inst.f.at_level(closed.level), i)) <= 1e-10
             for j in range(1, lo):
                 worst_shift = max(worst_shift, shift_identity_check(inst, j))
             for s in range(k):

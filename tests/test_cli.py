@@ -697,9 +697,9 @@ def test_counterexample_sweep_bytes(capsys):
     argv = ["--base", "2", "--depth", "9", "counterexample", "sweep", "--phi", "log", "--p", "0.5", "--kmax", "3"]
     assert _stdout(capsys, argv) == (
         "k,probe_indices,hardy_norm,numerator,ratio,analytic_lower_bound,trend_flag\n"
-        "1,5,0.25,0.048885602325656752,0.19554240930262701,0.45511961331341866,increasing\n"
-        "2,17;20,0.0625,0.018215536475441368,0.29144858360706188,0.57199933500534872,increasing\n"
-        "3,65;68;80,0.015625,0.0064265345099106131,0.41129820863427924,0.61730777865160102,increasing\n"
+        "1,5,0.25,0.048885602325656703,0.19554240930262681,0.45511961331341866,increasing\n"
+        "2,17;20,0.0625,0.018215536475441382,0.29144858360706211,0.57199933500534872,increasing\n"
+        "3,65;68;80,0.015625,0.0064265345099106036,0.41129820863427863,0.61730777865160102,increasing\n"
     )
 
 
@@ -868,7 +868,7 @@ def test_counterexample_sweep_weak_type_bytes(capsys):
     assert _stdout(capsys, argv) == (
         "k,probe_indices,hardy_norm,numerator,ratio,analytic_lower_bound,trend_flag\n"
         "1,5,0.039372532809214773,0.048885602325656696,1.2416169049255443,2.9648728280046983,increasing\n"
-        "2,17;20,0.0015501963398126938,0.0022679473727057154,1.4630065330819615,5.3378403242115349,increasing\n"
+        "2,17;20,0.0015501963398126938,0.0059169163290832437,3.8168818859410862,5.3378403242115349,increasing\n"
         "3,65;68;80,6.1035156249999973e-05,0.00077155619147890419,12.641176641190372,14.943311034854197,increasing\n"
     )
 
@@ -891,7 +891,7 @@ def test_counterexample_sweep_json_bytes(capsys):
     argv = ["--base", "2", "--depth", "9", "--format", "json", "counterexample", "sweep", "--phi", "log"]
     rows = [
         [1, "5", "0.039372532809214773", "0.048885602325656696", "1.2416169049255443", "2.9648728280046983"],
-        [2, "17;20", "0.0015501963398126938", "0.0022679473727057154", "1.4630065330819615", "5.3378403242115349"],
+        [2, "17;20", "0.0015501963398126938", "0.0059169163290832437", "3.8168818859410862", "5.3378403242115349"],
         [3, "65;68;80", "6.1035156249999973e-05", "0.00077155619147890419", "12.641176641190372", "14.943311034854197"],
     ]
     header = ["k", "probe_indices", "hardy_norm", "numerator", "ratio", "analytic_lower_bound", "trend_flag"]

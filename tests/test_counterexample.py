@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilenkin.counterexample import (
     blowup_table,
@@ -11,7 +15,7 @@ from vilenkin.counterexample import (
 from vilenkin.functions import LevelFunction
 from vilenkin.group import make_base
 from vilenkin.hardy import hardy_quasinorm, martingale_from_function
-from vilenkin.kernels import dirichlet, harmonic_sums
+from vilenkin.kernels import dirichlet, harmonic_sums, partial_sum, riesz_mean
 from vilenkin.maximal import WeightSpec
 from vilenkin.transform import CharacterSampler, forward
 
@@ -45,7 +49,8 @@ def test_partial_sum_case_values_exhaustive(moduli, depth):
             continue
         inst = build_instance(k, base)
         for i in range(base.size + 1):
-            closed = partial_sum_closed_form(inst, i)  # raises on mismatch
+            closed = partial_sum_closed_form(inst, i)
+            assert closed.max_abs_diff(partial_sum(inst.f.at_level(closed.level), i)) < 1e-10
             if i <= inst.block_start:
                 assert np.max(np.abs(closed.values)) < 1e-12
             elif i >= inst.block_stop:
@@ -134,6 +139,59 @@ def test_blowup_table_weak_route():
     assert all(np.isfinite(r.ratio) and r.ratio > 0 for r in table.rows)
     # the threshold event has positive measure by construction
     assert table.rows[0].numerator > 0
+
+
+@pytest.mark.parametrize("moduli, depth", [((2,), 15), ((2, 3), 9), ((2, 3, 5), 7)])
+def test_weak_threshold_event_is_the_whole_group(moduli, depth):
+    # the s = 0 probe is the constant lambda = 1 / (phi(q0) l_q0 q0), so mu(sup >= lambda) = 1
+    # at every stage and the weak numerator lambda * mu^(1/p) is lambda itself
+    base = make_base(moduli, depth)
+    stages = range(1, (depth - 1) // 2 + 1)
+    for weight in (WeightSpec.unit(), WeightSpec.log(), WeightSpec.power_log(0.3)):
+        for p in (0.3, 1.0):
+            for row in blowup_table(base, weight, p, stages).rows:
+                q0 = row.probe_indices[0]
+                lam = 1.0 / (float(weight.phi(q0)[q0 - 1]) * harmonic_sums(q0)[q0] * q0)
+                assert row.numerator == lam, (moduli, weight.kind, p, row.k)
+
+
+_PROBE_CELLS = 4096  # most cells at the instance level 2k + 1
+_PROBE_WEIGHTS = (
+    WeightSpec.unit(),
+    WeightSpec.log(),
+    WeightSpec.power_log(0.3),
+    WeightSpec.power_log_sq(0.3),
+    WeightSpec.custom(range(1, _PROBE_CELLS + 1)),
+)
+
+
+@st.composite
+def _instance_bases(draw):
+    """A random mixed-radix base (moduli 2-7) at the deepest odd level 2k + 1 >= 3
+    that keeps at most _PROBE_CELLS cells."""
+    pattern = draw(st.lists(st.integers(2, 7), min_size=1, max_size=4))
+    orders = list(itertools.accumulate(itertools.islice(itertools.cycle(pattern), 15), lambda a, m: a * m))
+    depth = max(d for d in range(3, 16, 2) if orders[d - 1] <= _PROBE_CELLS)  # M_3 <= 7^3 always fits
+    return make_base(pattern, depth)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_instance_bases())
+def test_coarse_probe_matches_the_riesz_mean_of_the_instance(base):
+    """The probe synthesized at level 2s from its known weights, refined, against
+    the Riesz mean of the instance itself; and the spectrum that shortcut rests on."""
+    for k in range(1, (base.depth - 1) // 2 + 1):
+        inst = build_instance(k, base)
+        expected = np.zeros(base.orders[inst.f.level])
+        expected[inst.block_start : inst.block_stop] = 1.0
+        assert np.max(np.abs(forward(inst.f).coeffs - expected)) < 1e-10
+        for s in range(1, k):
+            q = inst.probe_indices[s]
+            mean = riesz_mean(inst.f, q).modulus()
+            for weight in _PROBE_WEIGHTS:
+                probe = riesz_at_q(inst, s, weight).weighted
+                oracle = (1.0 / float(weight.phi(q)[q - 1])) * mean
+                assert probe.max_abs_diff(oracle) <= 1e-13 * np.max(np.abs(probe.values)), (k, s, weight.kind)
 
 
 @pytest.mark.parametrize("moduli, depth", [((2,), 9), ((2, 3), 7)])
