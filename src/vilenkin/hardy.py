@@ -65,6 +65,16 @@ class Martingale:
             if not stepped.max_abs_diff(self.components[n]) <= tol:  # NaN in either is refused
                 raise ValueError(f"components {n} and {n + 1} violate adaptedness")
 
+    @classmethod
+    def _adopt(cls, base: VilenkinBase, components: tuple[LevelFunction, ...]) -> "Martingale":
+        """Keep ``components`` without the adaptedness check, as
+        :meth:`LevelFunction._adopt` keeps an array without a copy: only for
+        components adapted by construction, such as the tower's."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "base", base)
+        object.__setattr__(m, "components", components)
+        return m
+
     @property
     def top_level(self) -> int:
         return len(self.components) - 1
@@ -76,11 +86,12 @@ class Martingale:
 
 def martingale_from_function(f: LevelFunction) -> Martingale:
     """Conditional expectations E_0 f .. E_N f of f at every level up to its own N,
-    each taken from the one above it: one digit's step of ``conditional_expectation``."""
+    each taken from the one above it: one digit's step of ``conditional_expectation``.
+    The tower makes them adapted, so the result skips the public check."""
     comps = [f]
     for n in reversed(range(f.level)):
         comps.append(comps[-1].conditional_expectation(n))
-    return Martingale(f.base, tuple(reversed(comps)))
+    return Martingale._adopt(f.base, tuple(reversed(comps)))
 
 
 def hardy_quasinorm(m: Martingale, p: float) -> float:

@@ -11,10 +11,12 @@ default, and the only form the sweeps stream; ``fejer_kernel`` and
 
 Every spectral-weight synthesis of a kernel or mean goes through
 ``_window`` and every sample-domain stream (here and in the maximal and
-counterexample modules) through :meth:`CharacterSampler.partial_sums`;
-each route is the other's oracle.  The stream is exact on dyadic and
-mod-4 digits and updates psi_n carry by carry; its kernels D_n are
-float64 when every modulus up to the level is 2.  The sweeps and
+counterexample modules) through :meth:`CharacterSampler.partial_sums`,
+save a maximal operator's head that fits one block, whose same sums come
+from one :meth:`CharacterSampler.characters` table; each route is the
+other's oracle.  The stream is exact on dyadic and mod-4 digits and
+updates psi_n carry by carry; its kernels D_n are float64 when every
+modulus up to the level is 2.  The sweeps and
 ``_riesz_abel`` take their Fejer sums sum_{k<=n} S_k as
 ``itertools.accumulate`` over the stream.  The two routes of the public
 kernels and means, ``_window`` and ``_riesz_abel``, make the index check

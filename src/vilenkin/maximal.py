@@ -149,11 +149,17 @@ def _stream_sup(
 
     One loop walks n in blocks of about _BLOCK_CELLS cells.  Each row of a
     block holds its increment S_n / a_n (S_n f = f past the last nonzero
-    coefficient, so only the rows up to it draw a partial sum), and one
+    coefficient h, so only the rows up to it draw a partial sum), and one
     sequential cumsum from the carried acc accumulates the block in the
-    order of a plain loop over n.  A first-occurrence argmax per block with
-    a strict improvement across blocks keeps the per-step tie rule, so the
-    result and argmax are bit-identical to that loop.
+    order of a plain loop over n.  When S_1..S_h fit the first block (a
+    short spectrum on few cells, where a step costs more than its arithmetic)
+    they are one row cumsum of c_n psi_n over
+    :meth:`CharacterSampler.characters`, written into that block; otherwise
+    (where a table is slower than the stream) they are drawn step by step
+    from :meth:`CharacterSampler.partial_sums`.  Both give the same sums bit
+    for bit.  A first-occurrence argmax per block with a strict
+    improvement across blocks keeps the per-step tie rule, so the result
+    and argmax are bit-identical to that loop.
     """
     f.base.require_count(n_max, f.base.depth, "n_max")
     ns = np.arange(1, n_max + 1, dtype=np.float64)
@@ -167,10 +173,18 @@ def _stream_sup(
     coeffs = forward(g).coeffs
     nonzero = np.flatnonzero(coeffs)
     head = min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0)
-    stream = CharacterSampler(g.base, g.level).partial_sums(head, coeffs)
-    s = np.zeros(total, dtype=np.complex128)  # S_n f, still zero if the head is empty
+    sampler = CharacterSampler(g.base, g.level)
     rows = min(n_max, max(1, _BLOCK_CELLS // total))
     cum = np.zeros((rows + 1, total), dtype=np.complex128)  # carried acc, then the block's rows
+    if head <= rows:  # S_1..S_head fit the first block: one character table
+        sums = cum[1 : head + 1]
+        np.multiply(coeffs[:head, None], sampler.characters(head), out=sums)
+        np.cumsum(sums, axis=0, out=sums)
+        s = cum[head].copy()  # S_n f for the tail; the zero acc if the head is empty
+        sums *= w[:head, None]
+        stream = iter(())
+    else:  # every row of the first block draws S_n, so s is set before a tail row reads it
+        stream = sampler.partial_sums(head, coeffs)
     vals = np.empty((rows, total))
     best = np.full(total, -1.0)
     arg = np.zeros(total, dtype=np.int64)
@@ -193,7 +207,7 @@ def _stream_sup(
         arg[better] = lo + top[better]
         cum[0] = cum[k]
     reps = f.base.orders[f.level] // total
-    result = LevelFunction(f.base, f.level, np.repeat(best, reps))
+    result = LevelFunction._adopt(f.base, f.level, np.repeat(best, reps).astype(np.complex128))
     return MaximalReport(label, n_max, result, np.repeat(arg, reps))
 
 

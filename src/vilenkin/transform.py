@@ -115,6 +115,32 @@ class CharacterSampler:
                 out = self._phase(j, d) * out
         return out
 
+    def characters(self, rows: int) -> np.ndarray:
+        """psi_0..psi_{rows-1} on the level cylinders, one per row of a new
+        (rows, M_level) table of ``dtype``.
+
+        Row n is the suffix product P_0 of :meth:`partial_sums`, the same
+        factors multiplied in the same order as there and in :meth:`character`,
+        so the three agree bit for bit.  P_j depends on n only through
+        n // M_j, so the distinct P_j are built from the distinct P_{j+1}, top
+        digit down: row q of P_j is phase(j, q % m_j) times row q // m_j of
+        P_{j+1}, one multiply per nonzero digit value and none for the digits
+        that are zero for every n < rows.
+        """
+        self.base.require_count(rows, self.level, "rows", least=0)
+        orders = self.base.orders
+        table = np.ones((1, orders[self.level]), dtype=self.dtype)  # P_j for every digit j with M_j >= rows
+        for j in reversed(range(self.level)):
+            if orders[j] >= rows:
+                continue
+            m = self.base.moduli[j]
+            out = np.empty((-(-rows // orders[j]), table.shape[1]), dtype=self.dtype)  # one row per n // M_j
+            out[::m] = table[: len(out[::m])]
+            for d in range(1, min(m, len(out))):
+                np.multiply(self._phase(j, d), table[: len(out[d::m])], out=out[d::m])
+            table = out
+        return table[:rows]
+
     def partial_sums(self, n_max: int, coeffs: np.ndarray | None = None) -> Iterator[np.ndarray]:
         """Sampled partial sums S_n = sum_{j<n} c_j psi_j for n = 1..n_max.
 
@@ -122,8 +148,10 @@ class CharacterSampler:
         the sums are complex128.  Zero coefficients are skipped, so a stream
         may run past M_level only over zero coefficients, and is refused
         before its first step otherwise.  Every sample-domain stream of the
-        library walks this generator.  Each step yields a new array that
-        later steps never write.
+        library walks this generator, save the maximal operators' head when
+        it fits one block, which takes the same sums bit for bit as the row
+        cumsum of ``c[:, None] * characters(h)``.  Each step yields a new
+        array that later steps never write.
 
         psi_n is the suffix product P_0, where P_j = phase(j, n_j) P_{j+1}
         over the digits of n.  Going from n to n + 1 changes only digits

@@ -705,6 +705,7 @@ def test_counterexample_sweep_bytes(capsys):
 
 _DYADIC_CORPUS = ["--base", "2", "--depth", "6", "--seed", "1", "atoms", "corpus", "--count", "2", "--p", "0.5"]
 _MIXED_CORPUS = ["--base", "2,3", "--depth", "6", "--seed", "3", "atoms", "corpus", "--count", "3", "--p", "0.3"]
+_MIXED_HALF_CORPUS = ["--base", "2,3", "--depth", "6", "--seed", "7", "atoms", "corpus", "--count", "3", "--p", "0.5"]
 
 
 @pytest.mark.parametrize(
@@ -735,8 +736,22 @@ _MIXED_CORPUS = ["--base", "2,3", "--depth", "6", "--seed", "3", "atoms", "corpu
             "1,1,0.53718042602915317,0.13890011297746779,0.46088534538048859\n"
             "2,3,0.65218659831269832,1.2760134907500666,0.71785059534836604\n",
         ),
+        (
+            _MIXED_HALF_CORPUS,
+            ["--op", "riesz", "--weight", "log", "--p", "0.5"],
+            "0,4,0.64879864618590721,0.36421066958705445,0.20088744910838416\n"
+            "1,3,0.67276182065015078,0.60567418104420401,0.32070061403182543\n"
+            "2,4,0.69338893951721858,0.35755059924603183,0.19223822276007074\n",
+        ),
+        (
+            _MIXED_HALF_CORPUS,
+            ["--op", "sigma", "--p", "0.5"],
+            "0,4,0.64879864618590721,6.1921621274268057,0.78530371312812652\n"
+            "1,3,0.67276182065015078,6.0791339573014866,0.94629004749761048\n"
+            "2,4,0.69338893951721858,6.6469366076958289,0.80530995755248191\n",
+        ),
     ],
-    ids=["riesz-log", "sigma", "riesz-unit", "riesz-power-log-mixed-base"],
+    ids=["riesz-log", "sigma", "riesz-unit", "riesz-power-log-mixed-base", "riesz-log-mixed-base", "sigma-mixed-base"],
 )
 def test_maximal_table_bytes(tmp_path, capsys, corpus_argv, flags, rows):
     corpus = tmp_path / "corpus.json"

@@ -345,3 +345,24 @@ def test_tower_martingale_matches_conditional_expectations(pattern, seed):
             got = above.conditional_expectation(n)
             assert got.level == n
             assert np.max(np.abs(got.values - oracle)) <= tol
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(2, 9), min_size=1, max_size=8), st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 1.0]))
+def test_tower_martingale_passes_the_public_check(pattern, seed, p):
+    # martingale_from_function skips the adaptedness check; the tower's components pass it anyway
+    depth = 1
+    while depth < len(pattern) and np.prod(pattern[: depth + 1]) <= 4096:
+        depth += 1
+    base = make_base(tuple(pattern[:depth]), depth)
+    rng = np.random.default_rng(seed)
+    level = int(rng.integers(0, depth + 1))
+    size = base.orders[level]
+    scale = 10.0 ** rng.integers(-3, 4)
+    inputs = [LevelFunction(base, level, scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size)))]
+    if depth >= 2:
+        inputs.append(random_atom(base, p, rng, extra_depth=int(rng.integers(1, depth))).values)
+    for g in inputs:
+        m = martingale_from_function(g)
+        assert type(m) is Martingale
+        Martingale(m.base, m.components)  # raises on components that are not adapted

@@ -278,6 +278,17 @@ def _stream_inputs(draw):
 _BLOCK_SIZES = (maximal._BLOCK_CELLS, 1, 7)
 
 
+def _head_edge_blocks(f, n_max):
+    """Block sizes at the edge of the head's path: a first block of exactly h
+    rows, where S_1..S_h come from one character table, and of h - 1 rows,
+    where the head spills into the next block and streams step by step."""
+    g = f.compress()
+    nonzero = np.flatnonzero(forward(g).coeffs)
+    head = min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0)
+    cells = g.values.size
+    return tuple(rows * cells for rows in (head, head - 1) if rows >= 1)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_stream_inputs())
 def test_stream_matches_per_n_means(case):
@@ -343,7 +354,8 @@ def _literal_sup(f, n_max, mode, divisors):
 @given(_stream_inputs())
 def test_stream_is_bit_identical_to_a_literal_loop(case):
     """Result and argmax equal, bit for bit, on head-only, tail-only and mixed
-    runs, with the head ending inside a block and on a block edge."""
+    runs, with the head ending inside a block and on a block edge, and with a
+    head that fills the first block or spills one row past it."""
     f, n_rand = case
     top = f.base.size
     nonzero = np.flatnonzero(forward(f).coeffs)
@@ -360,7 +372,7 @@ def test_stream_is_bit_identical_to_a_literal_loop(case):
             ]
             for run, (mode, divisors) in runs:
                 best, arg = _literal_sup(g, n_max, mode, divisors)
-                for block_cells in _BLOCK_SIZES:
+                for block_cells in _BLOCK_SIZES + _head_edge_blocks(g, n_max):
                     with pytest.MonkeyPatch.context() as mp:
                         mp.setattr(maximal, "_BLOCK_CELLS", block_cells)
                         rep = run()

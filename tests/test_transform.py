@@ -288,6 +288,52 @@ def test_carry_incremental_stream_matches_the_character_matrix(case):
         assert np.array_equal(last, sampler.character(k)), (level, k)
 
 
+_TABLE_CELLS = 512  # largest base whose character tables are checked row by row
+
+
+@st.composite
+def _table_cases(draw):
+    """A random mixed-radix base ((3,) and (2, 3) among them) of at most
+    _TABLE_CELLS cells, a level on it, a row count and a seed."""
+    pattern = draw(
+        st.one_of(st.sampled_from([(2,), (3,), (2, 3)]), st.lists(st.integers(2, 7), min_size=1, max_size=4))
+    )
+    depth = 1
+    while make_base(pattern, depth + 1).size <= _TABLE_CELLS:
+        depth += 1
+    base = make_base(pattern, depth)
+    level = draw(st.integers(0, depth))
+    return base, level, draw(st.integers(0, base.orders[level])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_table_cases())
+def test_character_table_matches_the_stream_bit_for_bit(case):
+    """Row n of characters(rows) is character(n), and the row cumsum of
+    c[:, None] * characters(h) is the stream's S_1..S_h, both bit for bit."""
+    base, level, rows, seed = case
+    sampler = CharacterSampler(base, level)
+    table = sampler.characters(rows)
+    assert table.shape == (rows, base.orders[level]) and table.dtype == sampler.dtype
+    for n in range(rows):
+        assert np.array_equal(table[n], sampler.character(n)), n
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    c[rng.random(rows) < 0.5] = 0.0  # the stream skips zero coefficients, the table adds 0 * psi_n
+    got = np.cumsum(c[:, None] * table, axis=0)
+    want = list(sampler.partial_sums(rows, c))
+    assert len(want) == rows
+    for n, s in enumerate(want):
+        assert np.array_equal(got[n], s), n
+
+
+def test_character_table_refuses_a_row_its_level_cannot_resolve():
+    sampler = CharacterSampler(make_base((2, 3), 4), 2)
+    assert sampler.characters(0).shape == (0, 6)
+    with pytest.raises(ValueError, match="index 7 not resolvable at level 2"):
+        sampler.characters(7)
+
+
 @pytest.mark.parametrize("moduli, depth", [((2, 3), 6), ((2,), 10)])
 def test_stream_rebuilds_no_character(monkeypatch, moduli, depth):
     """The stream updates the suffix products, never a whole character."""
