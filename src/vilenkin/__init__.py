@@ -17,9 +17,7 @@ from .group import (
     load_base,
     make_base,
     nat_expand,
-    point_add,
     point_of,
-    point_sub,
     rank_of,
     unit_point,
     zero_point,

@@ -6,7 +6,8 @@ of one dyadic-style block of indices.  Probing its Riesz means at the
 block-start-plus-M_{2s} indices isolates a single shifted Dirichlet sum,
 which is what defeats weights growing slower than the critical rate.
 That spectrum is known, so each probe is synthesized from its M_{2s}
-weights at level 2s; the instance itself is never transformed here.
+weights at level 2s, where ``riesz_at_q`` also takes its modulus-sum bound
+and shell diagnostics; the instance itself is never transformed here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .functions import LevelFunction, constant, pointwise_sup, require_positive
 from .group import VilenkinBase
-from .kernels import dirichlet, harmonic_sums
+from .kernels import _riesz_weights, dirichlet, harmonic_sums
 from .maximal import WeightSpec
 from .transform import CharacterSampler, Spectrum, inverse
 
@@ -144,38 +145,31 @@ def _weighted_probe(inst: CounterexampleInstance, s: int, weight: WeightSpec) ->
         raise ValueError(f"probe stage {s} outside [0, {inst.k})")
     q = inst.probe_indices[s]
     phi = float(weight.phi(q)[q - 1])
-    harm = harmonic_sums(q)
     if s == 0:
-        return q, phi, constant(inst.base, 0, 1.0 / (phi * harm[q] * q))
-    w = 1.0 - harm[inst.block_start : q] / harm[q]  # _riesz_weights(q)[M_{2k}:], entry for entry
+        return q, phi, constant(inst.base, 0, 1.0 / (phi * harmonic_sums(q)[q] * q))
+    w = _riesz_weights(q, start=inst.block_start)
     return q, phi, (1.0 / phi) * inverse(Spectrum(inst.base, 2 * s, w)).modulus()
 
 
 def riesz_at_q(inst: CounterexampleInstance, s: int, weight: WeightSpec) -> RieszProbe:
-    """Evaluate |R_q f| / phi(q) at probe q = M_{2k} + M_{2s}, refined to the instance level."""
+    """Evaluate |R_q f| / phi(q) at probe q = M_{2k} + M_{2s}, refined to the instance level.
+    The mean and its bound sum_{j <= M_{2s}} |D_j| / (j + M_{2k}) are level-2s functions,
+    so the diagnostics are read at level 2s, where I_{2s} is cell 0."""
     q, phi, weighted = _weighted_probe(inst, s, weight)
-    base = inst.base
-    level = inst.f.level
-    weighted = weighted.at_level(level)
-    harm = harmonic_sums(q)
-
+    harm_q = harmonic_sums(q)[q]
     m = inst.block_start
-    m2s = base.orders[2 * s]
-    total = base.orders[level]
-    bound_vals = np.zeros(total, dtype=np.float64)
-    for j, d in enumerate(CharacterSampler(base, level).partial_sums(m2s), start=1):
+    m2s = inst.base.orders[2 * s]
+    bound_vals = np.zeros(m2s, dtype=np.float64)
+    for j, d in enumerate(CharacterSampler(inst.base, 2 * s).partial_sums(m2s), start=1):
         bound_vals += np.abs(d) / (j + m)
-    bound_vals /= phi * harm[q]
+    bound_vals /= phi * harm_q
 
-    support_width = total // base.orders[2 * s]
     diff = np.real(weighted.values) - bound_vals
-    identity_residual = float(np.max(np.abs(diff[:support_width])))
+    identity_residual = float(abs(diff[0]))
     triangle_slack = float(np.max(diff))
-
-    shell_start = support_width // base.moduli[2 * s]  # past the zero level-(2s+1) block
-    shell_value = float(np.real(weighted.values[shell_start]))
-    lower = m2s**2 / (phi * harm[q] * m)
-    return RieszProbe(s, q, weighted, identity_residual, triangle_slack, shell_value, lower)
+    shell_value = float(np.real(weighted.values[0]))  # the shell I_{2s} \ I_{2s+1} lies in cell 0
+    lower = m2s**2 / (phi * harm_q * m)
+    return RieszProbe(s, q, weighted.at_level(inst.f.level), identity_residual, triangle_slack, shell_value, lower)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,6 @@ __all__ = [
     "load_base",
     "zero_point",
     "unit_point",
-    "point_add",
-    "point_sub",
     "rank_of",
     "point_of",
     "nat_expand",
@@ -180,10 +178,16 @@ class GroupPoint:
                 raise ValueError(f"digit {c} at position {k} not in [0, {m})")
 
     def __add__(self, other: "GroupPoint") -> "GroupPoint":
-        return point_add(self, other)
+        """Digit-wise addition modulo the per-level modulus."""
+        _check_same_base(self.base, other.base)
+        coords = tuple((a + b) % m for a, b, m in zip(self.coords, other.coords, self.base.moduli))
+        return GroupPoint(self.base, coords)
 
     def __sub__(self, other: "GroupPoint") -> "GroupPoint":
-        return point_sub(self, other)
+        """Inverse of ``+``."""
+        _check_same_base(self.base, other.base)
+        coords = tuple((a - b) % m for a, b, m in zip(self.coords, other.coords, self.base.moduli))
+        return GroupPoint(self.base, coords)
 
 
 def zero_point(base: VilenkinBase) -> GroupPoint:
@@ -201,20 +205,6 @@ def unit_point(base: VilenkinBase, k: int, value: int = 1) -> GroupPoint:
 def _check_same_base(a: VilenkinBase, b: VilenkinBase) -> None:
     if a is not b and a != b:  # identity first: one base object is shared by a whole family
         raise ValueError("mismatched bases")
-
-
-def point_add(x: GroupPoint, y: GroupPoint) -> GroupPoint:
-    """Digit-wise addition modulo the per-level modulus."""
-    _check_same_base(x.base, y.base)
-    coords = tuple((a + b) % m for a, b, m in zip(x.coords, y.coords, x.base.moduli))
-    return GroupPoint(x.base, coords)
-
-
-def point_sub(x: GroupPoint, y: GroupPoint) -> GroupPoint:
-    """Inverse of :func:`point_add`."""
-    _check_same_base(x.base, y.base)
-    coords = tuple((a - b) % m for a, b, m in zip(x.coords, y.coords, x.base.moduli))
-    return GroupPoint(x.base, coords)
 
 
 def rank_of(x: GroupPoint, level: int) -> int:
@@ -324,7 +314,7 @@ def coset_partition(base: VilenkinBase, level: int) -> list[Cylinder]:
         for xk in range(1, base.moduli[k]):
             for l in range(k + 1, level):
                 for xl in range(1, base.moduli[l]):
-                    anchor = point_add(unit_point(base, k, xk), unit_point(base, l, xl))
+                    anchor = unit_point(base, k, xk) + unit_point(base, l, xl)
                     cells.append(Cylinder.at(anchor, l + 1))
     for k in range(level):
         for xk in range(1, base.moduli[k]):

@@ -118,10 +118,12 @@ def _mean_weights(n: int, convention: KernelConvention) -> np.ndarray:
     return (n - 1 - j) / n
 
 
-def _riesz_weights(n: int) -> np.ndarray:
-    """Per-character weights (l_n - l_j) / l_n of the Riesz kernel, j < n."""
+def _riesz_weights(n: int, start: int = 0) -> np.ndarray:
+    """Per-character weights (l_n - l_j) / l_n of the Riesz kernel, start <= j < n: all of
+    them for the Riesz kernel and mean (through ``_window``), and the block from
+    start = M_{2k} for the blow-up probes (``counterexample._weighted_probe``)."""
     harm = harmonic_sums(n)
-    return 1.0 - harm[:n] / harm[n]
+    return 1.0 - harm[start:n] / harm[n]
 
 
 def fejer_kernel(

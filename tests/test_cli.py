@@ -703,6 +703,17 @@ def test_counterexample_sweep_bytes(capsys):
     )
 
 
+def test_counterexample_sweep_bytes_non_dyadic(capsys):
+    # the strong numerator sums level-2s syntheses of the probe weights over complex characters
+    argv = ["--base", "2,3", "--depth", "7", "counterexample", "sweep", "--phi", "log", "--p", "0.5", "--kmax", "3"]
+    assert _stdout(capsys, argv) == (
+        "k,probe_indices,hardy_norm,numerator,ratio,analytic_lower_bound,trend_flag\n"
+        "1,7,0.16666666666666663,0.026495776692175638,0.15897466015305386,0.38987124525128009,increasing\n"
+        "2,37;42,0.027777777777777776,0.0081295760859745048,0.29266473909508217,0.4661505434170185,increasing\n"
+        "3,217;222;252,0.0046296296296296294,0.0020243429809284922,0.43725808388055437,0.49417387711577476,increasing\n"
+    )
+
+
 _DYADIC_CORPUS = ["--base", "2", "--depth", "6", "--seed", "1", "atoms", "corpus", "--count", "2", "--p", "0.5"]
 _MIXED_CORPUS = ["--base", "2,3", "--depth", "6", "--seed", "3", "atoms", "corpus", "--count", "3", "--p", "0.3"]
 _MIXED_HALF_CORPUS = ["--base", "2,3", "--depth", "6", "--seed", "7", "atoms", "corpus", "--count", "3", "--p", "0.5"]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,18 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vilenkin.counterexample import (
+    RieszProbe,
     blowup_table,
     build_instance,
     partial_sum_closed_form,
     riesz_at_q,
     shift_identity_check,
 )
-from vilenkin.functions import LevelFunction
+from vilenkin.functions import LevelFunction, constant
 from vilenkin.group import make_base
 from vilenkin.hardy import hardy_quasinorm, martingale_from_function
 from vilenkin.kernels import dirichlet, harmonic_sums, partial_sum, riesz_mean
 from vilenkin.maximal import WeightSpec
-from vilenkin.transform import CharacterSampler, forward
+from vilenkin.transform import CharacterSampler, Spectrum, forward, inverse
 
 
 def test_build_instance_dyadic_stage_one():
@@ -192,6 +194,60 @@ def test_coarse_probe_matches_the_riesz_mean_of_the_instance(base):
                 probe = riesz_at_q(inst, s, weight).weighted
                 oracle = (1.0 / float(weight.phi(q)[q - 1])) * mean
                 assert probe.max_abs_diff(oracle) <= 1e-13 * np.max(np.abs(probe.values)), (k, s, weight.kind)
+
+
+def _instance_level_probe(inst, s, weight):
+    """The probe with its bound and diagnostics walked on every cell of the
+    instance level 2k + 1, its weights sliced from the harmonic sums directly."""
+    q = inst.probe_indices[s]
+    phi = float(weight.phi(q)[q - 1])
+    harm = harmonic_sums(q)
+    if s == 0:
+        weighted = constant(inst.base, 0, 1.0 / (phi * harm[q] * q))
+    else:
+        w = 1.0 - harm[inst.block_start : q] / harm[q]
+        weighted = (1.0 / phi) * inverse(Spectrum(inst.base, 2 * s, w)).modulus()
+    base = inst.base
+    level = inst.f.level
+    weighted = weighted.at_level(level)
+
+    m = inst.block_start
+    m2s = base.orders[2 * s]
+    total = base.orders[level]
+    bound_vals = np.zeros(total, dtype=np.float64)
+    for j, d in enumerate(CharacterSampler(base, level).partial_sums(m2s), start=1):
+        bound_vals += np.abs(d) / (j + m)
+    bound_vals /= phi * harm[q]
+
+    support_width = total // base.orders[2 * s]
+    diff = np.real(weighted.values) - bound_vals
+    identity_residual = float(np.max(np.abs(diff[:support_width])))
+    triangle_slack = float(np.max(diff))
+
+    shell_start = support_width // base.moduli[2 * s]  # past the zero level-(2s+1) block
+    shell_value = float(np.real(weighted.values[shell_start]))
+    lower = m2s**2 / (phi * harm[q] * m)
+    return RieszProbe(s, q, weighted, identity_residual, triangle_slack, shell_value, lower)
+
+
+# (2, 2, 3): the level-2s sampler is float64 for s <= 1, the instance-level one complex128
+@pytest.mark.parametrize(
+    "moduli, depth", [((2,), 13), ((2, 3), 9), ((3,), 7), ((5,), 5), ((2, 2, 3), 9), ((2, 3, 5), 7)]
+)
+@pytest.mark.parametrize(
+    "weight", [WeightSpec.unit(), WeightSpec.log(), WeightSpec.power_log(0.3)], ids=lambda w: w.kind
+)
+def test_riesz_probe_matches_the_instance_level_route(moduli, depth, weight):
+    base = make_base(moduli, depth)
+    scalars = [f.name for f in dataclasses.fields(RieszProbe) if f.name != "weighted"]
+    for k in range(1, (depth - 1) // 2 + 1):
+        inst = build_instance(k, base)
+        for s in range(k):
+            got, want = riesz_at_q(inst, s, weight), _instance_level_probe(inst, s, weight)
+            assert got.weighted.level == want.weighted.level
+            assert np.array_equal(got.weighted.values, want.weighted.values), (k, s)
+            for name in scalars:
+                assert getattr(got, name) == getattr(want, name), (k, s, name)
 
 
 @pytest.mark.parametrize("moduli, depth", [((2,), 9), ((2, 3), 7)])
