@@ -8,6 +8,8 @@ which is what defeats weights growing slower than the critical rate.
 That spectrum is known, so each probe is synthesized from its M_{2s}
 weights at level 2s, where ``riesz_at_q`` also takes its modulus-sum bound
 and shell diagnostics; the instance itself is never transformed here.
+A weak blow-up row's numerator is the constant s = 0 probe, lambda by
+construction; only p = 1/2 rows build the s >= 1 probes.
 """
 
 from __future__ import annotations
@@ -214,14 +216,14 @@ def blowup_table(
 ) -> BlowupTable:
     """Exact blow-up diagnostics per stage k.
 
-    The operator is the sup over the probe table of the weighted Riesz
-    mean moduli, each at its level 2s, refined once to the instance level
-    so the means sum in its order.  For p = 1/2 the numerator is the strong
-    expression (integral of |T f|^(1/2))^2; otherwise the weak threshold
-    expression lambda * mu(|T f| >= lambda)^(1/p) at lambda = 1 / (phi(q0) l_{q0} q0),
-    read from the constant s = 0 probe, so mu = 1 exactly.  The ratio column divides by the
-    exact Hardy quasi-norm ||f_k||_p: the spectrum starts at M_{2k}, so
-    E_n f_k = 0 for n <= 2k and f* = |f_k|.  ``BlowupTable`` describes the flag.
+    For p = 1/2 the numerator is the strong expression (integral of |T f|^(1/2))^2
+    of the sup over the probe table of the weighted Riesz mean moduli, each at its
+    level 2s, refined once to the instance level so the means sum in its order; only
+    these rows build the s >= 1 probes.  Otherwise it is the weak threshold expression
+    lambda * mu(|T f| >= lambda)^(1/p) at lambda = 1 / (phi(q0) l_{q0} q0), the constant
+    s = 0 probe: the sup includes it, so mu = 1 and the numerator is lambda by construction.
+    The ratio column divides by the exact Hardy quasi-norm ||f_k||_p: the spectrum starts
+    at M_{2k}, so E_n f_k = 0 for n <= 2k and f* = |f_k|.  ``BlowupTable`` describes the flag.
     """
     require_positive(p, "p")
     if not k_range:
@@ -232,17 +234,17 @@ def blowup_table(
             raise ValueError("stages start at k = 1")
         inst = build_instance(k, base)
         hp = inst.f.lp_quasinorm(p)
-        probes = [_weighted_probe(inst, s, weight) for s in range(k)]
-        sup_fn = pointwise_sup(weighted for _, _, weighted in probes).at_level(inst.f.level)
         m2k = base.orders[2 * k]
         if p == 0.5:
+            probes = (_weighted_probe(inst, s, weight)[2] for s in range(k))
+            sup_fn = pointwise_sup(probes).at_level(inst.f.level)
             numerator = sup_fn.lp_quasinorm(0.5)  # equals (integral |T f|^(1/2))^2
             analytic = k / float(weight.phi(base.orders[2 * k + 1])[-1])
         else:
-            lam = float(probes[0][2].values[0].real)  # the s = 0 probe, a constant
-            numerator = sup_fn.weak_lp_at(p, lam)
-            phi_q = float(weight.phi(m2k + 1)[-1])
-            analytic = (m2k + 1) ** (1.0 / p - 2.0) / (phi_q * np.log(m2k + 1))
+            # the fold would include this constant lambda, so mu(sup >= lambda) = 1
+            numerator = float(_weighted_probe(inst, 0, weight)[2].values[0].real)
+            phi_q0 = float(weight.phi(inst.probe_indices[-1])[m2k])  # checks phi up to the last probe
+            analytic = (m2k + 1) ** (1.0 / p - 2.0) / (phi_q0 * np.log(m2k + 1))
         rows.append(
             BlowupRow(
                 k=k,

@@ -71,21 +71,9 @@ class WeightSpec:
             if not math.isfinite(v):  # NaN would pass every phi >= 1 and monotonicity check
                 raise ValueError(f"custom_table entry {i} is not finite, got {v}")
 
-    @classmethod
-    def unit(cls) -> "WeightSpec":
-        return cls("unit")
-
-    @classmethod
+    @classmethod  # a second spelling of WeightSpec("log"), kept while bench/workloads.py calls it
     def log(cls) -> "WeightSpec":
         return cls("log")
-
-    @classmethod
-    def power_log(cls, p: float) -> "WeightSpec":
-        return cls("power_log", p=p)
-
-    @classmethod
-    def power_log_sq(cls, p: float) -> "WeightSpec":
-        return cls("power_log_sq", p=p)
 
     @classmethod
     def custom(cls, values: Sequence[float]) -> "WeightSpec":

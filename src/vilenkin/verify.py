@@ -141,7 +141,7 @@ def check_identities(
             for j in range(1, lo):
                 worst_shift = max(worst_shift, shift_identity_check(inst, j))
             for s in range(k):
-                probe = riesz_at_q(inst, s, WeightSpec.unit())
+                probe = riesz_at_q(inst, s, WeightSpec("unit"))
                 worst_modsum = max(worst_modsum, probe.identity_residual_on_support)
                 worst_modsum = max(worst_modsum, max(0.0, probe.triangle_slack))
     return (
@@ -201,7 +201,7 @@ def check_complement_mass(spec: CorpusSpec) -> CheckResult:
         worst = 0.0
         for atom in corpus.generate():
             f = atom.values.at_level(base.depth)
-            values = weighted_riesz_star(f, WeightSpec.log(), base.size).result.values
+            values = weighted_riesz_star(f, WeightSpec("log"), base.size).result.values
             blk = atom.support.block(base.depth)
             outside = np.concatenate([values[: blk.start], values[blk.stop :]])
             mass = np.mean(np.abs(outside) ** corpus.p) * (len(outside) / base.size)

@@ -134,10 +134,10 @@ def test_criterion_6_atom_corpus_weighted_riesz():
 def test_criterion_7_blowup_mechanism():
     start = time.monotonic()
     base = make_base((2,), 13)
-    unit = blowup_table(base, WeightSpec.unit(), 0.5, range(1, 6))
+    unit = blowup_table(base, WeightSpec("unit"), 0.5, range(1, 6))
     ratios = unit.ratios()
     gain = ratios[-1] / ratios[0]
-    log_table = blowup_table(base, WeightSpec.log(), 0.5, range(1, 6))
+    log_table = blowup_table(base, WeightSpec("log"), 0.5, range(1, 6))
     elapsed = time.monotonic() - start
     ok = (
         unit.monotone
@@ -159,7 +159,7 @@ def test_criterion_8_hardy_norm_scaling():
     spreads = {}
     ok = True
     for p in (0.3, 0.5, 1.0):
-        col = [row.hardy_scaling for row in blowup_table(base, WeightSpec.unit(), p, range(1, 6)).rows]
+        col = [row.hardy_scaling for row in blowup_table(base, WeightSpec("unit"), p, range(1, 6)).rows]
         spread = max(col) / min(col)
         spreads[p] = spread
         ok = ok and spread < 4.0

@@ -899,6 +899,20 @@ def test_counterexample_sweep_weak_type_bytes(capsys):
     )
 
 
+def test_counterexample_sweep_weak_type_bytes_non_dyadic(capsys):
+    # a weak row on complex characters: its numerator is the s = 0 probe, the threshold lambda
+    argv = ["--base", "2,3", "--depth", "9", "counterexample", "sweep", "--phi", "power_log", "--p", "0.3", "--kmax", "4"]
+    assert _stdout(capsys, argv) == (
+        "k,probe_indices,hardy_norm,numerator,ratio,analytic_lower_bound,trend_flag\n"
+        "1,7,0.015286700226364008,0.0071606113694209217,0.46842099755913752,0.89433728441737914,flat-or-bounded\n"
+        "2,37;42,0.00023368320381071735,0.00018315558045897345,0.78377725686835797,0.9721945371069276,flat-or-bounded\n"
+        "3,217;222;252,3.5722450845907618e-06,3.1735080122964895e-06,0.88837913893023057,0.99473785896029432,"
+        "flat-or-bounded\n"
+        "4,1297;1302;1332;1512,5.4607839743241295e-08,5.0398290054209168e-08,0.92291308887469525,0.99908032431728189,"
+        "flat-or-bounded\n"
+    )
+
+
 def test_maximal_table_json_bytes(tmp_path, capsys):
     """A JSON table with int and string columns: the corpus of test_maximal_table_bytes."""
     corpus = tmp_path / "corpus.json"

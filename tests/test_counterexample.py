@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from vilenkin.counterexample import (
     RieszProbe,
+    _weighted_probe,
     blowup_table,
     build_instance,
     partial_sum_closed_form,
     riesz_at_q,
     shift_identity_check,
 )
-from vilenkin.functions import LevelFunction, constant
+from vilenkin.functions import LevelFunction, constant, pointwise_sup
 from vilenkin.group import make_base
 from vilenkin.hardy import hardy_quasinorm, martingale_from_function
 from vilenkin.kernels import dirichlet, harmonic_sums, partial_sum, riesz_mean
@@ -93,12 +94,12 @@ def test_riesz_probe_identity_and_bounds():
     base = make_base((2,), 13)
     inst = build_instance(3, base)
     for s in range(inst.k):
-        probe = riesz_at_q(inst, s, WeightSpec.unit())
+        probe = riesz_at_q(inst, s, WeightSpec("unit"))
         assert probe.identity_residual_on_support < 1e-9
         assert probe.triangle_slack < 1e-12  # modulus never beats the term-wise sum
         assert probe.shell_ratio > 0.25
     with pytest.raises(ValueError):
-        riesz_at_q(inst, 3, WeightSpec.unit())
+        riesz_at_q(inst, 3, WeightSpec("unit"))
 
 
 def test_riesz_probe_first_stage_single_term():
@@ -107,7 +108,7 @@ def test_riesz_probe_first_stage_single_term():
     base = make_base((2,), 9)
     for k in (1, 2):
         inst = build_instance(k, base)
-        probe = riesz_at_q(inst, 0, WeightSpec.unit())
+        probe = riesz_at_q(inst, 0, WeightSpec("unit"))
         q = inst.probe_indices[0]
         expect = 1.0 / (harmonic_sums(q)[q] * (1 + inst.block_start))
         assert np.max(np.abs(probe.weighted.values.real - expect)) < 1e-12
@@ -116,7 +117,7 @@ def test_riesz_probe_first_stage_single_term():
 def test_riesz_probe_constant_on_support_class():
     base = make_base((2,), 13)
     inst = build_instance(2, base)
-    probe = riesz_at_q(inst, 1, WeightSpec.unit())
+    probe = riesz_at_q(inst, 1, WeightSpec("unit"))
     width = base.orders[inst.f.level] // base.orders[2]
     on_class = probe.weighted.values[:width].real
     assert np.max(on_class) - np.min(on_class) < 1e-13
@@ -125,7 +126,7 @@ def test_riesz_probe_constant_on_support_class():
 
 def test_blowup_table_unit_weight_grows():
     base = make_base((2,), 9)
-    table = blowup_table(base, WeightSpec.unit(), 0.5, range(1, 4))
+    table = blowup_table(base, WeightSpec("unit"), 0.5, range(1, 4))
     ratios = table.ratios()
     assert table.monotone
     assert table.flag == "increasing"
@@ -137,32 +138,51 @@ def test_blowup_table_unit_weight_grows():
 
 def test_blowup_table_weak_route():
     base = make_base((2,), 9)
-    table = blowup_table(base, WeightSpec.unit(), 0.3, range(1, 3))
+    table = blowup_table(base, WeightSpec("unit"), 0.3, range(1, 3))
     assert all(np.isfinite(r.ratio) and r.ratio > 0 for r in table.rows)
     # the threshold event has positive measure by construction
     assert table.rows[0].numerator > 0
 
 
-@pytest.mark.parametrize("moduli, depth", [((2,), 15), ((2, 3), 9), ((2, 3, 5), 7)])
+@pytest.mark.parametrize("moduli, depth", [((2,), 15), ((2, 3), 9), ((2, 3, 5), 7), ((3,), 7), ((5,), 5)])
 def test_weak_threshold_event_is_the_whole_group(moduli, depth):
     # the s = 0 probe is the constant lambda = 1 / (phi(q0) l_q0 q0), so mu(sup >= lambda) = 1
-    # at every stage and the weak numerator lambda * mu^(1/p) is lambda itself
+    # at every stage and the weak numerator lambda * mu^(1/p) is lambda itself; the measured
+    # route (the sup of every probe at the instance level, then its threshold expression) agrees
     base = make_base(moduli, depth)
     stages = range(1, (depth - 1) // 2 + 1)
-    for weight in (WeightSpec.unit(), WeightSpec.log(), WeightSpec.power_log(0.3)):
+    weights = (
+        WeightSpec("unit"),
+        WeightSpec("log"),
+        WeightSpec("power_log", p=0.3),
+        WeightSpec("power_log_sq", p=0.3),
+    )
+    for weight in weights:
         for p in (0.3, 1.0):
             for row in blowup_table(base, weight, p, stages).rows:
                 q0 = row.probe_indices[0]
                 lam = 1.0 / (float(weight.phi(q0)[q0 - 1]) * harmonic_sums(q0)[q0] * q0)
                 assert row.numerator == lam, (moduli, weight.kind, p, row.k)
+                inst = build_instance(row.k, base)
+                probes = [_weighted_probe(inst, s, weight)[2] for s in range(inst.k)]
+                measured = pointwise_sup(probes).at_level(inst.f.level).weak_lp_at(p, lam)
+                assert row.numerator == measured, (moduli, weight.kind, p, row.k)
+
+
+def test_weak_row_checks_the_weight_up_to_the_last_probe():
+    # nondecreasing up to q0 = 17 but dipping before the last probe q = 20 of stage 2:
+    # reading phi(q0) alone would accept it
+    weight = WeightSpec.custom(list(range(1, 18)) + [10.0] * 10)
+    with pytest.raises(ValueError, match=r"^weight is not nondecreasing on \[1, 20\]$"):
+        blowup_table(make_base((2,), 9), weight, 0.3, range(2, 3))
 
 
 _PROBE_CELLS = 4096  # most cells at the instance level 2k + 1
 _PROBE_WEIGHTS = (
-    WeightSpec.unit(),
-    WeightSpec.log(),
-    WeightSpec.power_log(0.3),
-    WeightSpec.power_log_sq(0.3),
+    WeightSpec("unit"),
+    WeightSpec("log"),
+    WeightSpec("power_log", p=0.3),
+    WeightSpec("power_log_sq", p=0.3),
     WeightSpec.custom(range(1, _PROBE_CELLS + 1)),
 )
 
@@ -235,7 +255,7 @@ def _instance_level_probe(inst, s, weight):
     "moduli, depth", [((2,), 13), ((2, 3), 9), ((3,), 7), ((5,), 5), ((2, 2, 3), 9), ((2, 3, 5), 7)]
 )
 @pytest.mark.parametrize(
-    "weight", [WeightSpec.unit(), WeightSpec.log(), WeightSpec.power_log(0.3)], ids=lambda w: w.kind
+    "weight", [WeightSpec("unit"), WeightSpec("log"), WeightSpec("power_log", p=0.3)], ids=lambda w: w.kind
 )
 def test_riesz_probe_matches_the_instance_level_route(moduli, depth, weight):
     base = make_base(moduli, depth)
@@ -253,7 +273,7 @@ def test_riesz_probe_matches_the_instance_level_route(moduli, depth, weight):
 @pytest.mark.parametrize("moduli, depth", [((2,), 9), ((2, 3), 7)])
 def test_blowup_sup_is_the_max_of_the_riesz_probes(moduli, depth):
     base = make_base(moduli, depth)
-    k, weight = 3, WeightSpec.log()
+    k, weight = 3, WeightSpec("log")
     inst = build_instance(k, base)
     probes = [np.real(riesz_at_q(inst, s, weight).weighted.values) for s in range(inst.k)]
     sup = LevelFunction(base, inst.f.level, np.max(probes, axis=0))
@@ -268,14 +288,14 @@ def test_blowup_hardy_norm_against_direct_computation():
         stages = range(1, (depth - 1) // 2 + 1)
         martingales = [martingale_from_function(build_instance(k, base).f) for k in stages]
         for p in (0.3, 0.5, 1.0):
-            rows = blowup_table(base, WeightSpec.unit(), p, stages).rows
+            rows = blowup_table(base, WeightSpec("unit"), p, stages).rows
             assert [row.hardy_norm for row in rows] == [hardy_quasinorm(m, p) for m in martingales], (moduli, p)
 
 
 def test_hardy_norm_scaling_flat_for_dyadic():
     base = make_base((2,), 11)
     for p in (0.3, 0.5, 1.0):
-        col = [row.hardy_scaling for row in blowup_table(base, WeightSpec.unit(), p, range(1, 6)).rows]
+        col = [row.hardy_scaling for row in blowup_table(base, WeightSpec("unit"), p, range(1, 6)).rows]
         assert max(col) / min(col) < 1.001
 
 
@@ -288,5 +308,5 @@ def test_non_dyadic_spot_check():
     expected = np.zeros(base.orders[3])
     expected[6:12] = 1.0
     assert np.max(np.abs(coeffs - expected)) < 1e-10
-    probe = riesz_at_q(inst, 0, WeightSpec.unit())
+    probe = riesz_at_q(inst, 0, WeightSpec("unit"))
     assert probe.identity_residual_on_support < 1e-10

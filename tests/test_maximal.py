@@ -120,7 +120,7 @@ def test_unit_weight_reduces_to_riesz_star():
     base = make_base((2,), 5)
     rng = np.random.default_rng(8)
     f = _random(base, 5, rng)
-    a = weighted_riesz_star(f, WeightSpec.unit(), 32).result
+    a = weighted_riesz_star(f, WeightSpec("unit"), 32).result
     b = riesz_star(f, 32).result
     assert a.max_abs_diff(b) == 0.0
 
@@ -129,13 +129,13 @@ def test_log_weight_single_index():
     base = make_base((2,), 4)
     rng = np.random.default_rng(9)
     f = _random(base, 4, rng)
-    got = weighted_riesz_star(f, WeightSpec.log(), 1).result.values.real
+    got = weighted_riesz_star(f, WeightSpec("log"), 1).result.values.real
     expect = np.abs(riesz_mean(f, 1).values) / np.log(2.0)
     assert np.max(np.abs(got - expect)) < 1e-13
 
 
 def test_power_log_divisor_shape():
-    w = WeightSpec.power_log(0.25)
+    w = WeightSpec("power_log", p=0.25)
     d = w.divisors(10)
     n = np.arange(1, 11)
     assert np.allclose(d, (n + 1) ** 2.0 / np.log(n + 1))
@@ -143,9 +143,9 @@ def test_power_log_divisor_shape():
 
 def test_power_log_sq_exponent_uses_integer_part():
     # floor(1/2 + p) is 1 for p = 1/2 (exponent 2) and 0 for p < 1/2
-    w_half = WeightSpec.power_log_sq(0.5)
+    w_half = WeightSpec("power_log_sq", p=0.5)
     assert np.allclose(w_half.divisors(5), np.log(np.arange(2, 7)) ** 2)
-    w_small = WeightSpec.power_log_sq(0.3)
+    w_small = WeightSpec("power_log_sq", p=0.3)
     n = np.arange(1, 6)
     assert np.allclose(w_small.divisors(5), (n + 1) ** (1 / 0.3 - 2))
 
@@ -154,10 +154,10 @@ def test_generic_weights_validated_but_concrete_forms_exempt():
     base = make_base((2,), 4)
     f = constant(base, 4)
     # log(2) < 1, yet the log form is an operator definition, not a hypothesis
-    weighted_riesz_star(f, WeightSpec.log(), 2)
+    weighted_riesz_star(f, WeightSpec("log"), 2)
     # the squared-log shape dips below 1 at n = 1, so as a generic weight it fails
     with pytest.raises(ValueError, match="below 1"):
-        weighted_riesz_star(f, WeightSpec.power_log_sq(0.5), 4)
+        weighted_riesz_star(f, WeightSpec("power_log_sq", p=0.5), 4)
     with pytest.raises(ValueError, match="nondecreasing"):
         weighted_riesz_star(f, WeightSpec.custom([2.0, 1.5, 1.2, 1.0]), 4)
 
@@ -176,7 +176,7 @@ def test_custom_table_refuses_a_non_finite_entry(bad, index):
 @pytest.mark.parametrize("p", [0.0, -0.5, float("nan")])
 def test_power_weight_rejects_non_positive_p(kind, p):
     with pytest.raises(ValueError, match="positive exponent"):
-        getattr(WeightSpec, kind)(p)
+        WeightSpec(kind, p=p)
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +199,7 @@ def test_ratio_on_half_atom_is_finite():
     rng = np.random.default_rng(14)
     atom = random_atom(base, 0.5, rng, level_range=(2, 2))
     f = atom.values.at_level(8)
-    out = hp_to_lp_ratio(f, OperatorSpec("weighted_riesz", 256, WeightSpec.log()), 0.5)
+    out = hp_to_lp_ratio(f, OperatorSpec("weighted_riesz", 256, WeightSpec("log")), 0.5)
     assert np.isfinite(out.weak) and out.weak > 0
 
 
@@ -229,7 +229,7 @@ def test_operator_spec_dispatch():
     f = constant(base, 4, 1.0)
     assert OperatorSpec("sigma", 4).apply(f).operator == "sigma_star"
     assert OperatorSpec("riesz", 4).apply(f).operator == "riesz_star"
-    rep = OperatorSpec("weighted_riesz", 4, WeightSpec.log()).apply(f)
+    rep = OperatorSpec("weighted_riesz", 4, WeightSpec("log")).apply(f)
     assert rep.operator == "riesz_star/log"
     with pytest.raises(ValueError):
         OperatorSpec("weighted_riesz", 4).apply(f)
@@ -239,10 +239,10 @@ def test_operator_spec_dispatch():
 
 def test_operator_spec_refuses_an_ignored_weight():
     f = constant(make_base((2,), 4), 4, 1.0)
-    assert OperatorSpec("sigma", 4, WeightSpec.unit()).apply(f).operator == "sigma_star"
+    assert OperatorSpec("sigma", 4, WeightSpec("unit")).apply(f).operator == "sigma_star"
     for op in ("sigma", "riesz"):
         with pytest.raises(ValueError, match=f"operator {op} takes no weight, got 'log'"):
-            OperatorSpec(op, 4, WeightSpec.log())
+            OperatorSpec(op, 4, WeightSpec("log"))
 
 
 _STREAM_CELLS = 200  # cap on M_K so the per-n oracle stays cheap
@@ -313,7 +313,7 @@ def test_stream_matches_per_n_means(case):
                 reports = {
                     "sigma": sigma_star(f, n_max),
                     "riesz": riesz_star(f, n_max),
-                    "riesz_log": weighted_riesz_star(f, WeightSpec.log(), n_max),
+                    "riesz_log": weighted_riesz_star(f, WeightSpec("log"), n_max),
                 }
                 for key, rep in reports.items():
                     where = (key, n_max, block_cells)
@@ -361,7 +361,7 @@ def test_stream_is_bit_identical_to_a_literal_loop(case):
     nonzero = np.flatnonzero(forward(f).coeffs)
     last = int(nonzero[-1]) + 1 if nonzero.size else 0
     zero = f * 0.0  # no head at all: every step is in the tail
-    log = WeightSpec.log()
+    log = WeightSpec("log")
     for g in (f, zero):
         for n_max in sorted({1, n_rand, min(top, last + 1), top}):
             shape = "tail-only" if g is zero else "head-only" if n_max <= last else "mixed"
@@ -391,7 +391,7 @@ def test_a_coarse_function_reads_as_its_refinement(case, data):
     g = f.compress()
     coarse = g.at_level(data.draw(st.integers(g.level, depth)))
     reps = f.base.size // coarse.values.size
-    log = WeightSpec.log()
+    log = WeightSpec("log")
     runs = (sigma_star, riesz_star, lambda h, n_max: weighted_riesz_star(h, log, n_max))
     for n_max in sorted({1, n_rand, f.base.size}):
         for run in runs:

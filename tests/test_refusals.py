@@ -41,7 +41,7 @@ _POSITIVE = {
     "weak_lp": (lambda v: _ONE.weak_lp(v), "p must be positive, got {}"),
     "weak_lp_at-p": (lambda v: _ONE.weak_lp_at(v, 0.5), "p must be positive, got {}"),
     "weak_lp_at-threshold": (lambda v: _ONE.weak_lp_at(0.5, v), "threshold must be positive, got {}"),
-    "blowup_table": (lambda v: blowup_table(_BASE, WeightSpec.unit(), v, range(1, 2)), "p must be positive, got {}"),
+    "blowup_table": (lambda v: blowup_table(_BASE, WeightSpec("unit"), v, range(1, 2)), "p must be positive, got {}"),
     "validate_atom": (lambda v: validate_atom(PAtom(v, _WHOLE, _ONE)), "atom exponent must be positive, got {}"),
     "random_atom": (lambda v: random_atom(_BASE, v, np.random.default_rng(0)), "atom exponent must be positive, got {}"),
     "CorpusSpec": (
@@ -49,8 +49,11 @@ _POSITIVE = {
         "atom exponent must be positive, got {}",
     ),
     # the weights keep their own wording, which names the kind
-    "WeightSpec.power_log": (WeightSpec.power_log, "weight kind 'power_log' needs a positive exponent p"),
-    "WeightSpec.power_log_sq": (WeightSpec.power_log_sq, "weight kind 'power_log_sq' needs a positive exponent p"),
+    "WeightSpec.power_log": (lambda v: WeightSpec("power_log", p=v), "weight kind 'power_log' needs a positive exponent p"),
+    "WeightSpec.power_log_sq": (
+        lambda v: WeightSpec("power_log_sq", p=v),
+        "weight kind 'power_log_sq' needs a positive exponent p",
+    ),
 }
 
 
