@@ -96,7 +96,14 @@ class LevelFunction:
         return LevelFunction._adopt(self.base, level, np.repeat(self.values, reps))
 
     def effective_level(self) -> int:
-        """Coarsest level at which the stored values are constant on blocks."""
+        """Coarsest level at which the stored values are constant on blocks.
+
+        The values are read-only, so the scan runs once per function and its
+        result is kept; a compressed function starts with its own level kept.
+        """
+        level = self.__dict__.get("_effective_level")
+        if level is not None:
+            return level
         level = self.level
         vals = self.values
         while level > 0:
@@ -106,6 +113,7 @@ class LevelFunction:
                 break
             vals = blocks[:, 0]
             level -= 1
+        object.__setattr__(self, "_effective_level", level)
         return level
 
     def compress(self) -> "LevelFunction":
@@ -114,7 +122,9 @@ class LevelFunction:
         if lv == self.level:
             return self
         step = self.base.orders[self.level] // self.base.orders[lv]
-        return LevelFunction(self.base, lv, self.values[::step])
+        g = LevelFunction(self.base, lv, self.values[::step])
+        object.__setattr__(g, "_effective_level", lv)
+        return g
 
     # ------------------------------------------------------------------
     # integration and norms

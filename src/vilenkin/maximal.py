@@ -39,7 +39,7 @@ __all__ = [
 
 _GENERIC_KINDS = ("unit", "power_log_sq", "custom_table")
 _OPERATOR_FORMS = ("log", "power_log")
-_BLOCK_CELLS = 65536  # cells per block of n in _stream_sup
+_BLOCK_CELLS = 65536  # cells per block of n in _stream_sup; the kernel sweeps take kernels._SWEEP_CELLS
 
 
 @dataclass(frozen=True)

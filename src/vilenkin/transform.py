@@ -251,9 +251,10 @@ def forward(f: LevelFunction) -> Spectrum:
     moduli = f.base.moduli[:n]
     arr = _staged(f.values, moduli, -1)
     # input axes are point digits (x_0 slowest); coefficient indices are
-    # little-endian in the digits, so reverse axes before flattening
-    coeffs = arr.transpose(tuple(reversed(range(n)))).ravel()
-    coeffs /= f.base.orders[n]  # arr is _staged's own array, never the input
+    # little-endian in the digits, so the scaling writes the reversed axes
+    # into a C-ordered table: the reorder and the 1/M_N in one pass
+    coeffs = np.empty(f.base.orders[n], dtype=np.complex128)
+    np.divide(arr.transpose(tuple(reversed(range(n)))), f.base.orders[n], out=coeffs.reshape(moduli[::-1]))
     return Spectrum._adopt(f.base, n, coeffs)
 
 

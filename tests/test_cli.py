@@ -1020,3 +1020,67 @@ def test_verify_atoms_lines_and_out_bytes(tmp_path, capsys):
     config = {"depth": 10, "format": "csv", "moduli": [2], "seed": 1}
     payload = {"checks": checks, "config": config, "passed": True, "suite": "atoms"}
     assert out.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def _report_bytes(suite, checks):
+    """The bytes of a verify report on the default base (2,) x 10: sorted keys, indent 2, LF at the end."""
+    config = {"depth": 10, "format": "csv", "moduli": [2], "seed": None}
+    report = {"checks": checks, "config": config, "passed": True, "suite": suite}
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_lemmas_bytes(tmp_path, capsys):
+    """Both localization levels from one blocked kernel stream: the lines and the report."""
+    out = tmp_path / "lemmas.json"
+    assert _stdout(capsys, ["verify", "lemmas", "--max-a", "2", "--out", str(out)]) == (
+        "[PASS] lemmas/localization-ratios-level-1 kernel_single_c_emp=0.5 kernel_single_top_octave_growth=0 "
+        "tail_single_c_emp=0.099974994303309708 tail_single_top_octave_growth=0\n"
+        "[PASS] lemmas/localization-ratios-level-2 kernel_pair_c_emp=0.50000000000000022 "
+        "kernel_pair_top_octave_growth=0 kernel_single_c_emp=0.5 kernel_single_top_octave_growth=0 "
+        "tail_pair_c_emp=0.23721885285111563 tail_pair_top_octave_growth=0.0010302387150888936 "
+        "tail_single_c_emp=0.098952104095662574 tail_single_top_octave_growth=0\n"
+    )
+    level_1 = {
+        "kernel_single_c_emp": 0.5,
+        "kernel_single_top_octave_growth": 0.0,
+        "tail_single_c_emp": 0.09997499430330971,
+        "tail_single_top_octave_growth": 0.0,
+    }
+    level_2 = {
+        "kernel_pair_c_emp": 0.5000000000000002,
+        "kernel_pair_top_octave_growth": 0.0,
+        "kernel_single_c_emp": 0.5,
+        "kernel_single_top_octave_growth": 0.0,
+        "tail_pair_c_emp": 0.23721885285111563,
+        "tail_pair_top_octave_growth": 0.0010302387150888936,
+        "tail_single_c_emp": 0.09895210409566257,
+        "tail_single_top_octave_growth": 0.0,
+    }
+    checks = [
+        {"detail": level_1, "name": "localization-ratios-level-1", "passed": True},
+        {"detail": level_2, "name": "localization-ratios-level-2", "passed": True},
+    ]
+    assert out.read_text(encoding="utf-8") == _report_bytes("lemmas", checks)
+
+
+def test_verify_kernels_bytes(tmp_path, capsys):
+    """The blocked kernel-integral sweep beside the closed forms: the lines and the report."""
+    out = tmp_path / "kernels.json"
+    assert _stdout(capsys, ["verify", "kernels", "--max-a", "4", "--out", str(out)]) == (
+        "[PASS] kernels/dirichlet-block-closed-form residual=1.1516411451852021e-13\n"
+        "[PASS] kernels/dyadic-fejer-closed-form residual=0 max_exponent=4\n"
+        "[PASS] kernels/convention-gap-is-dirichlet-over-n residual=7.4384942649885488e-15\n"
+        "[PASS] kernels/kernel-integral-running-max growth_top_octaves=0.0014266203444648351 "
+        "running_max=1.1326332846840659\n"
+    )
+    checks = [
+        {"detail": {"residual": 1.151641145185202e-13}, "name": "dirichlet-block-closed-form", "passed": True},
+        {"detail": {"max_exponent": 4, "residual": 0.0}, "name": "dyadic-fejer-closed-form", "passed": True},
+        {"detail": {"residual": 7.438494264988549e-15}, "name": "convention-gap-is-dirichlet-over-n", "passed": True},
+        {
+            "detail": {"growth_top_octaves": 0.001426620344464835, "running_max": 1.1326332846840659},
+            "name": "kernel-integral-running-max",
+            "passed": True,
+        },
+    ]
+    assert out.read_text(encoding="utf-8") == _report_bytes("kernels", checks)

@@ -1,8 +1,11 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vilenkin import kernels
 from vilenkin.functions import LevelFunction, constant, indicator
 from vilenkin.group import Cylinder, coset_partition, make_base, point_of
 from vilenkin.kernels import (
@@ -416,3 +419,73 @@ def test_localization_sweeps_match_oracles(case):
                 masses, tails = kernel * mk * ml / (ns * m_n), tail * mk * ml / m_n**2
             expected = np.concatenate([[0.0], np.cumsum(masses[1:] / (ns[1:] + 1))])
             assert np.allclose(tails, expected, rtol=1e-12, atol=1e-15 * max(1.0, np.max(expected)))
+
+
+def _per_step_integrals(base, level, n_max):
+    """The integral sweep one kernel at a time: the mean of |K_n| over the cells."""
+    integrals = np.empty(n_max)
+    for n, cum in enumerate(accumulate(CharacterSampler(base, level).partial_sums(n_max)), start=1):
+        integrals[n - 1] = np.mean(np.abs(cum)) / n
+    return integrals
+
+
+def _per_step_localization(base, n_cells, n_max, level):
+    """kernel_ratios and tail_ratios at one cylinder level, each class mass
+    taken one kernel at a time from the blocks of |K_n| at that level."""
+    total, m_n = base.orders[level], base.orders[n_cells]
+    cells = kernels._localization_cells(coset_partition(base, n_cells), n_cells, level)
+    rows = [c.block_start * m_n // total for c in cells]
+    mass = np.empty((len(cells), n_max - m_n + 1))
+    for n, cum in enumerate(accumulate(CharacterSampler(base, level).partial_sums(n_max)), start=1):
+        kn_abs = np.abs(cum) / n
+        if n >= m_n:
+            mass[:, n - m_n] = kn_abs.reshape(m_n, -1)[rows].sum(axis=1) / total
+    ns = np.arange(m_n, n_max + 1)
+    orders = np.array(base.orders)
+    pair = np.array([[c.kind == "pair"] for c in cells])
+    mk_ml = (orders[[c.k for c in cells]] * orders[[c.l or 0 for c in cells]])[:, None]
+    scale = mk_ml / m_n
+    steps = mass / (ns + 1)
+    steps[:, 0] = 0.0
+    tail = np.cumsum(steps, axis=1) / np.where(pair, mk_ml / m_n**2, scale * harmonic_sums(n_max)[ns])
+    return mass / np.where(pair, scale / ns, scale), tail
+
+
+def _assert_sweeps_match_per_step(base, level, n_max, levels):
+    sweep = kernel_integral_sweep(base, level, n_max)
+    integrals = _per_step_integrals(base, level, n_max)
+    assert np.array_equal(sweep.integrals, integrals)
+    assert np.array_equal(sweep.running_max, np.maximum.accumulate(integrals))
+    for n_cells, loc in zip(levels, localization_sweeps(base, levels, n_max, level) if levels else ()):
+        kernel, tail = _per_step_localization(base, n_cells, n_max, level)
+        assert np.array_equal(loc.kernel_ratios, kernel), n_cells
+        assert np.array_equal(loc.tail_ratios, tail), n_cells
+
+
+# the module's block, one-row blocks, and blocks that split the rows of small bases unevenly
+_SWEEP_BLOCKS = (kernels._SWEEP_CELLS, 1, 7, 50)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_localization_cases())
+def test_blocked_sweeps_match_the_per_step_loops(case):
+    """Block by block, the sweeps are the per-step loops bit for bit, at every block size."""
+    base, level, n_max, levels, _ = case
+    for block_cells in _SWEEP_BLOCKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_SWEEP_CELLS", block_cells)
+            _assert_sweeps_match_per_step(base, level, n_max, levels)
+
+
+@pytest.mark.parametrize(
+    "moduli, depth, n_max, levels",
+    [
+        ((2,), 15, 5, [1, 2]),  # 2^15 cells: one row per block
+        ((2, 3), 8, 1, []),  # a single kernel
+        ((2, 3), 8, 1296, [1, 3, 5]),  # 12 rows per block, 108 full blocks
+        ((2, 3), 8, 1000, [2, 4]),  # a last block of 4 rows
+        ((3,), 7, 2187, [2, 5]),  # 7 rows per block, a last block of 3
+    ],
+)
+def test_sweeps_match_the_per_step_loops_at_the_module_block(moduli, depth, n_max, levels):
+    _assert_sweeps_match_per_step(make_base(moduli, depth), depth, n_max, levels)

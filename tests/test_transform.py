@@ -130,6 +130,22 @@ def test_fast_matches_naive(moduli, depth):
     assert np.max(np.abs(fast - naive)) / scale < 1e-10
 
 
+@pytest.mark.parametrize(
+    "moduli, depth",
+    [((2,), 18), ((2, 3), 12), ((3,), 10), ((5, 4, 3), 6), ((7,), 7), ((2, 2, 3), 9), ((2, 3, 5), 7), ((16,), 4), ((17,), 3)],
+)
+def test_forward_scales_while_it_reorders(moduli, depth):
+    """The one-pass Paley reorder and 1/M scaling against the flatten-then-divide route, byte for byte."""
+    base = make_base(moduli, depth)
+    rng = np.random.default_rng(depth)
+    for level in range(1, depth + 1):
+        f = _random(base, level, rng)
+        arr = transform._staged(f.values, base.moduli[:level], -1)
+        two_step = arr.transpose(tuple(reversed(range(level)))).ravel()
+        two_step /= base.orders[level]
+        assert forward(f).coeffs.tobytes() == two_step.tobytes(), level
+
+
 def test_naive_matches_pure_python_double_loop():
     base = make_base((2, 3, 2), 3)
     rng = np.random.default_rng(8)
