@@ -20,9 +20,9 @@ import numpy as np
 
 from .functions import LevelFunction, constant, pointwise_sup, require_positive
 from .group import VilenkinBase
-from .kernels import _riesz_weights, dirichlet, harmonic_sums
+from .kernels import _riesz_weights, _window, dirichlet, harmonic_sums
 from .maximal import WeightSpec
-from .transform import CharacterSampler, Spectrum, inverse
+from .transform import CharacterSampler
 
 __all__ = [
     "CounterexampleInstance",
@@ -136,29 +136,30 @@ class RieszProbe:
         return self.shell_value / self.lower_bound_expr
 
 
-def _weighted_probe(inst: CounterexampleInstance, s: int, weight: WeightSpec) -> tuple[int, float, LevelFunction]:
-    """Probe index q = M_{2k} + M_{2s}, phi(q) and |R_q f| / phi(q) at level 2s.
+def _weighted_probe(inst: CounterexampleInstance, s: int, phi: float, harm_q: float) -> LevelFunction:
+    """|R_q f| / phi at the probe q = M_{2k} + M_{2s}, at level 2s; phi = phi(q), harm_q = l_q.
 
     R_q f = psi_{M_{2k}} sum_{i < M_{2s}} w_i psi_i with w_i = 1 - l_{M_{2k}+i} / l_q
     (shift identity), so its modulus is the level-2s synthesis of w.  At s = 0
     that is the constant 1 / (phi(q) l_q q), kept in closed form: 1 - l_{q-1} / l_q cancels.
     """
-    if not 0 <= s < inst.k:
-        raise ValueError(f"probe stage {s} outside [0, {inst.k})")
     q = inst.probe_indices[s]
-    phi = float(weight.phi(q)[q - 1])
     if s == 0:
-        return q, phi, constant(inst.base, 0, 1.0 / (phi * harmonic_sums(q)[q] * q))
-    w = _riesz_weights(q, start=inst.block_start)
-    return q, phi, (1.0 / phi) * inverse(Spectrum(inst.base, 2 * s, w)).modulus()
+        return constant(inst.base, 0, 1.0 / (phi * harm_q * q))
+    m = inst.block_start
+    return (1.0 / phi) * _window(inst.base, 2 * s, q - m, weights=lambda i: _riesz_weights(q, m + i)).modulus()
 
 
 def riesz_at_q(inst: CounterexampleInstance, s: int, weight: WeightSpec) -> RieszProbe:
     """Evaluate |R_q f| / phi(q) at probe q = M_{2k} + M_{2s}, refined to the instance level.
     The mean and its bound sum_{j <= M_{2s}} |D_j| / (j + M_{2k}) are level-2s functions,
     so the diagnostics are read at level 2s, where I_{2s} is cell 0."""
-    q, phi, weighted = _weighted_probe(inst, s, weight)
+    if not 0 <= s < inst.k:
+        raise ValueError(f"probe stage {s} outside [0, {inst.k})")
+    q = inst.probe_indices[s]
+    phi = float(weight.phi(q)[q - 1])
     harm_q = harmonic_sums(q)[q]
+    weighted = _weighted_probe(inst, s, phi, harm_q)
     m = inst.block_start
     m2s = inst.base.orders[2 * s]
     bound_vals = np.zeros(m2s, dtype=np.float64)
@@ -233,17 +234,27 @@ def blowup_table(
         if k < 1:
             raise ValueError("stages start at k = 1")
         inst = build_instance(k, base)
+        if not rows:  # one table of each per call, up to the deepest stage the base holds:
+            top = min(max(k_range), (base.depth - 1) // 2)  # a prefix is the table built to its end
+            last = base.orders[2 * top] + base.orders[2 * top - 2]  # the last probe index
+            divisors = weight.divisors(base.orders[2 * top + 1] if p == 0.5 else last)
+            harm = harmonic_sums(last)
+
+            def phi(n_max: int) -> np.ndarray:  # weight.phi(n_max), checked on a prefix
+                return weight._checked(divisors[:n_max])
+
         hp = inst.f.lp_quasinorm(p)
         m2k = base.orders[2 * k]
         if p == 0.5:
-            probes = (_weighted_probe(inst, s, weight)[2] for s in range(k))
+            probes = (_weighted_probe(inst, s, float(phi(q)[q - 1]), harm[q]) for s, q in enumerate(inst.probe_indices))
             sup_fn = pointwise_sup(probes).at_level(inst.f.level)
             numerator = sup_fn.lp_quasinorm(0.5)  # equals (integral |T f|^(1/2))^2
-            analytic = k / float(weight.phi(base.orders[2 * k + 1])[-1])
+            analytic = k / float(phi(base.orders[2 * k + 1])[-1])
         else:
             # the fold would include this constant lambda, so mu(sup >= lambda) = 1
-            numerator = float(_weighted_probe(inst, 0, weight)[2].values[0].real)
-            phi_q0 = float(weight.phi(inst.probe_indices[-1])[m2k])  # checks phi up to the last probe
+            q0 = inst.probe_indices[0]
+            numerator = float(_weighted_probe(inst, 0, float(phi(q0)[q0 - 1]), harm[q0]).values[0].real)
+            phi_q0 = float(phi(inst.probe_indices[-1])[m2k])  # checks phi up to the last probe
             analytic = (m2k + 1) ** (1.0 / p - 2.0) / (phi_q0 * np.log(m2k + 1))
         rows.append(
             BlowupRow(

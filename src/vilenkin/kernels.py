@@ -9,12 +9,13 @@ at small n fixes this once and the unit tests pin it.  Shifted is the
 default, and the only form the sweeps stream; ``fejer_kernel`` and
 ``fejer_mean`` also take the zero-based form.
 
-Every spectral-weight synthesis of a kernel or mean goes through
-``_window`` and every sample-domain stream (here and in the maximal and
-counterexample modules) through :meth:`CharacterSampler.partial_sums`,
-save a maximal operator's head that fits one block, whose same sums come
-from one :meth:`CharacterSampler.characters` table; each route is the
-other's oracle.  The stream is exact on dyadic and mod-4 digits and
+Every spectral-weight synthesis of a kernel, mean or blow-up probe goes
+through ``_window``, which works in the transform's digit order and never
+builds a Paley-order table, and every sample-domain stream (here and in
+the maximal and counterexample modules) through
+:meth:`CharacterSampler.partial_sums`, save a maximal operator's head that
+fits one block, whose same sums come from one
+:meth:`CharacterSampler.characters` table; each route is the other's oracle.  The stream is exact on dyadic and mod-4 digits and
 updates psi_n carry by carry; its kernels D_n are float64 when every
 modulus up to the level is 2.  The sweeps and
 ``_riesz_abel`` take their Fejer sums sum_{k<=n} S_k as
@@ -39,7 +40,7 @@ import numpy as np
 
 from .functions import LevelFunction
 from .group import Cylinder, GroupPoint, VilenkinBase, coset_partition, subtract_rank_table, unit_point
-from .transform import CharacterSampler, Spectrum, forward, inverse
+from .transform import CharacterSampler, _staged, forward
 
 __all__ = [
     "KernelConvention",
@@ -90,19 +91,32 @@ def _window(
     noun: str = "kernel index",
     least: int = 1,
 ) -> LevelFunction:
-    """Synthesize sum_{j<n} w_j c_j psi_j with w = ``weights(n)`` (ones if None).
+    """Synthesize sum_{j<n} w_j c_j psi_j with w = ``weights(j)`` (ones if None).
 
-    Every spectral-weight kernel and mean goes through here.  c is the
-    spectrum of ``f`` (all ones if None: a kernel), in a fresh table scaled
-    and truncated in place and then adopted, not copied, by the Spectrum;
-    the weights are freed before the inverse runs.
+    c is the spectrum of ``f`` (all ones if None: a kernel) in the transform's
+    digit order: ``_staged``'s table, axes (k_0, ..., k_{N-1}), divided by M_N
+    as ``forward`` divides it, weighted and truncated in place at each entry's
+    Paley index j = sum_i k_i M_i and synthesized from there, so no Paley-order
+    table is built.  Entries with j >= n are set to +0.0, never multiplied by 0,
+    so the kernels keep unsigned zeros.
     """
     base.require_count(n, level, noun, least)
-    coeffs = np.ones(base.orders[level], dtype=np.complex128) if f is None else forward(f).coeffs.copy()
+    moduli = base.moduli[:level]
+    if f is None:
+        coeffs = np.ones(moduli, dtype=np.complex128)
+    elif level:
+        coeffs = _staged(f.values, moduli, -1)
+        coeffs /= base.orders[level]
+    else:  # no digit to transform: forward's level-0 spectrum is a copy
+        coeffs = f.values.copy()
+    j = np.zeros((), dtype=np.intp)  # the Paley index table, built from the last axis out
+    for m, m_i in zip(reversed(moduli), reversed(base.orders[:level])):
+        j = np.add.outer(np.arange(0, m * m_i, m_i), j)
     if weights is not None:
-        coeffs[:n] *= weights(n)
-    coeffs[n:] = 0.0
-    return inverse(Spectrum._adopt(base, level, coeffs))
+        coeffs *= weights(j)
+    np.putmask(coeffs, j >= n, 0.0)
+    del j  # freed before the synthesis runs
+    return LevelFunction._adopt(base, level, _staged(coeffs, moduli, +1).ravel())
 
 
 def dirichlet(base: VilenkinBase, n: int, level: int) -> LevelFunction:
@@ -110,24 +124,26 @@ def dirichlet(base: VilenkinBase, n: int, level: int) -> LevelFunction:
     return _window(base, level, n, least=0)
 
 
-def _mean_weights(n: int, convention: KernelConvention) -> np.ndarray:
-    """Per-character weights of the averaged kernel, index j < n.
+def _mean_weights(n: int, convention: KernelConvention, j: np.ndarray) -> np.ndarray:
+    """Per-character weights of the averaged kernel at the indices j < n.
 
     sum_{k=a}^{b} D_k collects character j exactly (count of k > j in the
     range) times, so the average has closed spectral weights.
     """
-    j = np.arange(n, dtype=np.float64)
-    if convention is KernelConvention.SHIFTED:
-        return (n - j) / n
-    return (n - 1 - j) / n
+    w = np.subtract(n if convention is KernelConvention.SHIFTED else n - 1, j, dtype=np.float64)  # exact
+    w /= n
+    return w
 
 
-def _riesz_weights(n: int, start: int = 0) -> np.ndarray:
-    """Per-character weights (l_n - l_j) / l_n of the Riesz kernel, start <= j < n: all of
-    them for the Riesz kernel and mean (through ``_window``), and the block from
-    start = M_{2k} for the blow-up probes (``counterexample._weighted_probe``)."""
+def _riesz_weights(n: int, j: np.ndarray) -> np.ndarray:
+    """Per-character weights (l_n - l_j) / l_n of the Riesz kernel at the indices j:
+    every j of the level for the Riesz kernel and mean, and M_{2k} + i for the
+    blow-up probes (``counterexample._weighted_probe``).  An index past n reads
+    l_n, so its weight is the 0 that the kernel gives it."""
     harm = harmonic_sums(n)
-    return 1.0 - harm[start:n] / harm[n]
+    w = np.asarray(harm.take(j, mode="clip"))  # an array at level 0 too, for the steps in place
+    w /= harm[n]
+    return np.subtract(1.0, w, out=w)
 
 
 def fejer_kernel(
@@ -137,7 +153,7 @@ def fejer_kernel(
     convention: KernelConvention = KernelConvention.SHIFTED,
 ) -> LevelFunction:
     """Average of Dirichlet kernels under the chosen convention."""
-    return _window(base, level, n, weights=lambda k: _mean_weights(k, convention))
+    return _window(base, level, n, weights=lambda j: _mean_weights(n, convention, j))
 
 
 def gat_closed_form(base: VilenkinBase, exponent: int, x: GroupPoint) -> float:
@@ -181,7 +197,7 @@ def riesz_kernel(base: VilenkinBase, n: int, level: int) -> LevelFunction:
     Character j is collected with total weight (l_n - l_j)/l_n, which is
     what gets synthesized here; the literal sum is the test oracle.
     """
-    return _window(base, level, n, weights=_riesz_weights)
+    return _window(base, level, n, weights=lambda j: _riesz_weights(n, j))
 
 
 def riesz_kernel_abel(base: VilenkinBase, n: int, level: int) -> LevelFunction:
@@ -227,12 +243,12 @@ def fejer_mean(
     convention: KernelConvention = KernelConvention.SHIFTED,
 ) -> LevelFunction:
     """Average of partial sums under the chosen convention."""
-    return _window(f.base, f.level, n, f, lambda k: _mean_weights(k, convention), "mean index")
+    return _window(f.base, f.level, n, f, lambda j: _mean_weights(n, convention, j), "mean index")
 
 
 def riesz_mean(f: LevelFunction, n: int) -> LevelFunction:
     """Riesz logarithmic mean (1/l_n) sum_{k=1}^{n} S_k f / k."""
-    return _window(f.base, f.level, n, f, _riesz_weights, "mean index")
+    return _window(f.base, f.level, n, f, lambda j: _riesz_weights(n, j), "mean index")
 
 
 def riesz_mean_abel(f: LevelFunction, n: int) -> LevelFunction:

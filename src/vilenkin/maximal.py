@@ -99,8 +99,12 @@ class WeightSpec:
         """:meth:`divisors`, checked against the phi >= 1 and monotonicity
         hypotheses on [1, n_max]; the operator-defining forms are exempt.
         Every weight read of the maximal operators and the blow-up probes
-        goes through here."""
-        d = self.divisors(n_max)
+        goes through here or, on a prefix of one table, :meth:`_checked`."""
+        return self._checked(self.divisors(n_max))
+
+    def _checked(self, d: np.ndarray) -> np.ndarray:
+        """The divisor table ``d`` for n = 1..len(d), checked as :meth:`phi` checks it."""
+        n_max = len(d)
         if self.kind not in _OPERATOR_FORMS:
             if np.min(d) < 1.0 - 1e-12:
                 raise ValueError(f"weight dips below 1 on [1, {n_max}] (min {np.min(d):.6g})")

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -886,6 +887,45 @@ def test_spectrum_dump_json_bytes(capsys):
         [3, "-5.5511151231257827e-17", "0"],
     ]
     assert _stdout(capsys, argv) == _dump_payload(["index", "real", "imag"], rows, [2])
+
+
+# n in the top 1/64 of the index range on each base: M = 4096 and M = 2592
+_TOP_DUMP_ARGV = {"2": ["--base", "2", "--depth", "12"], "2,3": ["--base", "2,3", "--depth", "9"]}
+_TOP_DUMP_N = {"2": 4050, "2,3": 2570}
+_TOP_DUMP_SHA256 = {
+    ("kernel", "2", "dirichlet", "csv"): "a2e2d3c3198d90346e20ea41f06530da45c6b8b2e8b51a0353d70f0e742e4d95",
+    ("kernel", "2", "dirichlet", "json"): "f91b57f1b9fec5b52925169f79601d0f45361fc29bc05a61234b7ce75adb947f",
+    ("kernel", "2", "fejer", "csv"): "dd1c683f30bb8c4e189538d24bc2b77e2afc101d0a6512860cf2e78d0c32506d",
+    ("kernel", "2", "fejer", "json"): "82b0d324cb37a90894ddb8f5d77639a5b341ae0534a3e35dfa0e097d63d59503",
+    ("kernel", "2", "riesz", "csv"): "1a7ed64aba87b4a010c6dc73ae696bfca8ff80bcb4cb4d3bcaf66bbb16055671",
+    ("kernel", "2", "riesz", "json"): "2c46cd24cd0449f80a8414f113b35a8e5e62622543a3fd968dc368ee2b673a9c",
+    ("kernel", "2,3", "dirichlet", "csv"): "52363433743cdab20fa4f8df097bfb9d1bfdb10fc965d84ad70046ce50868e53",
+    ("kernel", "2,3", "dirichlet", "json"): "919c9bb46f0fcba2176a6303941e9bc6918bc9e7adff7fc0ccd5c74bce2b459e",
+    ("kernel", "2,3", "fejer", "csv"): "e764f63d0ccbdbe8ce93490d6120c657cb8dbebd1692442067c6e048da5aa673",
+    ("kernel", "2,3", "fejer", "json"): "ea84ebe2e3318593874561ff995f7acdf49a7af83abaf670519d5c7ce43c8d2b",
+    ("kernel", "2,3", "riesz", "csv"): "5d99d92651427bb8dabf49be30f607ff8550a3597f7b16ea53576b730a30d956",
+    ("kernel", "2,3", "riesz", "json"): "604208880a90c623905bf1bdd2fbbff35bf508555de8f67f0b65858f8ce7a1c7",
+    ("spectrum", "2", "dirichlet", "csv"): "0d0837ffcd6b7ac7ff02ca268b7ed9ffa9cd0fa556df37d601e3f089bf3a7f89",
+    ("spectrum", "2", "dirichlet", "json"): "f41f165f01f80c57ea307ea7d36ee3fa956e1fa03130d7fa98db5564c7ce4fc4",
+    ("spectrum", "2", "fejer", "csv"): "7f72172919c678221cb993e4aedad81749bc0479d94f6310a248cccc4d59650d",
+    ("spectrum", "2", "fejer", "json"): "c1eb7e6477f7561b6b539e537f9519f57a2cf3d62097fc94bad1115a84c24c86",
+    ("spectrum", "2", "riesz", "csv"): "7a7dd5e8b5011eb9565977a749615f117cb3484d6a094f069507348cc0b9a9a0",
+    ("spectrum", "2", "riesz", "json"): "3ca4e61f84632999032e7202918627e6b09d5b5a56be466c8ef2ff3975e1c480",
+    ("spectrum", "2,3", "dirichlet", "csv"): "438ee183d3c09b1c812021937ea692d19b98410fabf6a4fbc74dc0c7175ee6b8",
+    ("spectrum", "2,3", "dirichlet", "json"): "0db55d9db4d2b06dbad73ff7cfac2c56b239fba3cdbf31b2e2616d89ac703e41",
+    ("spectrum", "2,3", "fejer", "csv"): "baaf1ee487c07cf2094afd79261356213450e79b5981f3c43abca7718a540711",
+    ("spectrum", "2,3", "fejer", "json"): "d1172975472ef2ca8a46485f1a963d1d94b99c5fee34784afee89179d6ba4390",
+    ("spectrum", "2,3", "riesz", "csv"): "070647d66bf27b1f1547a0ae580b04a5d7fdac49c282716b9aee4aa5f6297729",
+    ("spectrum", "2,3", "riesz", "json"): "39d21903f743980a5891bc1318c7783fd8292b2d1965404b0acea8d326c57b1b",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_TOP_DUMP_SHA256), ids="-".join)
+def test_dump_bytes_near_the_top_of_the_range(capsys, key):
+    """SHA-256 of kernel and spectrum dumps in CSV and JSON, pinned from the Paley-order route."""
+    command, moduli, which, fmt = key
+    argv = _TOP_DUMP_ARGV[moduli] + ["--format", fmt, command, "dump", "--which", which, "--n", str(_TOP_DUMP_N[moduli])]
+    assert hashlib.sha256(_stdout(capsys, argv).encode()).hexdigest() == _TOP_DUMP_SHA256[key]
 
 
 def test_counterexample_sweep_weak_type_bytes(capsys):

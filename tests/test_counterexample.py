@@ -164,7 +164,8 @@ def test_weak_threshold_event_is_the_whole_group(moduli, depth):
                 lam = 1.0 / (float(weight.phi(q0)[q0 - 1]) * harmonic_sums(q0)[q0] * q0)
                 assert row.numerator == lam, (moduli, weight.kind, p, row.k)
                 inst = build_instance(row.k, base)
-                probes = [_weighted_probe(inst, s, weight)[2] for s in range(inst.k)]
+                phi, harm = weight.phi(inst.probe_indices[-1]), harmonic_sums(inst.probe_indices[-1])
+                probes = [_weighted_probe(inst, s, float(phi[q - 1]), harm[q]) for s, q in enumerate(inst.probe_indices)]
                 measured = pointwise_sup(probes).at_level(inst.f.level).weak_lp_at(p, lam)
                 assert row.numerator == measured, (moduli, weight.kind, p, row.k)
 
@@ -265,7 +266,7 @@ def test_riesz_probe_matches_the_instance_level_route(moduli, depth, weight):
         for s in range(k):
             got, want = riesz_at_q(inst, s, weight), _instance_level_probe(inst, s, weight)
             assert got.weighted.level == want.weighted.level
-            assert np.array_equal(got.weighted.values, want.weighted.values), (k, s)
+            assert got.weighted.values.tobytes() == want.weighted.values.tobytes(), (k, s)
             for name in scalars:
                 assert getattr(got, name) == getattr(want, name), (k, s, name)
 

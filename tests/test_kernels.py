@@ -27,7 +27,7 @@ from vilenkin.kernels import (
     riesz_mean,
     riesz_mean_abel,
 )
-from vilenkin.transform import CharacterSampler
+from vilenkin.transform import CharacterSampler, Spectrum, forward, inverse
 
 ZERO_BASED = KernelConvention.ZERO_BASED
 SHIFTED = KernelConvention.SHIFTED
@@ -310,6 +310,86 @@ def test_mean_index_bounds():
         riesz_mean(f, 9)
     with pytest.raises(ValueError):
         fejer_mean(f, 9)
+
+
+# ----------------------------------------------------------------------
+# the digit-order window against the Paley-order route
+
+
+def _paley_window(base, level, n, f=None, weights=None):
+    """The Paley-order route: forward (ones for a kernel), a copy, the
+    weights of j < n, +0.0 past n, and inverse."""
+    coeffs = np.ones(base.orders[level], dtype=np.complex128) if f is None else forward(f).coeffs.copy()
+    if weights is not None:
+        coeffs[:n] *= weights(n)
+    coeffs[n:] = 0.0
+    return inverse(Spectrum._adopt(base, level, coeffs))
+
+
+def _shifted_weights(n):
+    return (n - np.arange(n, dtype=np.float64)) / n
+
+
+def _zero_based_weights(n):
+    return (n - 1 - np.arange(n, dtype=np.float64)) / n
+
+
+def _riesz_paley_weights(n):
+    harm = harmonic_sums(n)
+    return 1.0 - harm[:n] / harm[n]
+
+
+_WINDOW_CELLS = 2048  # largest base of the digit-order property test
+
+
+@st.composite
+def _window_cases(draw):
+    """A random mixed-radix base (moduli 2-8) of at most _WINDOW_CELLS cells and a seed."""
+    pattern = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4))
+    depth = draw(st.integers(1, 11))
+    while depth > 1 and np.prod(make_base(pattern, depth).moduli, dtype=np.int64) > _WINDOW_CELLS:
+        depth -= 1
+    return make_base(pattern, depth), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_window_cases())
+def test_window_in_digit_order_is_the_paley_route_byte_for_byte(case):
+    """Every kernel and mean, at every level, for n in {0, 1, 2, M/3, M - 1, M}
+    and one random n: the same bytes as the Paley-order route, signed zeros included."""
+    base, seed = case
+    rng = np.random.default_rng(seed)
+    for level in range(base.depth + 1):
+        total = base.orders[level]
+        vals = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+        vals[rng.random(total) < 0.2] = complex(-0.0, -0.0)
+        f = LevelFunction(base, level, vals)
+        for n in sorted({0, 1, 2, total // 3, total - 1, total, int(rng.integers(0, total + 1))} & set(range(total + 1))):
+            pairs = [
+                (dirichlet(base, n, level), _paley_window(base, level, n)),
+                (partial_sum(f, n), _paley_window(base, level, n, f)),
+            ]
+            if n:
+                pairs += [
+                    (fejer_kernel(base, n, level), _paley_window(base, level, n, weights=_shifted_weights)),
+                    (fejer_kernel(base, n, level, ZERO_BASED), _paley_window(base, level, n, weights=_zero_based_weights)),
+                    (riesz_kernel(base, n, level), _paley_window(base, level, n, weights=_riesz_paley_weights)),
+                    (fejer_mean(f, n), _paley_window(base, level, n, f, _shifted_weights)),
+                    (fejer_mean(f, n, ZERO_BASED), _paley_window(base, level, n, f, _zero_based_weights)),
+                    (riesz_mean(f, n), _paley_window(base, level, n, f, _riesz_paley_weights)),
+                ]
+            for i, (got, want) in enumerate(pairs):
+                assert got.values.tobytes() == want.values.tobytes(), (base.moduli, level, n, i)
+
+
+@pytest.mark.parametrize("moduli, depth", [((2,), 10), ((4,), 5)])
+def test_dirichlet_zeros_are_unsigned(moduli, depth):
+    # the window sets the entries past n to +0.0 rather than multiplying them by 0
+    base = make_base(moduli, depth)
+    for n in range(base.size + 1):
+        values = dirichlet(base, n, depth).values
+        for part in (values.real, values.imag):
+            assert not np.any(np.signbit(part[part == 0])), n
 
 
 # ----------------------------------------------------------------------
