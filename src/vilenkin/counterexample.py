@@ -136,8 +136,9 @@ class RieszProbe:
         return self.shell_value / self.lower_bound_expr
 
 
-def _weighted_probe(inst: CounterexampleInstance, s: int, phi: float, harm_q: float) -> LevelFunction:
-    """|R_q f| / phi at the probe q = M_{2k} + M_{2s}, at level 2s; phi = phi(q), harm_q = l_q.
+def _weighted_probe(inst: CounterexampleInstance, s: int, phi: float, harm: np.ndarray) -> LevelFunction:
+    """|R_q f| / phi at the probe q = M_{2k} + M_{2s}, at level 2s; phi = phi(q), and ``harm``
+    is the caller's ``harmonic_sums`` to q or past it (its prefix is ``harmonic_sums(q)``).
 
     R_q f = psi_{M_{2k}} sum_{i < M_{2s}} w_i psi_i with w_i = 1 - l_{M_{2k}+i} / l_q
     (shift identity), so its modulus is the level-2s synthesis of w.  At s = 0
@@ -145,9 +146,10 @@ def _weighted_probe(inst: CounterexampleInstance, s: int, phi: float, harm_q: fl
     """
     q = inst.probe_indices[s]
     if s == 0:
-        return constant(inst.base, 0, 1.0 / (phi * harm_q * q))
+        return constant(inst.base, 0, 1.0 / (phi * harm[q] * q))
     m = inst.block_start
-    return (1.0 / phi) * _window(inst.base, 2 * s, q - m, weights=lambda i: _riesz_weights(q, m + i)).modulus()
+    probe = _window(inst.base, 2 * s, q - m, weights=lambda i: _riesz_weights(harm[: q + 1], m + i))
+    return (1.0 / phi) * probe.modulus()
 
 
 def riesz_at_q(inst: CounterexampleInstance, s: int, weight: WeightSpec) -> RieszProbe:
@@ -158,20 +160,20 @@ def riesz_at_q(inst: CounterexampleInstance, s: int, weight: WeightSpec) -> Ries
         raise ValueError(f"probe stage {s} outside [0, {inst.k})")
     q = inst.probe_indices[s]
     phi = float(weight.phi(q)[q - 1])
-    harm_q = harmonic_sums(q)[q]
-    weighted = _weighted_probe(inst, s, phi, harm_q)
+    harm = harmonic_sums(q)
+    weighted = _weighted_probe(inst, s, phi, harm)
     m = inst.block_start
     m2s = inst.base.orders[2 * s]
     bound_vals = np.zeros(m2s, dtype=np.float64)
     for j, d in enumerate(CharacterSampler(inst.base, 2 * s).partial_sums(m2s), start=1):
         bound_vals += np.abs(d) / (j + m)
-    bound_vals /= phi * harm_q
+    bound_vals /= phi * harm[q]
 
     diff = np.real(weighted.values) - bound_vals
     identity_residual = float(abs(diff[0]))
     triangle_slack = float(np.max(diff))
     shell_value = float(np.real(weighted.values[0]))  # the shell I_{2s} \ I_{2s+1} lies in cell 0
-    lower = m2s**2 / (phi * harm_q * m)
+    lower = m2s**2 / (phi * harm[q] * m)
     return RieszProbe(s, q, weighted.at_level(inst.f.level), identity_residual, triangle_slack, shell_value, lower)
 
 
@@ -246,14 +248,14 @@ def blowup_table(
         hp = inst.f.lp_quasinorm(p)
         m2k = base.orders[2 * k]
         if p == 0.5:
-            probes = (_weighted_probe(inst, s, float(phi(q)[q - 1]), harm[q]) for s, q in enumerate(inst.probe_indices))
+            probes = (_weighted_probe(inst, s, float(phi(q)[q - 1]), harm) for s, q in enumerate(inst.probe_indices))
             sup_fn = pointwise_sup(probes).at_level(inst.f.level)
             numerator = sup_fn.lp_quasinorm(0.5)  # equals (integral |T f|^(1/2))^2
             analytic = k / float(phi(base.orders[2 * k + 1])[-1])
         else:
             # the fold would include this constant lambda, so mu(sup >= lambda) = 1
             q0 = inst.probe_indices[0]
-            numerator = float(_weighted_probe(inst, 0, float(phi(q0)[q0 - 1]), harm[q0]).values[0].real)
+            numerator = float(_weighted_probe(inst, 0, float(phi(q0)[q0 - 1]), harm).values[0].real)
             phi_q0 = float(phi(inst.probe_indices[-1])[m2k])  # checks phi up to the last probe
             analytic = (m2k + 1) ** (1.0 / p - 2.0) / (phi_q0 * np.log(m2k + 1))
         rows.append(

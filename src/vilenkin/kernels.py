@@ -11,22 +11,21 @@ default, and the only form the sweeps stream; ``fejer_kernel`` and
 
 Every spectral-weight synthesis of a kernel, mean or blow-up probe goes
 through ``_window``, which works in the transform's digit order and never
-builds a Paley-order table, and every sample-domain stream (here and in
-the maximal and counterexample modules) through
-:meth:`CharacterSampler.partial_sums`, save a maximal operator's head that
-fits one block, whose same sums come from one
-:meth:`CharacterSampler.characters` table; each route is the other's oracle.  The stream is exact on dyadic and mod-4 digits and
-updates psi_n carry by carry; its kernels D_n are float64 when every
-modulus up to the level is 2.  The sweeps and
-``_riesz_abel`` take their Fejer sums sum_{k<=n} S_k as
-``itertools.accumulate`` over the stream.  The two routes of the public
-kernels and means, ``_window`` and ``_riesz_abel``, make the index check
-and build the coefficient table, so each public function is one call.
-One kernel stream serves every cylinder level of the localization sweeps.
-The sweeps copy the stream's Fejer sums into blocks (``_fejer_blocks``)
-and reduce a whole block in a few calls, bit for bit the per-row sums;
-``_riesz_abel`` stays per step, since its one complex-by-real division
-per cell per step is the cost there.
+builds a Paley-order table.  Every sample-domain sum (here and in the
+maximal and counterexample modules) comes from :class:`CharacterSampler`:
+the stream :meth:`CharacterSampler.partial_sums`, or the blocks of running
+sums of :meth:`CharacterSampler._running_sums`, the one engine that the
+sweeps and the maximal operators share; each route is the other's oracle.
+The stream is exact on dyadic and mod-4 digits and updates psi_n carry by
+carry; its kernels D_n are float64 when every modulus up to the level is 2.
+The sweeps take their Fejer sums sum_{k<=n} D_k from the engine and reduce
+a whole block in a few calls, bit for bit the per-row sums.
+``_riesz_abel`` takes its Fejer sums as ``itertools.accumulate`` over the
+stream, per step, since its one complex-by-real division per cell per step
+is the cost there.  The two routes of the public kernels and means,
+``_window`` and ``_riesz_abel``, make the index check and build the
+coefficient table, so each public function is one call.  One kernel
+stream serves every cylinder level of the localization sweeps.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -135,14 +134,13 @@ def _mean_weights(n: int, convention: KernelConvention, j: np.ndarray) -> np.nda
     return w
 
 
-def _riesz_weights(n: int, j: np.ndarray) -> np.ndarray:
-    """Per-character weights (l_n - l_j) / l_n of the Riesz kernel at the indices j:
-    every j of the level for the Riesz kernel and mean, and M_{2k} + i for the
-    blow-up probes (``counterexample._weighted_probe``).  An index past n reads
-    l_n, so its weight is the 0 that the kernel gives it."""
-    harm = harmonic_sums(n)
+def _riesz_weights(harm: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Per-character weights (l_n - l_j) / l_n of the Riesz kernel at the indices j,
+    read from ``harm`` = l_0..l_n: every j of the level for the Riesz kernel and
+    mean, and M_{2k} + i for the blow-up probes (``counterexample._weighted_probe``).
+    An index past n reads l_n, so its weight is the 0 that the kernel gives it."""
     w = np.asarray(harm.take(j, mode="clip"))  # an array at level 0 too, for the steps in place
-    w /= harm[n]
+    w /= harm[-1]
     return np.subtract(1.0, w, out=w)
 
 
@@ -197,7 +195,7 @@ def riesz_kernel(base: VilenkinBase, n: int, level: int) -> LevelFunction:
     Character j is collected with total weight (l_n - l_j)/l_n, which is
     what gets synthesized here; the literal sum is the test oracle.
     """
-    return _window(base, level, n, weights=lambda j: _riesz_weights(n, j))
+    return _window(base, level, n, weights=lambda j: _riesz_weights(harmonic_sums(n), j))
 
 
 def riesz_kernel_abel(base: VilenkinBase, n: int, level: int) -> LevelFunction:
@@ -248,7 +246,7 @@ def fejer_mean(
 
 def riesz_mean(f: LevelFunction, n: int) -> LevelFunction:
     """Riesz logarithmic mean (1/l_n) sum_{k=1}^{n} S_k f / k."""
-    return _window(f.base, f.level, n, f, lambda j: _riesz_weights(n, j), "mean index")
+    return _window(f.base, f.level, n, f, lambda j: _riesz_weights(harmonic_sums(n), j), "mean index")
 
 
 def riesz_mean_abel(f: LevelFunction, n: int) -> LevelFunction:
@@ -277,36 +275,11 @@ def convolve(f: LevelFunction, g: LevelFunction) -> LevelFunction:
 # exhaustive kernel sweeps
 
 # Cells per block of the sweeps.  Smaller than maximal._BLOCK_CELLS: a sweep
-# block is a copy of the stream's rows with |.| temporaries of its size beside
-# it, and 16384 cells already hold 12-16 kernels at the sweep-dense sizes,
-# enough to amortize numpy's per-call cost; 65536-cell blocks raised that
-# workload's peak RSS from 37.9 to 40.4 MiB and its wall time not at all.
+# block has |.| temporaries of its size beside it, and 16384 cells already
+# hold 12-16 kernels at the sweep-dense sizes, enough to amortize numpy's
+# per-call cost; 65536-cell blocks raised that workload's peak RSS from
+# 37.9 to 40.4 MiB and its wall time not at all.
 _SWEEP_CELLS = 16384
-
-
-def _fejer_blocks(sampler: CharacterSampler, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The Fejer sums n K_n = sum_{k<=n} D_k for n = 1..n_max, as
-    ``(lo, block)`` with row i of the block holding n = lo + i.
-
-    Each row the stream yields is copied into one reused block of about
-    _SWEEP_CELLS cells, so a caller reduces the block before drawing the
-    next; a level of _SWEEP_CELLS cells or more gets the stream's own row,
-    uncopied.  A row of the block is the stream's array bit for bit, so a
-    row sum over it is the pairwise sum of the per-step route.
-    """
-    total = sampler.base.orders[sampler.level]
-    rows = min(n_max, max(1, _SWEEP_CELLS // total))
-    stream = accumulate(sampler.partial_sums(n_max))
-    if rows == 1:
-        for lo, row in enumerate(stream, start=1):
-            yield lo, row[None]
-        return
-    block = np.empty((rows, total), dtype=sampler.dtype)
-    for lo in range(1, n_max + 1, rows):
-        k = min(rows, n_max + 1 - lo)
-        for i, row in zip(range(k), stream):
-            block[i] = row
-        yield lo, block[:k]
 
 
 @dataclass(frozen=True)
@@ -323,7 +296,7 @@ def kernel_integral_sweep(base: VilenkinBase, level: int, n_max: int) -> KernelI
     base.require_count(n_max, level, "n_max")
     integrals = np.empty(n_max, dtype=np.float64)
     total = base.orders[level]
-    for lo, block in _fejer_blocks(CharacterSampler(base, level), n_max):
+    for lo, block in CharacterSampler(base, level)._running_sums(n_max, _SWEEP_CELLS):
         ns = np.arange(lo, lo + len(block), dtype=np.float64)
         integrals[lo - 1 : lo - 1 + len(block)] = np.abs(block).sum(axis=1) / total / ns
     return KernelIntegralSweep(KernelConvention.SHIFTED, integrals, np.maximum.accumulate(integrals))
@@ -425,7 +398,7 @@ def localization_sweeps(
     ranks = [[c.block_start * base.orders[n] // total for c in cs] for n, cs in zip(levels, cells)]
     masses = [np.empty((len(cs), n_max - base.orders[n] + 1)) for n, cs in zip(levels, cells)]
 
-    for lo, block in _fejer_blocks(CharacterSampler(base, level), n_max):
+    for lo, block in CharacterSampler(base, level)._running_sums(n_max, _SWEEP_CELLS):
         hi = lo + len(block)  # the block holds n = lo .. hi - 1
         # in place, and the class rows summed as soon as they are gathered:
         # at one kernel per block, a second live temporary of this size

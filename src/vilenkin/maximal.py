@@ -39,7 +39,7 @@ __all__ = [
 
 _GENERIC_KINDS = ("unit", "power_log_sq", "custom_table")
 _OPERATOR_FORMS = ("log", "power_log")
-_BLOCK_CELLS = 65536  # cells per block of n in _stream_sup; the kernel sweeps take kernels._SWEEP_CELLS
+_BLOCK_CELLS = 65536  # cells per block of n in _stream_sup; 16384 would split a 512-step stream on 64 cells in two
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def _stream_sup(
     divisors: np.ndarray | None,
     label: str,
 ) -> MaximalReport:
-    """Shared streaming engine for the truncated maximal operators.
+    """Shared sup over n of the truncated maximal operators.
 
     Both means are one weighted average of the partial sums S_n f from
     :meth:`CharacterSampler.partial_sums`: acc_n = acc_{n-1} + S_n / a_n and
@@ -139,56 +139,25 @@ def _stream_sup(
     base's range; computation happens at the function's effective level
     (means of a level-R function are level-R functions for every n).
 
-    One loop walks n in blocks of about _BLOCK_CELLS cells.  Each row of a
-    block holds its increment S_n / a_n (S_n f = f past the last nonzero
-    coefficient h, so only the rows up to it draw a partial sum), and one
-    sequential cumsum from the carried acc accumulates the block in the
-    order of a plain loop over n.  When S_1..S_h fit the first block (a
-    short spectrum on few cells, where a step costs more than its arithmetic)
-    they are one row cumsum of c_n psi_n over
-    :meth:`CharacterSampler.characters`, written into that block; otherwise
-    (where a table is slower than the stream) they are drawn step by step
-    from :meth:`CharacterSampler.partial_sums`.  Both give the same sums bit
-    for bit.  A first-occurrence argmax per block with a strict
-    improvement across blocks keeps the per-step tie rule, so the result
-    and argmax are bit-identical to that loop.
+    The acc_n come in blocks of about _BLOCK_CELLS cells from
+    :meth:`CharacterSampler._running_sums`, bit for bit a plain loop over n,
+    and each block is scored once: a first-occurrence argmax per block with a
+    strict improvement across blocks keeps the per-step tie rule, so the
+    result and argmax are bit-identical to that loop.
     """
     f.base.require_count(n_max, f.base.depth, "n_max")
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     if mode == "sigma":
-        a, b = np.ones(n_max), ns
-    else:
-        a, b = ns, harmonic_sums(n_max)[1:]
-    w = (1.0 / a).astype(np.complex128)  # numpy divides by a real through its reciprocal: S_n * w_n == S_n / a_n
+        weights, b = None, ns
+    else:  # numpy divides by a real through its reciprocal: S_n * w_n == S_n / n
+        weights, b = (1.0 / ns).astype(np.complex128), harmonic_sums(n_max)[1:]
     g = f.compress()
     total = g.base.orders[g.level]
-    coeffs = forward(g).coeffs
-    nonzero = np.flatnonzero(coeffs)
-    head = min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0)
-    sampler = CharacterSampler(g.base, g.level)
-    rows = min(n_max, max(1, _BLOCK_CELLS // total))
-    cum = np.zeros((rows + 1, total), dtype=np.complex128)  # carried acc, then the block's rows
-    if head <= rows:  # S_1..S_head fit the first block: one character table
-        sums = cum[1 : head + 1]
-        np.multiply(coeffs[:head, None], sampler.characters(head), out=sums)
-        np.cumsum(sums, axis=0, out=sums)
-        s = cum[head].copy()  # S_n f for the tail; the zero acc if the head is empty
-        sums *= w[:head, None]
-        stream = iter(())
-    else:  # every row of the first block draws S_n, so s is set before a tail row reads it
-        stream = sampler.partial_sums(head, coeffs)
-    vals = np.empty((rows, total))
     best = np.full(total, -1.0)
     arg = np.zeros(total, dtype=np.int64)
-    for lo in range(1, n_max + 1, rows):
-        k = min(rows, n_max + 1 - lo)
-        h = min(k, max(0, head + 1 - lo))  # rows of the block that draw S_n
-        for n, s in zip(range(lo, lo + h), stream):
-            np.multiply(s, w[n - 1], out=cum[n - lo + 1])
-        np.multiply(s, w[lo - 1 + h : lo - 1 + k, None], out=cum[h + 1 : k + 1])
-        np.cumsum(cum[: k + 1], axis=0, out=cum[: k + 1])  # in place, row after row
-        block, v = slice(lo - 1, lo - 1 + k), vals[:k]
-        np.abs(cum[1 : k + 1], out=v)
+    for lo, acc in CharacterSampler(g.base, g.level)._running_sums(n_max, _BLOCK_CELLS, forward(g).coeffs, weights):
+        block = slice(lo - 1, lo - 1 + len(acc))
+        v = np.abs(acc)
         v /= b[block, None]
         if divisors is not None:
             v /= divisors[block, None]
@@ -197,7 +166,6 @@ def _stream_sup(
         better = peak > best
         best[better] = peak[better]
         arg[better] = lo + top[better]
-        cum[0] = cum[k]
     reps = f.base.orders[f.level] // total
     result = LevelFunction._adopt(f.base, f.level, np.repeat(best, reps).astype(np.complex128))
     return MaximalReport(label, n_max, result, np.repeat(arg, reps))

@@ -11,7 +11,10 @@ are stored as the exact values 1, i, -1, -i, so dyadic and mod-4 digits
 multiply exactly; the sampled characters of :class:`CharacterSampler`
 take their roots from the same table.  Forward coefficients use the
 conjugated character, matching the inner-product convention; the inverse
-applies plain characters with no normalization.
+applies plain characters with no normalization.  The sampler's
+``_running_sums`` is the one engine of running sums A_n = A_{n-1} + w_n S_n
+over the partial sums, which the kernel sweeps and the maximal operators
+draw in blocks; only it chooses between the stream and a character table.
 """
 
 from __future__ import annotations
@@ -148,10 +151,9 @@ class CharacterSampler:
         the sums are complex128.  Zero coefficients are skipped, so a stream
         may run past M_level only over zero coefficients, and is refused
         before its first step otherwise.  Every sample-domain stream of the
-        library walks this generator, save the maximal operators' head when
-        it fits one block, which takes the same sums bit for bit as the row
-        cumsum of ``c[:, None] * characters(h)``.  Each step yields a new
-        array that later steps never write.
+        library walks this generator, directly or through
+        :meth:`_running_sums`.  Each step yields a new array that later steps
+        never write.
 
         psi_n is the suffix product P_0, where P_j = phase(j, n_j) P_{j+1}
         over the digits of n.  Going from n to n + 1 changes only digits
@@ -190,6 +192,58 @@ class CharacterSampler:
             yield s
         for _ in range(steps, n_max):
             yield s
+
+    def _running_sums(
+        self, n_max: int, cells: int, coeffs: np.ndarray | None = None, weights: np.ndarray | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """The running sums A_n = A_{n-1} + w_n S_n (A_0 = 0) for n = 1..n_max,
+        as ``(lo, block)`` with row i of the block holding A_{lo+i}; S_n as in
+        :meth:`partial_sums`, w_n = ``weights[n - 1]`` (ones if None).
+
+        One block of about ``cells`` cells is reused: a caller reduces it before
+        drawing the next.  S_1..S_h, h the last nonzero coefficient's count, are
+        one :meth:`characters` table when they fit the first block (few cells,
+        where a step costs more than its arithmetic); otherwise each is drawn
+        from the stream and added to the row before it, since a block cumsum
+        over wide drawn rows is slower.  Past h, S_n = S_h, so those rows are
+        one fill and one cumsum in place.  A block's first row adds to the last
+        row of the block before, read where it lies before any fill overwrites
+        it, so no carry is copied.  Every row is the per-step loop's sum bit
+        for bit.
+        """
+        total = self.base.orders[self.level]
+        if coeffs is None:
+            head, dtype = n_max, self.dtype
+        else:
+            nonzero = np.flatnonzero(coeffs)
+            head, dtype = min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0), np.complex128
+        rows = min(n_max, max(1, cells // total))
+        block = np.zeros((rows, total), dtype=dtype)  # its last row carries A_{lo-1}: A_0 = 0 at first
+        stream = iter(()) if head <= rows else self.partial_sums(head, coeffs)
+        if head <= rows:  # S_1..S_head as one character table
+            sums = block[:head]
+            if coeffs is None:
+                sums[:] = self.characters(head)
+            else:
+                np.multiply(coeffs[:head, None], self.characters(head), out=sums)
+            np.cumsum(sums, axis=0, out=sums)
+            s = block[head - 1].copy()  # S_n for n >= head; an empty head reads the zero row
+            if weights is not None:
+                sums *= weights[:head, None]
+            np.cumsum(sums, axis=0, out=sums)
+        for lo in range(1, n_max + 1, rows):
+            k = min(rows, n_max + 1 - lo)
+            h = min(k, max(0, head + 1 - lo))  # rows of S_n with n <= head; a table head draws none here
+            for i, s in zip(range(h), stream):
+                np.add(block[i - 1], s if weights is None else s * weights[lo - 1 + i], out=block[i])
+            if h < k:  # S_n = S_head: row h adds to the row before it, then one fill and one cumsum
+                np.add(block[h - 1], s if weights is None else s * weights[lo - 1 + h], out=block[h])
+                if weights is None:
+                    block[h + 1 : k] = s
+                else:
+                    np.multiply(s, weights[lo + h : lo - 1 + k, None], out=block[h + 1 : k])
+                np.cumsum(block[h:k], axis=0, out=block[h:k])
+            yield lo, block[:k]
 
 
 _RUN_CELLS = 16  # largest product of moduli fused into one DFT block

@@ -165,7 +165,7 @@ def test_weak_threshold_event_is_the_whole_group(moduli, depth):
                 assert row.numerator == lam, (moduli, weight.kind, p, row.k)
                 inst = build_instance(row.k, base)
                 phi, harm = weight.phi(inst.probe_indices[-1]), harmonic_sums(inst.probe_indices[-1])
-                probes = [_weighted_probe(inst, s, float(phi[q - 1]), harm[q]) for s, q in enumerate(inst.probe_indices)]
+                probes = [_weighted_probe(inst, s, float(phi[q - 1]), harm) for s, q in enumerate(inst.probe_indices)]
                 measured = pointwise_sup(probes).at_level(inst.f.level).weak_lp_at(p, lam)
                 assert row.numerator == measured, (moduli, weight.kind, p, row.k)
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from vilenkin.functions import LevelFunction, constant
 from vilenkin.group import make_base
 from vilenkin.hardy import random_atom
 from vilenkin import maximal
-from vilenkin.kernels import fejer_mean, riesz_mean
+from vilenkin.kernels import fejer_mean, kernel_integral_sweep, localization_sweeps, riesz_mean
 from vilenkin.transform import CharacterSampler, Spectrum, forward, inverse
 from vilenkin.maximal import (
     OperatorSpec,
@@ -400,3 +401,40 @@ def test_a_coarse_function_reads_as_its_refinement(case, data):
             assert rep.result.level == coarse.level, where
             assert np.array_equal(rep.result.at_level(depth).values, fine.result.values), where
             assert np.array_equal(np.repeat(rep.argmax, reps), fine.argmax), where
+
+
+# the running-sum engine's byte pin: dyadic, odd, mixed, mod-4 and mod-16, and a prime modulus
+_PIN_GEOMETRIES = (((2,), 10), ((3,), 6), ((2, 3), 6), ((5, 4, 3), 3), ((16, 3), 3), ((7,), 3))
+_ENGINE_SHA256 = "ed3fe598a0e63afa841ecbde242bbcf1af656e2d9899f7e35c58d95e02f9042d"
+
+
+def _pin_inputs(base, rng):
+    """A dense function, a sparse spectrum in the lowest quarter, and a p = 1/2 atom at its own level."""
+    dense = _random(base, base.depth, rng)
+    coeffs = np.zeros(base.size, dtype=np.complex128)
+    coeffs[rng.integers(0, base.size // 4, size=3)] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    sparse = inverse(Spectrum(base, base.depth, coeffs))
+    return dense, sparse, random_atom(base, 0.5, rng).values
+
+
+def test_sweeps_and_maximal_operators_keep_their_bytes():
+    """SHA-256 over the kernel sweeps and the maximal operators' results and argmax,
+    at n_max 1, M/5 and M, pinned from the two separate block loops the engine replaced."""
+    digest = hashlib.sha256()
+    weights = (WeightSpec("log"), WeightSpec("power_log", p=0.3))
+    for moduli, depth in _PIN_GEOMETRIES:
+        base = make_base(moduli, depth)
+        counts = sorted({1, base.size // 5, base.size})
+        for n_max in counts:
+            sweep = kernel_integral_sweep(base, depth, n_max)
+            digest.update(sweep.integrals.tobytes() + sweep.running_max.tobytes())
+            levels = [n for n in (1, 2) if base.orders[n] <= n_max]
+            for loc in localization_sweeps(base, levels, n_max) if levels else ():
+                digest.update(loc.kernel_ratios.tobytes() + loc.tail_ratios.tobytes())
+        for f in _pin_inputs(base, np.random.default_rng(depth * 100 + sum(moduli))):
+            for n_max in counts:
+                reports = [sigma_star(f, n_max), riesz_star(f, n_max)]
+                reports += [weighted_riesz_star(f, weight, n_max) for weight in weights]
+                for rep in reports:
+                    digest.update(rep.result.values.tobytes() + rep.argmax.tobytes())
+    assert digest.hexdigest() == _ENGINE_SHA256

@@ -365,6 +365,58 @@ def test_stream_rebuilds_no_character(monkeypatch, moduli, depth):
         assert sum(1 for _ in CharacterSampler(base, depth).partial_sums(base.size, c)) == base.size
 
 
+_ENGINE_CELLS = 2048  # largest base whose running sums are checked against the literal loop
+
+
+@st.composite
+def _engine_cases(draw):
+    """A random mixed-radix base (moduli 2-8) of at most _ENGINE_CELLS cells,
+    a level on it and a seed."""
+    pattern = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4))
+    depth = 1
+    while make_base(pattern, depth + 1).size <= _ENGINE_CELLS:
+        depth += 1
+    return make_base(pattern, depth), draw(st.integers(0, depth)), draw(st.integers(0, 2**32 - 1))
+
+
+def _literal_running_sums(sampler, n_max, coeffs, weights):
+    """A_n = A_{n-1} + w_n S_n for n = 1..n_max, one step at a time, as rows."""
+    acc = np.zeros(sampler.base.orders[sampler.level], dtype=sampler.dtype if coeffs is None else np.complex128)
+    rows = []
+    for n, s in enumerate(sampler.partial_sums(n_max, coeffs), start=1):
+        acc = acc + (s if weights is None else s * weights[n - 1])
+        rows.append(acc)
+    return np.array(rows)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_engine_cases())
+def test_running_sums_are_the_literal_loop(case):
+    """Every block of ``_running_sums`` equals the literal loop over the stream,
+    for no, dense, sparse and all-zero coefficients, with and without 1/n weights,
+    at n_max 1, random and the last index.  Blocks of 1 and 7 cells give one-row
+    blocks, the zero spectrum an empty table head and then tail-only blocks, and
+    n_max = 1 a one-row character table."""
+    base, level, seed = case
+    rng = np.random.default_rng(seed)
+    sampler = CharacterSampler(base, level)
+    total = base.orders[level]
+    dense = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+    sparse = np.zeros(total, dtype=np.complex128)
+    head = rng.integers(0, -(-total // 4), size=3)  # a short head, then S_n = S_h
+    sparse[head] = dense[head]
+    for coeffs in (None, dense, sparse, np.zeros(total, dtype=np.complex128)):
+        for weights in (None, 1.0 / np.arange(1, total + 1)):
+            want = _literal_running_sums(sampler, total, coeffs, weights)
+            for n_max in sorted({1, int(rng.integers(1, total + 1)), total}):
+                for cells in (1, 7, base.size, 16384, 65536):
+                    blocks = [(lo, block.copy()) for lo, block in sampler._running_sums(n_max, cells, coeffs, weights)]
+                    los = np.cumsum([1] + [len(block) for _, block in blocks])
+                    assert [lo for lo, _ in blocks] == list(los[:-1]) and los[-1] == n_max + 1
+                    got = np.concatenate([block for _, block in blocks])
+                    assert got.dtype == want.dtype and np.array_equal(got, want[:n_max]), (n_max, cells)
+
+
 _FUSED_CELLS = 1024  # largest base checked against the quadratic oracles
 
 
