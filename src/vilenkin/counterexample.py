@@ -14,6 +14,7 @@ construction; only p = 1/2 rows build the s >= 1 probes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,6 +212,18 @@ class BlowupTable:
         return [r.ratio for r in self.rows]
 
 
+def _analytic_power(m2k: int, p: float) -> float:
+    """(M_2k + 1)^(1/p - 2), the power in the weak rows' analytic bound, refused
+    when it overflows float64, as it does for a p near zero."""
+    try:
+        power = (m2k + 1) ** (1.0 / p - 2.0)
+    except OverflowError:  # a float power raises; 1/p = inf for a subnormal p gives inf instead
+        power = math.inf
+    if not math.isfinite(power):
+        raise ValueError(f"p = {p} is too small: (M_2k + 1)^(1/p - 2) overflows float64 at M_2k = {m2k}")
+    return power
+
+
 def blowup_table(
     base: VilenkinBase,
     weight: WeightSpec,
@@ -239,6 +252,7 @@ def blowup_table(
         if not rows:  # one table of each per call, up to the deepest stage the base holds:
             top = min(max(k_range), (base.depth - 1) // 2)  # a prefix is the table built to its end
             last = base.orders[2 * top] + base.orders[2 * top - 2]  # the last probe index
+            _analytic_power(base.orders[2 * top], p)  # refuses a p near zero before a weight table overflows
             divisors = weight.divisors(base.orders[2 * top + 1] if p == 0.5 else last)
             harm = harmonic_sums(last)
 
@@ -257,7 +271,7 @@ def blowup_table(
             q0 = inst.probe_indices[0]
             numerator = float(_weighted_probe(inst, 0, float(phi(q0)[q0 - 1]), harm).values[0].real)
             phi_q0 = float(phi(inst.probe_indices[-1])[m2k])  # checks phi up to the last probe
-            analytic = (m2k + 1) ** (1.0 / p - 2.0) / (phi_q0 * np.log(m2k + 1))
+            analytic = _analytic_power(m2k, p) / (phi_q0 * np.log(m2k + 1))
         rows.append(
             BlowupRow(
                 k=k,

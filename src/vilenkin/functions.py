@@ -136,7 +136,8 @@ class LevelFunction:
     def lp_quasinorm(self, p: float) -> float:
         """(integral of |f|^p)^(1/p) for any p > 0."""
         require_positive(p, "p")
-        mean = np.mean(np.abs(self.values) ** p)
+        with np.errstate(over="ignore"):  # an overflow is refused just below, in words, not as a warning
+            mean = np.mean(np.abs(self.values) ** p)
         if not np.isfinite(mean):
             raise ValueError("values are not finite (or |f|^p overflows float64)")
         return float(mean ** (1.0 / p))

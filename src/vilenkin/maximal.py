@@ -141,28 +141,39 @@ def _stream_sup(
 
     The acc_n come in blocks of about _BLOCK_CELLS cells from
     :meth:`CharacterSampler._running_sums`, bit for bit a plain loop over n,
-    and each block is scored once: a first-occurrence argmax per block with a
-    strict improvement across blocks keeps the per-step tie rule, so the
-    result and argmax are bit-identical to that loop.
+    and each block is scored once: a first-occurrence argmax per block, whose
+    entry is the block's maximum, with a strict improvement across blocks
+    keeps the per-step tie rule, so the result and argmax are bit-identical
+    to that loop.  The sums are float64 when every modulus up to the
+    effective level is 2 (so the characters are +-1) and the spectrum is
+    finite and real, and complex128 otherwise; both give the same bytes.
     """
     f.base.require_count(n_max, f.base.depth, "n_max")
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     if mode == "sigma":
         weights, b = None, ns
-    else:  # numpy divides by a real through its reciprocal: S_n * w_n == S_n / n
-        weights, b = (1.0 / ns).astype(np.complex128), harmonic_sums(n_max)[1:]
+    else:  # numpy divides by a real through its reciprocal: S_n * w_n == S_n / n (w_n + 0j for complex S_n)
+        weights, b = 1.0 / ns, harmonic_sums(n_max)[1:]
     g = f.compress()
+    sampler = CharacterSampler(g.base, g.level)
+    coeffs = forward(g).coeffs
+    # +-1 characters and a finite real spectrum: every imaginary part is an exact zero, so is every cross
+    # term, and the float64 sums are the complex128 sums' real parts up to the sign of a zero, their moduli
+    # bit for bit.  An inf is kept complex: there inf * 0 = NaN (a constant inf is an inf + 0j at level 0)
+    if sampler.dtype == np.float64 and np.isfinite(coeffs).all() and not coeffs.imag.any():
+        coeffs = coeffs.real
     total = g.base.orders[g.level]
+    cols = np.arange(total)
     best = np.full(total, -1.0)
     arg = np.zeros(total, dtype=np.int64)
-    for lo, acc in CharacterSampler(g.base, g.level)._running_sums(n_max, _BLOCK_CELLS, forward(g).coeffs, weights):
+    for lo, acc in sampler._running_sums(n_max, _BLOCK_CELLS, coeffs, weights):
         block = slice(lo - 1, lo - 1 + len(acc))
         v = np.abs(acc)
         v /= b[block, None]
         if divisors is not None:
             v /= divisors[block, None]
         top = np.argmax(v, axis=0)
-        peak = v.max(axis=0)
+        peak = v[top, cols]  # the first-occurrence argmax holds the maximum, NaN included
         better = peak > best
         best[better] = peak[better]
         arg[better] = lo + top[better]

@@ -86,7 +86,9 @@ class CharacterSampler:
     at most sum_j (m_j - 1) vectors of M_level samples.  When every modulus
     up to the level is 2 the roots are +-1, and the vectors, ``character``
     and the ``coeffs=None`` stream are float64 (``dtype``); otherwise they
-    are complex128.
+    are complex128.  Sums over given coefficients take
+    ``np.result_type(dtype, coeffs.dtype)``: float64 only for real
+    coefficients on such digits, complex128 otherwise.
     """
 
     def __init__(self, base: VilenkinBase, level: int):
@@ -144,11 +146,17 @@ class CharacterSampler:
             table = out
         return table[:rows]
 
+    def _sums_dtype(self, coeffs: np.ndarray | None) -> np.dtype:
+        """The dtype of sums over ``coeffs``: ``dtype`` for all ones (None)."""
+        return self.dtype if coeffs is None else np.result_type(self.dtype, coeffs.dtype)
+
     def partial_sums(self, n_max: int, coeffs: np.ndarray | None = None) -> Iterator[np.ndarray]:
         """Sampled partial sums S_n = sum_{j<n} c_j psi_j for n = 1..n_max.
 
         ``coeffs=None`` means all ones (S_n = D_n, of ``dtype``); otherwise
-        the sums are complex128.  Zero coefficients are skipped, so a stream
+        the sums are of ``np.result_type(dtype, coeffs.dtype)``: float64 for
+        real coefficients on dyadic digits, complex128 for complex ones or
+        any other modulus.  Zero coefficients are skipped, so a stream
         may run past M_level only over zero coefficients, and is refused
         before its first step otherwise.  Every sample-domain stream of the
         library walks this generator, directly or through
@@ -174,7 +182,7 @@ class CharacterSampler:
         digits = [0] * width
         suffix = [np.ones(total, dtype=self.dtype)] * (width + 1)  # P_0..P_width
         stale = 0  # P_0..P_{stale-1} lag behind the digits
-        s = np.zeros(total, dtype=self.dtype if coeffs is None else np.complex128)
+        s = np.zeros(total, dtype=self._sums_dtype(coeffs))
         for n in range(steps):
             if n:
                 c = 0
@@ -198,7 +206,8 @@ class CharacterSampler:
     ) -> Iterator[tuple[int, np.ndarray]]:
         """The running sums A_n = A_{n-1} + w_n S_n (A_0 = 0) for n = 1..n_max,
         as ``(lo, block)`` with row i of the block holding A_{lo+i}; S_n as in
-        :meth:`partial_sums`, w_n = ``weights[n - 1]`` (ones if None).
+        :meth:`partial_sums`, w_n = ``weights[n - 1]`` (ones if None).  The
+        blocks have the dtype of the sums S_n; real weights keep it.
 
         One block of about ``cells`` cells is reused: a caller reduces it before
         drawing the next.  S_1..S_h, h the last nonzero coefficient's count, are
@@ -213,12 +222,13 @@ class CharacterSampler:
         """
         total = self.base.orders[self.level]
         if coeffs is None:
-            head, dtype = n_max, self.dtype
+            head = n_max
         else:
             nonzero = np.flatnonzero(coeffs)
-            head, dtype = min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0), np.complex128
+            head = min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0)
         rows = min(n_max, max(1, cells // total))
-        block = np.zeros((rows, total), dtype=dtype)  # its last row carries A_{lo-1}: A_0 = 0 at first
+        # the block's last row carries A_{lo-1}: A_0 = 0 at first
+        block = np.zeros((rows, total), dtype=self._sums_dtype(coeffs))
         stream = iter(()) if head <= rows else self.partial_sums(head, coeffs)
         if head <= rows:  # S_1..S_head as one character table
             sums = block[:head]

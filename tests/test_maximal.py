@@ -251,12 +251,15 @@ _STREAM_CELLS = 200  # cap on M_K so the per-n oracle stays cheap
 
 @st.composite
 def _stream_inputs(draw):
-    """A function on a random mixed-radix base, resolved at full depth.
+    """A function on a random mixed-radix or dyadic base, resolved at full depth.
 
     The spectrum lives at a random level (so the effective level can sit
-    below the depth) and is either dense or a few scattered coefficients.
+    below the depth), is either dense or a few scattered coefficients, and
+    is real or complex: a real spectrum on a dyadic base is a real function,
+    whose running sums the operators take in float64.
     """
-    pattern = draw(st.lists(st.integers(2, 7), min_size=1, max_size=6))
+    mixed, dyadic = st.lists(st.integers(2, 7), min_size=1, max_size=6), st.lists(st.just(2), min_size=1, max_size=7)
+    pattern = draw(st.one_of(mixed, dyadic))
     depth = 1
     while depth < len(pattern) and np.prod(pattern[: depth + 1]) <= _STREAM_CELLS:
         depth += 1
@@ -265,6 +268,8 @@ def _stream_inputs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = base.orders[level]
     coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if draw(st.booleans()):
+        coeffs = coeffs.real.copy()
     if draw(st.booleans()):  # sparse
         keep = np.zeros(size, dtype=bool)
         keep[rng.integers(0, size, size=draw(st.integers(0, 4)))] = True
@@ -351,19 +356,39 @@ def _literal_sup(f, n_max, mode, divisors):
     return np.repeat(best, reps), np.repeat(arg, reps)
 
 
+def _with_cell(f, value):
+    values = f.values.copy()
+    values[len(values) // 3] = value
+    return LevelFunction(f.base, f.level, values)
+
+
+# inputs beside f and its zero at the edges of the float64 route's byte argument: subnormal-adjacent and
+# overflowing sums, an inf or NaN cell (a NaN imaginary part in the spectrum), and a constant inf, whose
+# spectrum at level 0 is inf + 0j, which the complex route turns into NaN as inf * 0
+_EDGES = {
+    "tiny": lambda f: f * 1e-300,
+    "huge": lambda f: f * (1e307 / max(1.0, float(np.max(np.abs(f.values))))),
+    "inf": lambda f: _with_cell(f, np.inf),
+    "nan": lambda f: _with_cell(f, np.nan),
+    "constant-inf": lambda f: constant(f.base, f.base.depth, np.inf),
+}
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(_stream_inputs())
-def test_stream_is_bit_identical_to_a_literal_loop(case):
+@given(_stream_inputs(), st.sampled_from(sorted(_EDGES)))
+@np.errstate(invalid="ignore", over="ignore")  # the edges overflow, and meet inf * 0 and inf - inf
+def test_stream_is_bit_identical_to_a_literal_loop(case, edge):
     """Result and argmax equal, bit for bit, on head-only, tail-only and mixed
     runs, with the head ending inside a block and on a block edge, and with a
-    head that fills the first block or spills one row past it."""
+    head that fills the first block or spills one row past it, for complex
+    and real functions and an edge input beside each."""
     f, n_rand = case
     top = f.base.size
     nonzero = np.flatnonzero(forward(f).coeffs)
     last = int(nonzero[-1]) + 1 if nonzero.size else 0
     zero = f * 0.0  # no head at all: every step is in the tail
     log = WeightSpec("log")
-    for g in (f, zero):
+    for g in (f, zero, _EDGES[edge](f)):
         for n_max in sorted({1, n_rand, min(top, last + 1), top}):
             shape = "tail-only" if g is zero else "head-only" if n_max <= last else "mixed"
             runs = [
@@ -377,9 +402,45 @@ def test_stream_is_bit_identical_to_a_literal_loop(case):
                     with pytest.MonkeyPatch.context() as mp:
                         mp.setattr(maximal, "_BLOCK_CELLS", block_cells)
                         rep = run()
-                    where = (shape, rep.operator, n_max, block_cells)
-                    assert np.array_equal(rep.result.values.real, best), where
-                    assert np.array_equal(rep.argmax, arg), where
+                    where = (edge, shape, rep.operator, n_max, block_cells)
+                    assert rep.result.values.real.tobytes() == best.tobytes(), where
+                    assert rep.argmax.tobytes() == arg.tobytes(), where
+
+
+def _real_spectrum_function(moduli, depth, imag_at=None):
+    """A function with a real random spectrum on ``moduli``, and with one
+    nonzero imaginary part at index ``imag_at`` if given."""
+    base = make_base(moduli, depth)
+    coeffs = np.random.default_rng(depth).standard_normal(base.size).astype(np.complex128)
+    if imag_at is not None:
+        coeffs[imag_at] += 1e-3j
+    return inverse(Spectrum(base, depth, coeffs))
+
+
+@pytest.mark.parametrize(
+    "f, dtype",
+    [
+        (_real_spectrum_function((2,), 6), np.float64),
+        (_real_spectrum_function((2,), 6, imag_at=37), np.complex128),
+        (LevelFunction(make_base((2, 3), 4), 4, np.random.default_rng(2).standard_normal(36)), np.complex128),
+        (constant(make_base((2,), 6), 6, np.inf), np.complex128),
+    ],
+    ids=["real-dyadic", "one-imaginary-part", "real-on-2-3", "constant-inf"],
+)
+def test_the_operators_sum_in_float64_only_for_a_finite_real_spectrum_on_dyadic_digits(monkeypatch, f, dtype):
+    seen = set()
+    engine = CharacterSampler._running_sums
+
+    def spy(self, *args):
+        for lo, block in engine(self, *args):
+            seen.add(block.dtype)
+            yield lo, block
+
+    monkeypatch.setattr(CharacterSampler, "_running_sums", spy)
+    with np.errstate(invalid="ignore"):  # the constant inf meets inf * 0 on the complex route
+        sigma_star(f, f.base.size)
+        weighted_riesz_star(f, WeightSpec("log"), f.base.size)
+    assert seen == {np.dtype(dtype)}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -9,12 +9,14 @@ that disagrees shows up here.
 import ast
 import hashlib
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vilenkin
+from vilenkin.cli import main
 from vilenkin.counterexample import blowup_table, build_instance, partial_sum_closed_form
 from vilenkin.functions import LevelFunction, constant, indicator, pointwise_sup
 from vilenkin.group import Cylinder, make_base, point_of, unit_point, zero_point
@@ -215,3 +217,30 @@ def test_each_range_rule_is_raised_in_one_place(text):
             if isinstance(node, ast.Raise) and text in ast.get_source_segment(source, node):
                 raises.append(f"{path.name}:{node.lineno}")
     assert len(raises) == 1, raises
+
+
+def _sweep_refusal(capsys, argv):
+    """Exit code, stdout and stderr of ``argv``, with a RuntimeWarning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("phi", [[], ["--phi", "power_log"]], ids=["unit", "power_log"])
+def test_a_sweep_at_a_p_near_zero_is_refused_by_name(tmp_path, capsys, phi):
+    """(M_2k + 1)^(1/p - 2) of the analytic bound overflows: one error line naming p, refused
+    before the power_log weight table, whose power is as large, overflows first."""
+    out = tmp_path / "sweep.csv"
+    argv = ["--base", "2", "--depth", "3", "counterexample", "sweep", *phi, "--p", "1e-300", "--kmax", "1"]
+    message = "error: p = 1e-300 is too small: (M_2k + 1)^(1/p - 2) overflows float64 at M_2k = 4\n"
+    assert _sweep_refusal(capsys, argv) == (2, "", message)
+    assert _sweep_refusal(capsys, ["--out", str(out), *argv]) == (2, "", message)
+    assert not out.exists()
+
+
+def test_a_sweep_at_a_huge_p_is_refused_without_a_warning(capsys):
+    """|f|^p overflows in the Hardy norm: the refusal is its one error line, with no numpy warning before it."""
+    argv = ["--base", "2", "--depth", "3", "counterexample", "sweep", "--p", "1e300", "--kmax", "1"]
+    assert _sweep_refusal(capsys, argv) == (2, "", "error: values are not finite (or |f|^p overflows float64)\n")

@@ -350,6 +350,26 @@ def test_character_table_refuses_a_row_its_level_cannot_resolve():
         sampler.characters(7)
 
 
+@pytest.mark.parametrize(
+    "moduli, level, coeffs_dtype, dtype",
+    [
+        ((2,), 4, np.float64, np.float64),
+        ((2,), 4, np.complex128, np.complex128),
+        ((2, 3), 1, np.float64, np.float64),  # the modulus 3 is not below the level
+        ((2, 3), 2, np.float64, np.complex128),
+        ((3, 2), 1, np.float64, np.complex128),
+    ],
+)
+def test_the_sums_are_float64_only_for_real_coefficients_on_dyadic_digits(moduli, level, coeffs_dtype, dtype):
+    sampler = CharacterSampler(make_base(moduli, 4), level)
+    total = sampler.base.orders[level]
+    coeffs = np.arange(1, total + 1).astype(coeffs_dtype)
+    assert {s.dtype for s in sampler.partial_sums(total, coeffs)} == {np.dtype(dtype)}
+    for cells in (1, 65536):  # drawn from the stream, and one character table
+        blocks = sampler._running_sums(total, cells, coeffs, 1.0 / np.arange(1, total + 1))
+        assert {block.dtype for _, block in blocks} == {np.dtype(dtype)}
+
+
 @pytest.mark.parametrize("moduli, depth", [((2, 3), 6), ((2,), 10)])
 def test_stream_rebuilds_no_character(monkeypatch, moduli, depth):
     """The stream updates the suffix products, never a whole character."""
@@ -366,22 +386,25 @@ def test_stream_rebuilds_no_character(monkeypatch, moduli, depth):
 
 
 _ENGINE_CELLS = 2048  # largest base whose running sums are checked against the literal loop
+_DYADIC_DEPTH = 9  # deepest dyadic base drawn beside them, where real spectra take the float64 route
 
 
 @st.composite
 def _engine_cases(draw):
-    """A random mixed-radix base (moduli 2-8) of at most _ENGINE_CELLS cells,
-    a level on it and a seed."""
-    pattern = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4))
+    """A random mixed-radix base (moduli 2-8) of at most _ENGINE_CELLS cells or a
+    dyadic base of depth at most _DYADIC_DEPTH, a level on it and a seed."""
+    pattern = draw(st.one_of(st.just((2,)), st.lists(st.integers(2, 8), min_size=1, max_size=4)))
     depth = 1
-    while make_base(pattern, depth + 1).size <= _ENGINE_CELLS:
+    cap = 2**_DYADIC_DEPTH if pattern == (2,) else _ENGINE_CELLS
+    while make_base(pattern, depth + 1).size <= cap:
         depth += 1
     return make_base(pattern, depth), draw(st.integers(0, depth)), draw(st.integers(0, 2**32 - 1))
 
 
 def _literal_running_sums(sampler, n_max, coeffs, weights):
     """A_n = A_{n-1} + w_n S_n for n = 1..n_max, one step at a time, as rows."""
-    acc = np.zeros(sampler.base.orders[sampler.level], dtype=sampler.dtype if coeffs is None else np.complex128)
+    dtype = sampler.dtype if coeffs is None else np.result_type(sampler.dtype, coeffs.dtype)
+    acc = np.zeros(sampler.base.orders[sampler.level], dtype=dtype)
     rows = []
     for n, s in enumerate(sampler.partial_sums(n_max, coeffs), start=1):
         acc = acc + (s if weights is None else s * weights[n - 1])
@@ -391,12 +414,16 @@ def _literal_running_sums(sampler, n_max, coeffs, weights):
 
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(_engine_cases())
+@np.errstate(invalid="ignore", over="ignore")  # the inf and NaN spectra meet inf * 0 and inf - inf
 def test_running_sums_are_the_literal_loop(case):
     """Every block of ``_running_sums`` equals the literal loop over the stream,
-    for no, dense, sparse and all-zero coefficients, with and without 1/n weights,
-    at n_max 1, random and the last index.  Blocks of 1 and 7 cells give one-row
-    blocks, the zero spectrum an empty table head and then tail-only blocks, and
-    n_max = 1 a one-row character table."""
+    for no, dense, sparse and all-zero coefficients, complex and real, with and
+    without 1/n weights, at n_max 1, random and the last index.  Blocks of 1 and
+    7 cells give one-row blocks, the zero spectrum an empty table head and then
+    tail-only blocks, and n_max = 1 a one-row character table.  A finite real
+    spectrum's sums are, up to the sign of a zero, the real parts of the same
+    spectrum's complex128 sums, and their moduli are its moduli byte for byte:
+    float64 on dyadic digits, and the complex128 sums themselves otherwise."""
     base, level, seed = case
     rng = np.random.default_rng(seed)
     sampler = CharacterSampler(base, level)
@@ -405,16 +432,27 @@ def test_running_sums_are_the_literal_loop(case):
     sparse = np.zeros(total, dtype=np.complex128)
     head = rng.integers(0, -(-total // 4), size=3)  # a short head, then S_n = S_h
     sparse[head] = dense[head]
-    for coeffs in (None, dense, sparse, np.zeros(total, dtype=np.complex128)):
+    finite = (dense.real, sparse.real, 1e-300 * dense.real, np.zeros(total))
+    inf, nan = dense.real.copy(), dense.real.copy()
+    inf[total // 2], nan[total // 3] = np.inf, np.nan
+    spectra = (None, dense, sparse, np.zeros(total, dtype=np.complex128), *finite, inf, nan)
+    for coeffs in spectra:
         for weights in (None, 1.0 / np.arange(1, total + 1)):
             want = _literal_running_sums(sampler, total, coeffs, weights)
+            if any(coeffs is c for c in finite):
+                cplx = _literal_running_sums(sampler, total, coeffs.astype(np.complex128), weights)
+                if sampler.dtype == np.float64:
+                    assert want.dtype == np.float64 and np.array_equal(want, cplx.real)
+                    assert np.abs(want).tobytes() == np.abs(cplx).tobytes()
+                else:
+                    assert want.tobytes() == cplx.tobytes()
             for n_max in sorted({1, int(rng.integers(1, total + 1)), total}):
                 for cells in (1, 7, base.size, 16384, 65536):
                     blocks = [(lo, block.copy()) for lo, block in sampler._running_sums(n_max, cells, coeffs, weights)]
                     los = np.cumsum([1] + [len(block) for _, block in blocks])
                     assert [lo for lo, _ in blocks] == list(los[:-1]) and los[-1] == n_max + 1
                     got = np.concatenate([block for _, block in blocks])
-                    assert got.dtype == want.dtype and np.array_equal(got, want[:n_max]), (n_max, cells)
+                    assert got.dtype == want.dtype and got.tobytes() == want[:n_max].tobytes(), (n_max, cells)
 
 
 _FUSED_CELLS = 1024  # largest base checked against the quadratic oracles
