@@ -15,6 +15,7 @@ construction; only p = 1/2 rows build the s >= 1 probes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,6 +261,10 @@ def blowup_table(
                 return weight._checked(divisors[:n_max])
 
         hp = inst.f.lp_quasinorm(p)
+        if hp < sys.float_info.min:  # a subnormal norm keeps too few significant bits for its ratio
+            raise ValueError(
+                f"p = {p} is too small: stage {k}'s Hardy quasi-norm {hp:.3g} is below float64's normal range"
+            )
         m2k = base.orders[2 * k]
         if p == 0.5:
             probes = (_weighted_probe(inst, s, float(phi(q)[q - 1]), harm) for s, q in enumerate(inst.probe_indices))

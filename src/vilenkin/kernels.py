@@ -15,24 +15,23 @@ builds a Paley-order table.  Every sample-domain sum (here and in the
 maximal and counterexample modules) comes from :class:`CharacterSampler`:
 the stream :meth:`CharacterSampler.partial_sums`, or the blocks of running
 sums of :meth:`CharacterSampler._running_sums`, the one engine that the
-sweeps and the maximal operators share; each route is the other's oracle.
-The stream is exact on dyadic and mod-4 digits and updates psi_n carry by
-carry; its kernels D_n are float64 when every modulus up to the level is 2.
-The sweeps take their Fejer sums sum_{k<=n} D_k from the engine and reduce
-a whole block in a few calls, bit for bit the per-row sums.
-``_riesz_abel`` takes its Fejer sums as ``itertools.accumulate`` over the
-stream, per step, since its one complex-by-real division per cell per step
-is the cost there.  The two routes of the public kernels and means,
-``_window`` and ``_riesz_abel``, make the index check and build the
-coefficient table, so each public function is one call.  One kernel
-stream serves every cylinder level of the localization sweeps.
+sweeps, the Abel routes and the maximal operators share; each route is the
+other's oracle.  The stream is exact on dyadic and mod-4 digits and updates
+psi_n carry by carry; its kernels D_n are float64 when every modulus up to
+the level is 2.  The sweeps and ``_riesz_abel`` take their Fejer sums
+sum_{k<=n} S_k from the engine: the sweeps reduce a whole block in a few
+calls, bit for bit the per-row sums, and ``_riesz_abel`` adds row by row,
+since its one complex-by-real division per cell per step is the cost there.
+The two routes of the public kernels and means, ``_window`` and
+``_riesz_abel``, make the index check and build the coefficient table, so
+each public function is one call.  One kernel stream serves every cylinder
+level of the localization sweeps.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Iterable
 
 import numpy as np
@@ -208,13 +207,14 @@ def riesz_kernel_abel(base: VilenkinBase, n: int, level: int) -> LevelFunction:
 
 
 def _riesz_abel(base: VilenkinBase, level: int, n: int, f: LevelFunction | None = None) -> LevelFunction:
-    """Shared Abel sum over the partial sums S_j of ``f`` (D_j if None)."""
+    """Shared Abel sum over the engine's Fejer sums sum_{k<=j} S_k of ``f`` (S_k = D_k if None)."""
     base.require_count(n, level, "kernel index" if f is None else "mean index")
     coeffs = None if f is None else forward(f).coeffs
     acc = 0.0  # sum_{j<n} sigma_j/(j+1)
-    for j, cum in enumerate(accumulate(CharacterSampler(base, level).partial_sums(n, coeffs)), start=1):
-        if j < n:  # cum = sum_{k<=j} S_k = j sigma_j
-            acc = acc + cum / (j * (j + 1))
+    for lo, block in CharacterSampler(base, level)._running_sums(n, _SWEEP_CELLS, coeffs):
+        for j, cum in enumerate(block, start=lo):
+            if j < n:  # cum = sum_{k<=j} S_k = j sigma_j
+                acc = acc + cum / (j * (j + 1))
     return LevelFunction(base, level, (acc + cum / n) / harmonic_sums(n)[n])
 
 
@@ -274,11 +274,11 @@ def convolve(f: LevelFunction, g: LevelFunction) -> LevelFunction:
 # ----------------------------------------------------------------------
 # exhaustive kernel sweeps
 
-# Cells per block of the sweeps.  Smaller than maximal._BLOCK_CELLS: a sweep
-# block has |.| temporaries of its size beside it, and 16384 cells already
-# hold 12-16 kernels at the sweep-dense sizes, enough to amortize numpy's
-# per-call cost; 65536-cell blocks raised that workload's peak RSS from
-# 37.9 to 40.4 MiB and its wall time not at all.
+# Cells per block of the sweeps and the Abel routes.  Smaller than
+# maximal._BLOCK_CELLS: a sweep block has |.| temporaries of its size beside
+# it, and 16384 cells already hold 12-16 kernels at the sweep-dense sizes,
+# enough to amortize numpy's per-call cost; 65536-cell blocks raised that
+# workload's peak RSS from 37.9 to 40.4 MiB and its wall time not at all.
 _SWEEP_CELLS = 16384
 
 

@@ -86,11 +86,18 @@ class WeightSpec:
             return np.ones(n_max)
         if self.kind == "log":
             return np.log(n + 1)
-        if self.kind == "power_log":
-            return (n + 1) ** (1.0 / self.p - 2.0) / np.log(n + 1)
-        if self.kind == "power_log_sq":
-            expo = 2 * math.floor(0.5 + self.p)
-            return (n + 1) ** (1.0 / self.p - 2.0) * np.log(n + 1) ** expo
+        if self.kind in ("power_log", "power_log_sq"):
+            with np.errstate(over="ignore"):  # an overflow is refused just below, in words, not as a warning
+                power = (n + 1) ** (1.0 / self.p - 2.0)
+            over = np.flatnonzero(np.isinf(power))
+            if over.size:
+                raise ValueError(
+                    f"p = {self.p} is too small for weight kind {self.kind!r}: "
+                    f"(n + 1)^(1/p - 2) overflows float64 at n = {over[0] + 1}"
+                )
+            if self.kind == "power_log":
+                return power / np.log(n + 1)
+            return power * np.log(n + 1) ** (2 * math.floor(0.5 + self.p))
         if len(self.table) < n_max:
             raise ValueError(f"custom table covers n <= {len(self.table)}, need {n_max}")
         return np.asarray(self.table[:n_max], dtype=np.float64)

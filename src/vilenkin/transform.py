@@ -13,8 +13,10 @@ take their roots from the same table.  Forward coefficients use the
 conjugated character, matching the inner-product convention; the inverse
 applies plain characters with no normalization.  The sampler's
 ``_running_sums`` is the one engine of running sums A_n = A_{n-1} + w_n S_n
-over the partial sums, which the kernel sweeps and the maximal operators
-draw in blocks; only it chooses between the stream and a character table.
+over the partial sums, which the kernel sweeps, the Abel routes and the
+maximal operators draw in blocks; only it chooses between the stream and a
+character table, and only it runs a spectrum's sums past the level, where
+S_n = S_{M_level}.
 """
 
 from __future__ import annotations
@@ -156,34 +158,31 @@ class CharacterSampler:
         ``coeffs=None`` means all ones (S_n = D_n, of ``dtype``); otherwise
         the sums are of ``np.result_type(dtype, coeffs.dtype)``: float64 for
         real coefficients on dyadic digits, complex128 for complex ones or
-        any other modulus.  Zero coefficients are skipped, so a stream
-        may run past M_level only over zero coefficients, and is refused
-        before its first step otherwise.  Every sample-domain stream of the
-        library walks this generator, directly or through
-        :meth:`_running_sums`.  Each step yields a new array that later steps
-        never write.
+        any other modulus.  n_max > M_level is refused before the first step:
+        past the level S_n = S_{M_level}, which :meth:`_running_sums` owns.
+        Every sample-domain stream of the library walks this generator,
+        directly or through :meth:`_running_sums`.  Each step yields a new
+        array that later steps never write.
 
         psi_n is the suffix product P_0, where P_j = phase(j, n_j) P_{j+1}
         over the digits of n.  Going from n to n + 1 changes only digits
         0..c (c the carry position), so a step recomputes P_c..P_0 alone:
         one vector multiply per nonzero digit among them (the digits below
-        c are zero, so one in all), and none past M_level, where the digits
-        stop.  A step over a zero coefficient only advances the digits; the
-        next nonzero one refreshes every suffix the carries touched.  Besides
-        the phase vectors, the suffix list holds one shared array of ones
-        and at most one array per digit of n_max - 1 (so at most ``level``).
+        c are zero, so one in all).  A step over a zero coefficient only
+        advances the digits; the next nonzero one refreshes every suffix the
+        carries touched.  Besides the phase vectors, the suffix list holds one
+        shared array of ones and at most one array per digit of n_max - 1 (so
+        at most ``level``).
         """
+        self.base.require_count(n_max, self.level, "n_max", least=0)
         total = self.base.orders[self.level]
-        if coeffs is None or np.any(coeffs[total:n_max]):
-            self.base.require_count(n_max, self.level, "n_max", least=0)
-        steps = min(n_max, total)
         moduli = self.base.moduli
-        width = sum(1 for m_j in self.base.orders[: self.level] if m_j < steps)  # digits of steps - 1
+        width = sum(1 for m_j in self.base.orders[: self.level] if m_j < n_max)  # digits of n_max - 1
         digits = [0] * width
         suffix = [np.ones(total, dtype=self.dtype)] * (width + 1)  # P_0..P_width
         stale = 0  # P_0..P_{stale-1} lag behind the digits
         s = np.zeros(total, dtype=self._sums_dtype(coeffs))
-        for n in range(steps):
+        for n in range(n_max):
             if n:
                 c = 0
                 while digits[c] == moduli[c] - 1:
@@ -197,8 +196,6 @@ class CharacterSampler:
                     suffix[j] = self._phase(j, d) * suffix[j + 1] if d else suffix[j + 1]
                 stale = 0
                 s = s + (suffix[0] if coeffs is None else coeffs[n] * suffix[0])
-            yield s
-        for _ in range(steps, n_max):
             yield s
 
     def _running_sums(
@@ -230,6 +227,7 @@ class CharacterSampler:
         # the block's last row carries A_{lo-1}: A_0 = 0 at first
         block = np.zeros((rows, total), dtype=self._sums_dtype(coeffs))
         stream = iter(()) if head <= rows else self.partial_sums(head, coeffs)
+        row = list(block) if head > rows else []  # one view per row for a drawn head, not two slices a step
         if head <= rows:  # S_1..S_head as one character table
             sums = block[:head]
             if coeffs is None:
@@ -245,7 +243,7 @@ class CharacterSampler:
             k = min(rows, n_max + 1 - lo)
             h = min(k, max(0, head + 1 - lo))  # rows of S_n with n <= head; a table head draws none here
             for i, s in zip(range(h), stream):
-                np.add(block[i - 1], s if weights is None else s * weights[lo - 1 + i], out=block[i])
+                np.add(row[i - 1], s if weights is None else s * weights[lo - 1 + i], row[i])
             if h < k:  # S_n = S_head: row h adds to the row before it, then one fill and one cumsum
                 np.add(block[h - 1], s if weights is None else s * weights[lo - 1 + h], out=block[h])
                 if weights is None:

@@ -382,6 +382,40 @@ def test_window_in_digit_order_is_the_paley_route_byte_for_byte(case):
                 assert got.values.tobytes() == want.values.tobytes(), (base.moduli, level, n, i)
 
 
+def _literal_abel(base, level, n, f=None):
+    """The Abel sum as a literal loop: accumulate the stream's partial sums one step at a time."""
+    coeffs = None if f is None else forward(f).coeffs
+    acc = 0.0
+    for j, cum in enumerate(accumulate(CharacterSampler(base, level).partial_sums(n, coeffs)), start=1):
+        if j < n:
+            acc = acc + cum / (j * (j + 1))
+    return LevelFunction(base, level, (acc + cum / n) / harmonic_sums(n)[n])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_window_cases())
+def test_abel_routes_are_the_literal_accumulate_loop(case):
+    """riesz_kernel_abel and riesz_mean_abel, which draw their Fejer sums from the running-sum
+    engine, are the literal accumulate loop over the stream byte for byte: at every level, for
+    dense complex, real, sparse and zero spectra, at n = 1, a random n and M_level.  At 2048
+    cells a block holds 8 rows, so the table head, the drawn head and the tail all run."""
+    base, seed = case
+    rng = np.random.default_rng(seed)
+    for level in range(base.depth + 1):
+        total = base.orders[level]
+        dense = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+        sparse = np.zeros(total, dtype=np.complex128)
+        head = rng.integers(0, total, size=3)
+        sparse[head] = dense[head]
+        spectra = (dense, dense.real, sparse, np.zeros(total))
+        fs = [inverse(Spectrum(base, level, c)) for c in spectra]
+        for n in sorted({1, int(rng.integers(1, total + 1)), total}):
+            got = [riesz_kernel_abel(base, n, level)] + [riesz_mean_abel(f, n) for f in fs]
+            want = [_literal_abel(base, level, n)] + [_literal_abel(base, level, n, f) for f in fs]
+            for i, (g, w) in enumerate(zip(got, want)):
+                assert g.values.tobytes() == w.values.tobytes(), (base.moduli, level, n, i)
+
+
 @pytest.mark.parametrize("moduli, depth", [((2,), 10), ((4,), 5)])
 def test_dirichlet_zeros_are_unsigned(moduli, depth):
     # the window sets the entries past n to +0.0 rather than multiplying them by 0

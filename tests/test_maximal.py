@@ -333,13 +333,14 @@ def test_stream_matches_per_n_means(case):
 def _literal_sup(f, n_max, mode, divisors):
     """The operators as one plain loop over n = 1..n_max, with no blocks."""
     g = f.compress()
-    coeffs = np.zeros(max(n_max, g.values.size), dtype=np.complex128)
-    coeffs[: g.values.size] = forward(g).coeffs  # S_n f = f past the effective level
-    acc = np.zeros(g.values.size, dtype=np.complex128)
+    total = g.values.size
+    sums = list(CharacterSampler(g.base, g.level).partial_sums(min(n_max, total), forward(g).coeffs))
+    sums += sums[-1:] * (n_max - total)  # S_n f = f past the effective level
+    acc = np.zeros(total, dtype=np.complex128)
     harm = 0.0
-    best = np.full(g.values.size, -1.0)
-    arg = np.zeros(g.values.size, dtype=np.int64)
-    for n, s in enumerate(CharacterSampler(g.base, g.level).partial_sums(n_max, coeffs), start=1):
+    best = np.full(total, -1.0)
+    arg = np.zeros(total, dtype=np.int64)
+    for n, s in enumerate(sums, start=1):
         if mode == "sigma":
             acc = acc + s
             vals = np.abs(acc) / n

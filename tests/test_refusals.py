@@ -244,3 +244,54 @@ def test_a_sweep_at_a_huge_p_is_refused_without_a_warning(capsys):
     """|f|^p overflows in the Hardy norm: the refusal is its one error line, with no numpy warning before it."""
     argv = ["--base", "2", "--depth", "3", "counterexample", "sweep", "--p", "1e300", "--kmax", "1"]
     assert _sweep_refusal(capsys, argv) == (2, "", "error: values are not finite (or |f|^p overflows float64)\n")
+
+
+
+def _assert_refused(capsys, out, argv, message):
+    """``argv`` exits 2 with ``message`` as its one stderr line and nothing on stdout, also with
+    ``--out``, and writes no file there."""
+    assert _sweep_refusal(capsys, argv) == (2, "", message + "\n")
+    assert _sweep_refusal(capsys, ["--out", str(out), *argv]) == (2, "", message + "\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("phi", ["power_log", "power_log_sq"])
+def test_a_weight_table_that_overflows_is_refused_by_name(tmp_path, capsys, phi):
+    """(n + 1)^(1/p - 2) fits float64 at M_2k = 256, where the analytic bound reads it, but not at
+    the last probe index 320, which the weight table reaches: one error line naming the kind, p
+    and the first n, with no overflow warning (nor, for power_log_sq, an inf - inf one) before it."""
+    argv = ["--base", "2", "--depth", "9", "counterexample", "sweep", "--phi", phi, "--p", "0.0079", "--kmax", "4"]
+    message = f"error: p = 0.0079 is too small for weight kind '{phi}': (n + 1)^(1/p - 2) overflows float64 at n = 298"
+    _assert_refused(capsys, tmp_path / "sweep.csv", argv, message)
+
+
+@pytest.mark.parametrize("weight", ["power_log", "power_log_sq"])
+def test_a_maximal_table_whose_weight_overflows_is_refused_by_name(tmp_path, capsys, weight):
+    """The maximal operators read the same table, to n_max = 256: at p = 0.007 it overflows at n = 154."""
+    corpus = tmp_path / "corpus.json"
+    atoms = ["atoms", "corpus", "--count", "3", "--p", "0.5"]
+    assert main(["--base", "2", "--depth", "8", "--seed", "7", "--out", str(corpus), *atoms]) == 0
+    argv = ["maximal", "table", "--op", "riesz", "--weight", weight, "--p", "0.007", "--input", str(corpus)]
+    message = f"error: p = 0.007 is too small for weight kind '{weight}': (n + 1)^(1/p - 2) overflows float64 at n = 154"
+    _assert_refused(capsys, tmp_path / "table.csv", argv, message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--base", "2", "--depth", "9", "counterexample", "sweep", "--p", "0.00775", "--kmax", "4"],
+            "error: p = 0.00775 is too small: stage 4's Hardy quasi-norm 4.65e-309 is below float64's normal range",
+        ),
+        (
+            ["--base", "2", "--depth", "19", "counterexample", "sweep", "--phi", "log", "--p", "0.0170", "--kmax", "9"],
+            "error: p = 0.017 is too small: stage 9's Hardy quasi-norm 4.8e-314 is below float64's normal range",
+        ),
+    ],
+    ids=["depth-9", "depth-19"],
+)
+def test_a_sweep_whose_hardy_norm_is_subnormal_is_refused_by_name(tmp_path, capsys, argv, message):
+    """The analytic power still fits, but the stage's Hardy quasi-norm has fallen below the normal
+    range, where its ratio would carry a relative error far above float64's: one error line naming
+    p and the stage."""
+    _assert_refused(capsys, tmp_path / "sweep.csv", argv, message)
