@@ -3,9 +3,12 @@
 All output is deterministic: floats print with full double precision,
 JSON keys are sorted, CSV rows use comma separators with '.' decimals and
 LF line endings.  Identical configuration plus seed gives byte-identical
-files.  A resource guard refuses a base with more than ``group.SIZE_GUARD``
-cells, the one ``verify kernels --max-a`` asks for included, since several
-sweeps are quadratic.
+files.  Every table goes through ``_emit_rows``, which spells its rows a
+block at a time by one row template per block, built from the column
+kinds, with the bytes of csv.writer and of json.dumps.  A resource guard
+refuses a base with more than ``group.SIZE_GUARD`` cells, the one
+``verify kernels --max-a`` asks for included, since several sweeps are
+quadratic.
 
 Each command is a group word and a leaf word (``kernel dump``, ``verify
 kernels``) and reads only the flags its row of ``_READS`` lists.  ``main``
@@ -23,14 +26,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,12 +92,58 @@ class RunConfig:
         }
 
 
-# the one full-precision formatter; a bound builtin, so map() over it runs no Python frame per cell
+# the full-precision spelling of a float in verify lines, the one a .17g table cell has
 _fmt: Callable[[float], str] = "{:.17g}".format
-# a JSON table cell's type and its json.dumps spelling; any other cell type is refused
-_JSON_CELLS: dict[type, Callable[[Any], str]] = {int: int.__repr__, float: float.__repr__, str: encode_basestring_ascii}
+
+
+class _G17(list):
+    """A float column spelled with 17 significant digits, as ``%.17g``: bare in CSV, a string in JSON."""
+
+
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_BLOCK_ROWS = 512  # rows spelled per block: bounds the cell strings alive at once
+
+
+def _json_floats(cells: list[float]) -> list[str]:
+    """Float cells as json.dumps spells them, NaN and the infinities included."""
+    spelled = list(map(float.__repr__, cells))
+    if not all(map(math.isfinite, cells)):
+        spelled = list(map(_JSON_NON_FINITE.get, spelled, spelled))
+    return spelled
+
+
+def _csv_quoted_chars() -> str:
+    """The characters that make csv.writer(lineterminator="\n") quote a field on this interpreter: comma,
+    quote and LF, and CR where csv.writer quotes it too (3.13.0 does; 3.10.13, 3.11.7 and 3.12.1 do not)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["\r"])
+    return ',"\n\r' if buf.getvalue() == '"\r"\n' else ',"\n'
+
+
+_CSV_QUOTED = _csv_quoted_chars()
+
+
+def _csv_fields(cells: Iterable[str], lone: bool = False) -> list[str]:
+    """Str cells as csv.writer's QUOTE_MINIMAL spells them: quoted, quotes doubled, when one holds a
+    character of _CSV_QUOTED, and when it is the lone field of its row and empty."""
+    return [
+        '"' + cell.replace('"', '""') + '"' if (lone and not cell) or any(map(cell.__contains__, _CSV_QUOTED)) else cell
+        for cell in cells
+    ]
+
+
+# per format, a cell kind's slot in the row template, and what spells its cells for that slot, if anything
+_SLOTS: dict[str, dict[type, tuple[str, Callable[[list[Any]], Iterable[str]] | None]]] = {
+    "csv": {int: ("%d", None), float: ("%r", None), str: ("%s", _csv_fields), _G17: ("%.17g", None)},
+    "json": {
+        int: ("%d", None),
+        float: ("%s", _json_floats),
+        str: ("%s", partial(map, encode_basestring_ascii)),
+        _G17: ('"%.17g"', None),
+    },
+}
+# per format, a row's opening, cell separator and closing, and the separator between rows
+_ROW_LAYOUT = {"csv": ("", ",", "\n", ""), "json": ("    [\n      ", ",\n      ", "\n    ]", ",\n")}
+_JSON_BLOCK_ROWS = 512  # rows spelled per block, in both formats: bounds the cell strings alive at once
 
 
 def _command(args: argparse.Namespace) -> str:
@@ -131,64 +182,71 @@ def _resolve_config(parsed: argparse.Namespace) -> RunConfig:
     )
 
 
-def _emit_text(text: str, out: str | None) -> None:
+def _emit_text(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks, in order, to stdout or to the file ``out``."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
 
 
-def _json_kind(name: str, column: list[Any]) -> type:
-    """The one cell type of a JSON table column, checked once per column."""
+def _column_kind(name: str, column: list[Any]) -> type:
+    """The one cell kind of a table column, checked once per column: int, float, str, or a float
+    column marked _G17."""
     kinds = set(map(type, column))
-    if len(kinds) != 1 or not kinds <= _JSON_CELLS.keys():
+    marked = isinstance(column, _G17)
+    if len(kinds) != 1 or not kinds <= ({float} if marked else {int, float, str}):
         found = ", ".join(sorted(kind.__name__ for kind in kinds))
-        raise TypeError(f"table column {name!r} holds {found}: a cell is an int, float or str")
-    return kinds.pop()
+        allowed = "a float" if marked else "an int, float or str"
+        raise TypeError(f"table column {name!r} holds {found}: a cell is {allowed}")
+    return _G17 if marked else kinds.pop()
 
 
-def _json_cells(kind: type, column: list[Any]) -> list[str]:
-    """Cells of one type, spelled as json.dumps spells them."""
-    cells = list(map(_JSON_CELLS[kind], column))
-    if kind is float and not all(map(math.isfinite, column)):
-        cells = list(map(_JSON_NON_FINITE.get, cells, cells))
-    return cells
+def _row_blocks(columns: list[list[Any]], kinds: list[type], count: int, fmt: str) -> Iterator[str]:
+    """The text of a table's rows in the given format, a block of rows at a time, with the row
+    separator between blocks but none before the first or after the last.
 
-
-def _json_table(header: list[str], columns: list[list[Any]], echo: dict[str, Any]) -> str:
-    """The text of json.dumps({"config", "header", "rows"}, indent=2, sort_keys=True) + newline.
-
-    The rows are spliced in by column rather than walked by the pure-Python indent
-    encoder: "rows" sorts last, so its empty list ends the envelope's text.  They are
-    spelled a block at a time, so only one block's cell strings are alive at once."""
-    envelope = json.dumps({"config": echo, "header": header, "rows": []}, indent=2, sort_keys=True)
-    count = max(map(len, columns), default=0)
-    if not count:
-        return envelope + "\n"
-    kinds = [_json_kind(name, column) for name, column in zip(header, columns, strict=True)]
-    row_sep = "\n    ],\n    [\n      "
-    blocks = []
+    Each block is spelled by one % of a row template, built from the column kinds, over
+    the block's cells interleaved row by row; only one block's strings are alive at once."""
+    slots, spellers = zip(*(_SLOTS[fmt][kind] for kind in kinds))
+    if fmt == "csv" and kinds == [str]:  # a lone empty field is quoted, or its row would read as no row
+        spellers = (partial(_csv_fields, lone=True),)
+    opening, cell_sep, closing, row_sep = _ROW_LAYOUT[fmt]
+    row = opening + cell_sep.join(slots) + closing
+    width = len(columns)
+    templates: dict[int, str] = {}
     for start in range(0, count, _JSON_BLOCK_ROWS):
-        cells = [_json_cells(kind, column[start : start + _JSON_BLOCK_ROWS]) for kind, column in zip(kinds, columns)]
-        blocks.append(row_sep.join(map(",\n      ".join, zip(*cells, strict=True))))
-    blocks[0] = f"{envelope[:-4]}[\n    [\n      {blocks[0]}"
-    blocks[-1] += "\n    ]\n  ]\n}\n"
-    return row_sep.join(blocks)
+        rows = min(_JSON_BLOCK_ROWS, count - start)
+        cells: list[Any] = [None] * (width * rows)
+        for j, (column, spell) in enumerate(zip(columns, spellers)):
+            part = column[start : start + rows]
+            cells[j::width] = part if spell is None else spell(part)
+        if rows not in templates:
+            templates[rows] = row_sep.join([row] * rows)
+        if start:
+            yield row_sep
+        yield templates[rows] % tuple(cells)
 
 
 def _emit_rows(header: list[str], columns: list[list[Any]], cfg: RunConfig) -> None:
     """Write a rectangular report, given by column, as CSV or JSON per the config; every CLI table goes
-    through here.  A JSON table's cells are ints, floats or strs, one type per column."""
+    through here.  A cell is an int, float or str, one type per column; a float column marked _G17 is
+    spelled .17g in both formats.  The bytes are those of csv.writer(lineterminator="\n") and of
+    json.dumps({"config", "header", "rows"}, indent=2, sort_keys=True) plus a newline."""
+    count = max(map(len, columns), default=0)
+    # every column is checked before the output is opened, so a refused table writes nothing
+    if any(len(column) != count for column in columns):
+        raise ValueError("table columns differ in length")
+    kinds = [_column_kind(name, column) for name, column in zip(header, columns, strict=True)] if count else []
+    rows = _row_blocks(columns, kinds, count, cfg.format) if count else ()
     if cfg.format == "json":
-        _emit_text(_json_table(header, columns, cfg.echo()), cfg.out)
-        return
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*columns, strict=True))
-    _emit_text(buf.getvalue(), cfg.out)
+        # "rows" sorts last, so its empty list ends the envelope's text and the rows splice in before "]"
+        envelope = json.dumps({"config": cfg.echo(), "header": header, "rows": []}, indent=2, sort_keys=True)
+        head, tail = (envelope[:-4] + "[\n", "\n  ]\n}\n") if count else (envelope, "\n")
+        _emit_text(chain((head,), rows, (tail,)), cfg.out)
+    else:
+        _emit_text(chain((",".join(_csv_fields(header, lone=len(header) == 1)), "\n"), rows), cfg.out)
 
 
 def _parse_weight(spec: str, p: float) -> WeightSpec:
@@ -207,7 +265,7 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     report = run_suite(args.leaf, **kwargs)
     if cfg.out is not None:  # written before any line prints, so a report that cannot be written prints none
         payload = {"config": cfg.echo(), **report.to_payload()}
-        _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
+        _emit_text((json.dumps(payload, indent=2, sort_keys=True), "\n"), cfg.out)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         extras = " ".join(f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in check.detail.items())
@@ -227,24 +285,22 @@ def _selected_kernel(args: argparse.Namespace, base: VilenkinBase) -> LevelFunct
     return riesz_kernel(base, args.n, level)
 
 
-def _complex_columns(values: np.ndarray, as_text: bool) -> list[list[Any]]:
-    """The index, real and imag columns of both dumps, as floats or as .17g text."""
-    parts = [values.real.tolist(), values.imag.tolist()]
-    if as_text:
-        parts = [list(map(_fmt, part)) for part in parts]
-    return [list(range(values.size)), *parts]
+def _complex_columns(values: np.ndarray, spelled: type[list]) -> list[list[Any]]:
+    """The index, real and imag columns of both dumps, their floats held as ``spelled``: a plain list, or
+    _G17 for .17g cells."""
+    return [list(range(values.size)), spelled(values.real.tolist()), spelled(values.imag.tolist())]
 
 
 def _cmd_kernel_dump(args: argparse.Namespace, cfg: RunConfig) -> int:
     fn = _selected_kernel(args, cfg.base())
     # JSON keeps numbers, CSV full-precision text
-    _emit_rows(["rank", "real", "imag"], _complex_columns(fn.values, as_text=cfg.format == "csv"), cfg)
+    _emit_rows(["rank", "real", "imag"], _complex_columns(fn.values, _G17 if cfg.format == "csv" else list), cfg)
     return 0
 
 
 def _cmd_spectrum_dump(args: argparse.Namespace, cfg: RunConfig) -> int:
     spec = forward(_selected_kernel(args, cfg.base()))
-    _emit_rows(["index", "real", "imag"], _complex_columns(spec.coeffs, as_text=True), cfg)  # .17g in both formats
+    _emit_rows(["index", "real", "imag"], _complex_columns(spec.coeffs, _G17), cfg)  # .17g in both formats
     return 0
 
 
@@ -262,7 +318,7 @@ def _cmd_atoms_corpus(args: argparse.Namespace, cfg: RunConfig) -> int:
         support_level_min=args.level_min,
         support_level_max=args.level_max if args.level_max is not None else hi_default,
     )
-    _emit_text(spec.to_json(), cfg.out)
+    _emit_text((spec.to_json(),), cfg.out)
     return 0
 
 
@@ -281,9 +337,9 @@ def _cmd_maximal_table(args: argparse.Namespace, cfg: RunConfig) -> int:
     columns = [
         list(range(len(atoms))),
         [atom.support.level for atom in atoms],
-        [_fmt(ratio.hardy_norm) for ratio in ratios],
-        [_fmt(ratio.strong) for ratio in ratios],
-        [_fmt(ratio.weak) for ratio in ratios],
+        _G17(ratio.hardy_norm for ratio in ratios),
+        _G17(ratio.strong for ratio in ratios),
+        _G17(ratio.weak for ratio in ratios),
     ]
     _emit_rows(header, columns, cfg)
     return 0
@@ -306,10 +362,10 @@ def _cmd_counterexample_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     columns = [
         [row.k for row in rows],
         [";".join(map(str, row.probe_indices)) for row in rows],
-        [_fmt(row.hardy_norm) for row in rows],
-        [_fmt(row.numerator) for row in rows],
-        [_fmt(row.ratio) for row in rows],
-        [_fmt(row.analytic_lower_bound) for row in rows],
+        _G17(row.hardy_norm for row in rows),
+        _G17(row.numerator for row in rows),
+        _G17(row.ratio for row in rows),
+        _G17(row.analytic_lower_bound for row in rows),
         [table.flag] * len(rows),
     ]
     _emit_rows(header, columns, cfg)

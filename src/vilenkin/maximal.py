@@ -16,6 +16,7 @@ Logarithms are natural throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -251,8 +252,10 @@ def hp_to_lp_ratio(f: LevelFunction, operator: OperatorSpec, p: float) -> RatioR
     """
     g = f.compress()
     hp = hardy_quasinorm(martingale_from_function(g), p)
-    if hp == 0.0:
-        raise ValueError("Hardy quasi-norm is zero")
+    if hp < sys.float_info.min:  # a subnormal norm keeps too few significant bits for its ratios
+        if not g.values.any():
+            raise ValueError("Hardy quasi-norm is zero")
+        raise ValueError(f"p = {p} is too small: the Hardy quasi-norm {hp:.3g} is below float64's normal range")
     out = operator.apply(g).result
     return RatioReport(
         strong=out.lp_quasinorm(p) / hp,

@@ -1024,6 +1024,42 @@ def test_emit_rows_matches_the_stdlib_writers(table):
     assert _emitted(header, columns, "csv") == buf.getvalue()
 
 
+_G17_SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
+
+
+@st.composite
+def _g17_tables(draw):
+    """An index column and one to three .17g float columns of 0, 1, 511, 512 or 513 rows.  The cells
+    are picked from the special floats and a few drawn ones: 513 drawn floats a column would outgrow
+    hypothesis's example buffer."""
+    count = draw(st.sampled_from([0, 1, 511, 512, 513]))
+    pool = _G17_SPECIALS + draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8))
+    pick = draw(st.randoms(use_true_random=False))
+    width = draw(st.integers(min_value=1, max_value=3))
+    header = ["index", *(f"v{j}" for j in range(width))]
+    return header, [list(range(count)), *([pick.choice(pool) for _ in range(count)] for _ in range(width))]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_g17_tables())
+def test_emit_rows_spells_g17_columns_as_the_stdlib_writers_spell_their_text(table):
+    """A float column marked .17g against csv.writer and json.dumps over its format(x, ".17g") text,
+    with block boundaries inside the table, on its edges, and none."""
+    header, (index, *values) = table
+    rows = [list(row) for row in zip(index, *([format(x, ".17g") for x in column] for column in values))]
+    config = {"depth": 4, "format": "json", "moduli": [2, 3], "seed": 7}
+    want_json = json.dumps({"config": config, "header": header, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    columns = [index, *map(cli._G17, values)]
+    for block_rows in (1, 2, cli._JSON_BLOCK_ROWS):
+        with mock.patch.object(cli, "_JSON_BLOCK_ROWS", block_rows):
+            assert _emitted(header, columns, "json") == want_json
+            assert _emitted(header, columns, "csv") == buf.getvalue()
+
+
 @pytest.mark.parametrize(
     "column",
     [[None], [1, None], [True], [0.5, False], ["a", None], [1, 2.0], [np.float64(0.5)]],
@@ -1033,6 +1069,12 @@ def test_json_table_refuses_a_cell_of_another_type(column):
     # json.dumps would write null, true, a mixed column or a float subclass; a cell is an int, float or str
     with pytest.raises(TypeError, match=r"^table column 'c' holds .*: a cell is an int, float or str$"):
         _emitted(["c"], [column], "json")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_g17_column_holds_only_floats(fmt):
+    with pytest.raises(TypeError, match=r"^table column 'c' holds int: a cell is a float$"):
+        _emitted(["c"], [cli._G17([1, 2])], fmt)
 
 
 def test_verify_identities_lines(capsys):

@@ -295,3 +295,19 @@ def test_a_sweep_whose_hardy_norm_is_subnormal_is_refused_by_name(tmp_path, caps
     range, where its ratio would carry a relative error far above float64's: one error line naming
     p and the stage."""
     _assert_refused(capsys, tmp_path / "sweep.csv", argv, message)
+
+
+@pytest.mark.parametrize(
+    "p, norm",
+    [("0.0029", "1.1e-310"), ("0.002", "0")],
+    ids=["subnormal", "underflowed-to-zero"],
+)
+def test_a_maximal_table_whose_hardy_norm_is_subnormal_is_refused_by_name(tmp_path, capsys, p, norm):
+    """Atom 1 of this corpus is nonzero, but its Hardy quasi-norm at p falls below the normal range,
+    or underflows to zero: one error line naming p, not an inf ratio or a "zero" norm."""
+    corpus = tmp_path / "corpus.json"
+    atoms = ["atoms", "corpus", "--count", "3", "--p", "0.5"]
+    assert main(["--base", "2", "--depth", "8", "--seed", "7", "--out", str(corpus), *atoms]) == 0
+    argv = ["maximal", "table", "--op", "riesz", "--weight", "unit", "--p", p, "--input", str(corpus)]
+    message = f"error: p = {p} is too small: the Hardy quasi-norm {norm} is below float64's normal range"
+    _assert_refused(capsys, tmp_path / "table.csv", argv, message)
