@@ -68,7 +68,9 @@ def harmonic_sums(n_max: int) -> np.ndarray:
     """Read-only partial sums l_0..l_{n_max}, l_n = 1 + 1/2 + ... + 1/n, with l_0 = 0 as sentinel."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    vals = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, n_max + 1))])
+    vals = np.empty(n_max + 1)
+    vals[0] = 0.0
+    np.cumsum(1.0 / np.arange(1, n_max + 1), out=vals[1:])
     vals.setflags(write=False)
     return vals
 

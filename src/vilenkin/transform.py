@@ -78,6 +78,16 @@ def character(n: int, x: GroupPoint) -> complex:
     return complex(np.exp(2j * np.pi * phase))
 
 
+def spectral_head(coeffs: np.ndarray | None, n_max: int) -> int:
+    """The count h <= n_max of partial sums S_1..S_h that a spectrum can change:
+    one past its last nonzero coefficient (0 for none), n_max for all ones
+    (None).  S_n = S_h for every n >= h."""
+    if coeffs is None:
+        return n_max
+    nonzero = np.flatnonzero(coeffs)
+    return min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0)
+
+
 class CharacterSampler:
     """Characters sampled on the level cylinders, from exact roots.
 
@@ -207,22 +217,20 @@ class CharacterSampler:
         blocks have the dtype of the sums S_n; real weights keep it.
 
         One block of about ``cells`` cells is reused: a caller reduces it before
-        drawing the next.  S_1..S_h, h the last nonzero coefficient's count, are
+        drawing the next.  S_1..S_h, h = :func:`spectral_head`, are
         one :meth:`characters` table when they fit the first block (few cells,
         where a step costs more than its arithmetic); otherwise each is drawn
         from the stream and added to the row before it, since a block cumsum
         over wide drawn rows is slower.  Past h, S_n = S_h, so those rows are
-        one fill and one cumsum in place.  A block's first row adds to the last
+        one fill and one cumsum in place (the kernel sweeps and the Abel
+        routes read them; the maximal operators ask for n_max = h and score
+        the rest in closed form).  A block's first row adds to the last
         row of the block before, read where it lies before any fill overwrites
         it, so no carry is copied.  Every row is the per-step loop's sum bit
         for bit.
         """
         total = self.base.orders[self.level]
-        if coeffs is None:
-            head = n_max
-        else:
-            nonzero = np.flatnonzero(coeffs)
-            head = min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0)
+        head = spectral_head(coeffs, n_max)
         rows = min(n_max, max(1, cells // total))
         # the block's last row carries A_{lo-1}: A_0 = 0 at first
         block = np.zeros((rows, total), dtype=self._sums_dtype(coeffs))

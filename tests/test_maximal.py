@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -121,9 +122,13 @@ def test_unit_weight_reduces_to_riesz_star():
     base = make_base((2,), 5)
     rng = np.random.default_rng(8)
     f = _random(base, 5, rng)
-    a = weighted_riesz_star(f, WeightSpec("unit"), 32).result
-    b = riesz_star(f, 32).result
-    assert a.max_abs_diff(b) == 0.0
+    coeffs = np.zeros(base.size)
+    coeffs[:2] = 1.0, 5e-16  # numerators that tie from n = 31 on, where psi_1 = 1
+    for g in (f, inverse(Spectrum(base, 5, coeffs))):
+        a = weighted_riesz_star(g, WeightSpec("unit"), 32)
+        b = riesz_star(g, 32)
+        assert a.result.max_abs_diff(b.result) == 0.0
+        assert np.array_equal(a.argmax, b.argmax)  # phi = 1 takes riesz_star's tail rule, ties included
 
 
 def test_log_weight_single_index():
@@ -282,6 +287,9 @@ def _stream_inputs(draw):
 # _BLOCK_CELLS sizes the blocks of n; the bases here fit in one block at the
 # module's value, so each stream also runs with one-row and seven-cell blocks
 _BLOCK_SIZES = (maximal._BLOCK_CELLS, 1, 7)
+# _TAIL_CELLS sizes the runs of the tail scored in full; at the module's value
+# a tail here is one run, so each also runs halved down to single rows and cells
+_TAIL_SIZES = (maximal._TAIL_CELLS, 1, 7)
 
 
 def _head_edge_blocks(f, n_max):
@@ -331,7 +339,8 @@ def test_stream_matches_per_n_means(case):
 
 
 def _literal_sup(f, n_max, mode, divisors):
-    """The operators as one plain loop over n = 1..n_max, with no blocks."""
+    """The operators as one plain loop over n = 1..n_max, with no blocks: the
+    sup, its first argmax, and every mean (rows n, columns the cells of f)."""
     g = f.compress()
     total = g.values.size
     sums = list(CharacterSampler(g.base, g.level).partial_sums(min(n_max, total), forward(g).coeffs))
@@ -340,6 +349,7 @@ def _literal_sup(f, n_max, mode, divisors):
     harm = 0.0
     best = np.full(total, -1.0)
     arg = np.zeros(total, dtype=np.int64)
+    table = []
     for n, s in enumerate(sums, start=1):
         if mode == "sigma":
             acc = acc + s
@@ -348,6 +358,44 @@ def _literal_sup(f, n_max, mode, divisors):
             acc = acc + s / n
             harm += 1.0 / n
             vals = np.abs(acc) / harm
+        if divisors is not None:
+            vals = vals / divisors[n - 1]
+        table.append(vals)
+        better = vals > best
+        best[better] = vals[better]
+        arg[better] = n
+    reps = f.values.size // g.values.size
+    return np.repeat(best, reps), np.repeat(arg, reps), np.repeat(np.array(table), reps, axis=1)
+
+
+def _closed_form_sup(f, n_max, mode, divisors):
+    """The operators' contract as one plain loop: the stream's means up to the
+    last nonzero coefficient h, then past it mean_n = |c v_n + f| / phi_n with
+    c = acc_h - u_h f, u_h = h (Fejer) or l_h (Riesz) and v_n = 1 / n or 1 / l_n,
+    at every n for a weight and at n = h + 1 and n_max without one."""
+    g = f.compress()
+    coeffs = forward(g).coeffs
+    nonzero = np.flatnonzero(coeffs)
+    h = min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0)
+    acc = np.zeros(g.values.size, dtype=np.complex128)
+    harm = u = 0.0
+    best = np.full(g.values.size, -1.0)
+    arg = np.zeros(g.values.size, dtype=np.int64)
+    sums = CharacterSampler(g.base, g.level).partial_sums(h, coeffs)
+    for n in range(1, n_max + 1):
+        harm += 1.0 / n
+        b = float(n) if mode == "sigma" else harm
+        if n <= h:
+            s = next(sums)
+            acc = acc + (s if mode == "sigma" else s / n)
+            vals = np.abs(acc) / b
+            u = b
+        else:
+            if n == h + 1:
+                c = acc - u * g.values
+            if divisors is None and n not in (h + 1, n_max):
+                continue
+            vals = np.abs(c * (1.0 / b) + g.values)
         if divisors is not None:
             vals = vals / divisors[n - 1]
         better = vals > best
@@ -364,14 +412,17 @@ def _with_cell(f, value):
 
 
 # inputs beside f and its zero at the edges of the float64 route's byte argument: subnormal-adjacent and
-# overflowing sums, an inf or NaN cell (a NaN imaginary part in the spectrum), and a constant inf, whose
-# spectrum at level 0 is inf + 0j, which the complex route turns into NaN as inf * 0
+# overflowing sums
 _EDGES = {
     "tiny": lambda f: f * 1e-300,
     "huge": lambda f: f * (1e307 / max(1.0, float(np.max(np.abs(f.values))))),
-    "inf": lambda f: _with_cell(f, np.inf),
-    "nan": lambda f: _with_cell(f, np.nan),
-    "constant-inf": lambda f: constant(f.base, f.base.depth, np.inf),
+}
+
+# inputs that no mean of is a number everywhere: an inf or NaN cell, and a constant inf
+_NON_FINITE = {
+    "inf": (lambda f: _with_cell(f, np.inf), "(inf+0j)"),
+    "nan": (lambda f: _with_cell(f, np.nan), "(nan+0j)"),
+    "constant-inf": (lambda f: constant(f.base, f.base.depth, np.inf), "(inf+0j)"),
 }
 
 
@@ -379,16 +430,17 @@ _EDGES = {
 @given(_stream_inputs(), st.sampled_from(sorted(_EDGES)))
 @np.errstate(invalid="ignore", over="ignore")  # the edges overflow, and meet inf * 0 and inf - inf
 def test_stream_is_bit_identical_to_a_literal_loop(case, edge):
-    """Result and argmax equal, bit for bit, on head-only, tail-only and mixed
-    runs, with the head ending inside a block and on a block edge, and with a
-    head that fills the first block or spills one row past it, for complex
-    and real functions and an edge input beside each."""
+    """Result and argmax equal, bit for bit, a literal loop of the stream's head
+    and the closed-form tail, on head-only, tail-only and mixed runs, with the
+    head ending inside a block and on a block edge, and with a head that fills
+    the first block or spills one row past it, for complex and real functions
+    and an edge input beside each."""
     f, n_rand = case
     top = f.base.size
     nonzero = np.flatnonzero(forward(f).coeffs)
     last = int(nonzero[-1]) + 1 if nonzero.size else 0
     zero = f * 0.0  # no head at all: every step is in the tail
-    log = WeightSpec("log")
+    log, power_log = WeightSpec("log"), WeightSpec("power_log", p=0.3)
     for g in (f, zero, _EDGES[edge](f)):
         for n_max in sorted({1, n_rand, min(top, last + 1), top}):
             shape = "tail-only" if g is zero else "head-only" if n_max <= last else "mixed"
@@ -396,16 +448,110 @@ def test_stream_is_bit_identical_to_a_literal_loop(case, edge):
                 (functools.partial(sigma_star, g, n_max), ("sigma", None)),
                 (functools.partial(riesz_star, g, n_max), ("riesz", None)),
                 (functools.partial(weighted_riesz_star, g, log, n_max), ("riesz", log.divisors(n_max))),
+                (functools.partial(weighted_riesz_star, g, power_log, n_max), ("riesz", power_log.divisors(n_max))),
             ]
             for run, (mode, divisors) in runs:
-                best, arg = _literal_sup(g, n_max, mode, divisors)
-                for block_cells in _BLOCK_SIZES + _head_edge_blocks(g, n_max):
+                best, arg = _closed_form_sup(g, n_max, mode, divisors)
+                sizes = [*zip(_BLOCK_SIZES, _TAIL_SIZES), *((c, maximal._TAIL_CELLS) for c in _head_edge_blocks(g, n_max))]
+                for block_cells, tail_cells in sizes:
                     with pytest.MonkeyPatch.context() as mp:
                         mp.setattr(maximal, "_BLOCK_CELLS", block_cells)
+                        mp.setattr(maximal, "_TAIL_CELLS", tail_cells)
                         rep = run()
-                    where = (edge, shape, rep.operator, n_max, block_cells)
+                    where = (edge, shape, rep.operator, n_max, block_cells, tail_cells)
                     assert rep.result.values.real.tobytes() == best.tobytes(), where
                     assert rep.argmax.tobytes() == arg.tobytes(), where
+
+
+def _tail_weights(top):
+    """The weights of the tail property: none (both operators), the log form, the
+    multiplied-log form at p = 0.3 and at p = 0.45 (where phi falls up to
+    n = 89), the squared-log shape, and a custom table with plateaus."""
+    steps = WeightSpec.custom(1.0 + np.floor(np.sqrt(np.arange(top))))
+    weights = (WeightSpec("log"), WeightSpec("power_log", p=0.3), WeightSpec("power_log", p=0.45))
+    weights += (WeightSpec("power_log_sq", p=0.3), steps)
+    return [("sigma", None), ("riesz", None)] + [("riesz", w) for w in weights]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_stream_inputs())
+def test_the_closed_form_tail_matches_the_stream(case):
+    """The pruned tail of a weighted operator is the closed form at every row, bit
+    for bit; every operator is within eps * 8 n_max * the data's magnitude of the
+    stream's per-step sums (a bound that a 1e-9 change of that magnitude breaks),
+    and its argmax is the stream's or ties the stream's sup within that bound."""
+    f, n_rand = case
+    top = f.base.size
+    eps = np.finfo(np.float64).eps
+    for n_max in sorted({1, n_rand, top}):
+        for mode, weight in _tail_weights(top):
+            divisors = None if weight is None else weight.phi(n_max)
+            best, arg, table = _literal_sup(f, n_max, mode, divisors)
+            plain = table if divisors is None else _literal_sup(f, n_max, mode, None)[2]
+            # the largest unweighted mean or cell value, in the result's units (phi may dip below 1)
+            scale = max(float(np.max(plain)), float(np.max(np.abs(f.values))))
+            scale /= 1.0 if divisors is None else min(1.0, float(np.min(divisors)))
+            tol = eps * 8 * n_max * scale
+            closed = _closed_form_sup(f, n_max, mode, divisors)
+            for block_cells, tail_cells in zip(_BLOCK_SIZES, _TAIL_SIZES):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(maximal, "_BLOCK_CELLS", block_cells)
+                    mp.setattr(maximal, "_TAIL_CELLS", tail_cells)
+                    if weight is None:
+                        rep = (sigma_star if mode == "sigma" else riesz_star)(f, n_max)
+                    else:
+                        rep = weighted_riesz_star(f, weight, n_max)
+                got = rep.result.values.real
+                where = (rep.operator, n_max, block_cells, tail_cells)
+                if weight is not None:
+                    assert got.tobytes() == closed[0].tobytes() and rep.argmax.tobytes() == closed[1].tobytes(), where
+                assert np.max(np.abs(got - best)) <= tol, where
+                assert not scale or np.max(np.abs(got - (best + 1e-9 * scale))) > tol, where  # the zero function has no scale
+                moved = np.flatnonzero(rep.argmax != arg)
+                assert np.all(table[rep.argmax[moved] - 1, moved] >= best[moved] - 2 * tol), where
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [WeightSpec.custom(np.ones(1024)), WeightSpec("power_log", p=0.45)],
+    ids=["flat", "power-log-falls-to-n-89"],
+)
+def test_the_tail_finds_a_peak_inside_a_run(weight):
+    """f = 1 + d psi_1 has c = -d psi_1: its Riesz numerators |c v_n + f| rise to a
+    float plateau at 1 + d where psi_1 = 1.  Under a flat weight the sup ties along
+    that plateau and its first n is inside the tail; under power_log(0.45) the sup
+    sits at phi's minimum near n = 89, which neither end of the tail bounds."""
+    base = make_base((2,), 10)
+    coeffs = np.zeros(base.size)
+    coeffs[:2] = 1.0, 5e-16
+    f = inverse(Spectrum(base, base.depth, coeffs))
+    best, arg = _closed_form_sup(f, base.size, "riesz", weight.divisors(base.size))
+    assert 3 < arg.max() < base.size
+    for tail_cells in _TAIL_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(maximal, "_TAIL_CELLS", tail_cells)
+            rep = weighted_riesz_star(f, weight, base.size)
+        assert rep.result.values.real.tobytes() == best.tobytes(), tail_cells
+        assert rep.argmax.tobytes() == arg.tobytes(), tail_cells
+
+
+@pytest.mark.parametrize("edge", sorted(_NON_FINITE))
+@pytest.mark.parametrize("moduli, depth", [((2,), 5), ((2, 3), 3)])
+def test_the_operators_refuse_a_non_finite_input(monkeypatch, edge, moduli, depth):
+    """No sup is taken where a mean is not a number: the first non-finite cell
+    is named before any sampler is built."""
+    make, spelled = _NON_FINITE[edge]
+    g = make(_random(make_base(moduli, depth), depth, np.random.default_rng(depth)))
+    cell = int(np.flatnonzero(~np.isfinite(g.values))[0])
+
+    def no_stream(*args):
+        raise AssertionError("a stream ran on a non-finite input")
+
+    monkeypatch.setattr(maximal, "CharacterSampler", no_stream)
+    message = f"maximal operators need a finite input; cell {cell} holds {spelled}"
+    for run in (sigma_star, riesz_star, lambda f, n: weighted_riesz_star(f, WeightSpec("log"), n)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(g, g.base.size)
 
 
 def _real_spectrum_function(moduli, depth, imag_at=None):
@@ -424,11 +570,16 @@ def _real_spectrum_function(moduli, depth, imag_at=None):
         (_real_spectrum_function((2,), 6), np.float64),
         (_real_spectrum_function((2,), 6, imag_at=37), np.complex128),
         (LevelFunction(make_base((2, 3), 4), 4, np.random.default_rng(2).standard_normal(36)), np.complex128),
-        (constant(make_base((2,), 6), 6, np.inf), np.complex128),
+        (constant(make_base((2,), 6), 6, np.inf), None),  # refused: no mean of it is a number
     ],
     ids=["real-dyadic", "one-imaginary-part", "real-on-2-3", "constant-inf"],
 )
 def test_the_operators_sum_in_float64_only_for_a_finite_real_spectrum_on_dyadic_digits(monkeypatch, f, dtype):
+    if dtype is None:
+        for run in (sigma_star, lambda g, n: weighted_riesz_star(g, WeightSpec("log"), n)):
+            with pytest.raises(ValueError, match=r"cell 0 holds \(inf\+0j\)"):
+                run(f, f.base.size)
+        return
     seen = set()
     engine = CharacterSampler._running_sums
 
@@ -438,9 +589,8 @@ def test_the_operators_sum_in_float64_only_for_a_finite_real_spectrum_on_dyadic_
             yield lo, block
 
     monkeypatch.setattr(CharacterSampler, "_running_sums", spy)
-    with np.errstate(invalid="ignore"):  # the constant inf meets inf * 0 on the complex route
-        sigma_star(f, f.base.size)
-        weighted_riesz_star(f, WeightSpec("log"), f.base.size)
+    sigma_star(f, f.base.size)
+    weighted_riesz_star(f, WeightSpec("log"), f.base.size)
     assert seen == {np.dtype(dtype)}
 
 
@@ -465,9 +615,12 @@ def test_a_coarse_function_reads_as_its_refinement(case, data):
             assert np.array_equal(np.repeat(rep.argmax, reps), fine.argmax), where
 
 
-# the running-sum engine's byte pin: dyadic, odd, mixed, mod-4 and mod-16, and a prime modulus
+# the running-sum engine's byte pins: dyadic, odd, mixed, mod-4 and mod-16, and a prime modulus
 _PIN_GEOMETRIES = (((2,), 10), ((3,), 6), ((2, 3), 6), ((5, 4, 3), 3), ((16, 3), 3), ((7,), 3))
-_ENGINE_SHA256 = "ed3fe598a0e63afa841ecbde242bbcf1af656e2d9899f7e35c58d95e02f9042d"
+# the kernel sweeps, pinned before the closed-form tail of the maximal operators, which they do not read
+_SWEEPS_SHA256 = "1c0da6fc5176a89db78db795b8414eaccfdf58297ce5ba1e121121372f8c32cf"
+# the maximal operators, re-pinned with the closed-form tail
+_MAXIMAL_SHA256 = "73adccca18bcf3c1ae8db8ae9bf709d42f04ba4aa4375790f5957b6080158f6c"
 
 
 def _pin_inputs(base, rng):
@@ -480,23 +633,24 @@ def _pin_inputs(base, rng):
 
 
 def test_sweeps_and_maximal_operators_keep_their_bytes():
-    """SHA-256 over the kernel sweeps and the maximal operators' results and argmax,
-    at n_max 1, M/5 and M, pinned from the two separate block loops the engine replaced."""
-    digest = hashlib.sha256()
+    """SHA-256 over the kernel sweeps, and over the maximal operators' results and argmax,
+    at n_max 1, M/5 and M: the sweeps' bytes have not moved since the engine replaced
+    their own block loop; the operators' bytes are those of the closed-form tail."""
+    sweeps, operators = hashlib.sha256(), hashlib.sha256()
     weights = (WeightSpec("log"), WeightSpec("power_log", p=0.3))
     for moduli, depth in _PIN_GEOMETRIES:
         base = make_base(moduli, depth)
         counts = sorted({1, base.size // 5, base.size})
         for n_max in counts:
             sweep = kernel_integral_sweep(base, depth, n_max)
-            digest.update(sweep.integrals.tobytes() + sweep.running_max.tobytes())
+            sweeps.update(sweep.integrals.tobytes() + sweep.running_max.tobytes())
             levels = [n for n in (1, 2) if base.orders[n] <= n_max]
             for loc in localization_sweeps(base, levels, n_max) if levels else ():
-                digest.update(loc.kernel_ratios.tobytes() + loc.tail_ratios.tobytes())
+                sweeps.update(loc.kernel_ratios.tobytes() + loc.tail_ratios.tobytes())
         for f in _pin_inputs(base, np.random.default_rng(depth * 100 + sum(moduli))):
             for n_max in counts:
                 reports = [sigma_star(f, n_max), riesz_star(f, n_max)]
                 reports += [weighted_riesz_star(f, weight, n_max) for weight in weights]
                 for rep in reports:
-                    digest.update(rep.result.values.tobytes() + rep.argmax.tobytes())
-    assert digest.hexdigest() == _ENGINE_SHA256
+                    operators.update(rep.result.values.tobytes() + rep.argmax.tobytes())
+    assert (sweeps.hexdigest(), operators.hexdigest()) == (_SWEEPS_SHA256, _MAXIMAL_SHA256)
