@@ -34,7 +34,7 @@ import numpy as np
 from .functions import LevelFunction, require_positive
 from .hardy import hardy_quasinorm, martingale_from_function
 from .kernels import harmonic_sums
-from .transform import CharacterSampler, forward, spectral_head
+from .transform import CharacterSampler, forward
 
 __all__ = [
     "WeightSpec",
@@ -234,17 +234,18 @@ def _stream_sup(
     (means of a level-R function are level-R functions for every n).  A
     non-finite input is refused by its first non-finite cell.
 
-    The head n <= h, h = :func:`spectral_head`, comes in blocks of about
-    _BLOCK_CELLS cells from :meth:`CharacterSampler._running_sums`, bit for
-    bit a plain loop over n, each block scored once by its first-occurrence
-    argmax.  Past h, S_n f = f, so acc_n = c + u_n f with c = acc_h - u_h f
-    and u_n = n (Fejer) or l_n (Riesz), and mean_n = |c v_n + f| with
-    v_n = 1 / b_n: :func:`_tail_sup` scores the two ends of the tail for the
-    unweighted operators, where convexity in v_n puts the maximum, and
-    bounds, halves and prunes the tail for the weighted ones.  Ties keep the
-    first n.  The sums are float64 when every modulus up to the effective
-    level is 2 (so the characters are +-1) and the function is real with a
-    finite spectrum, and complex128 otherwise; both give the same bytes.
+    The head n <= h, where h <= n_max is one past the last nonzero
+    coefficient (0 for none), comes in blocks of about _BLOCK_CELLS cells
+    from :meth:`CharacterSampler._running_sums`, bit for bit a plain loop
+    over n, each block scored once by its first-occurrence argmax.  Past h,
+    S_n f = f, so acc_n = c + u_n f with c = acc_h - u_h f and u_n = n
+    (Fejer) or l_n (Riesz), and mean_n = |c v_n + f| with v_n = 1 / b_n:
+    :func:`_tail_sup` scores the two ends of the tail for the unweighted
+    operators, where convexity in v_n puts the maximum, and bounds, halves
+    and prunes the tail for the weighted ones.  Ties keep the first n.  The
+    sums are float64 when every modulus up to the effective level is 2 (so
+    the characters are +-1) and the function is real with a finite spectrum,
+    and complex128 otherwise; both give the same bytes.
     """
     f.base.require_count(n_max, f.base.depth, "n_max")
     if not np.isfinite(f.values).all():
@@ -259,7 +260,8 @@ def _stream_sup(
     # their moduli bit for bit.  A spectrum that overflows is kept complex: there inf * 0 = NaN
     if sampler.dtype == np.float64 and np.isfinite(coeffs).all() and not values.imag.any():
         coeffs, values = coeffs.real, values.real
-    h = spectral_head(coeffs, n_max)
+    nonzero = np.flatnonzero(coeffs)
+    h = min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0)  # S_n f = S_h f = f for every n >= h
     if mode == "sigma":
         weights, b, u_h = None, np.arange(1, n_max + 1, dtype=np.float64), float(h)
     else:  # numpy divides by a real through its reciprocal: S_n * w_n == S_n / n (w_n + 0j for complex S_n)
@@ -269,7 +271,7 @@ def _stream_sup(
     best = np.full(total, -1.0)
     arg = np.zeros(total, dtype=np.int64)
     acc_h = np.zeros(total, dtype=values.dtype)
-    for lo, acc in sampler._running_sums(h, _BLOCK_CELLS, coeffs, weights) if h else ():
+    for lo, acc in sampler._running_sums(h, _BLOCK_CELLS, coeffs, weights):
         block = slice(lo - 1, lo - 1 + len(acc))
         v = np.abs(acc)
         v /= b[block, None]

@@ -15,8 +15,8 @@ applies plain characters with no normalization.  The sampler's
 ``_running_sums`` is the one engine of running sums A_n = A_{n-1} + w_n S_n
 over the partial sums, which the kernel sweeps, the Abel routes and the
 maximal operators draw in blocks; only it chooses between the stream and a
-character table, and only it runs a spectrum's sums past the level, where
-S_n = S_{M_level}.
+character table.  It sums the rows it is asked for and knows no spectrum's
+end: the maximal operators score the means past it in closed form.
 """
 
 from __future__ import annotations
@@ -76,16 +76,6 @@ def character(n: int, x: GroupPoint) -> complex:
     digits = nat_expand(base, n).digits  # refuses n outside [0, M_K)
     phase = sum(d * xk / m for d, xk, m in zip(digits, x.coords, base.moduli))
     return complex(np.exp(2j * np.pi * phase))
-
-
-def spectral_head(coeffs: np.ndarray | None, n_max: int) -> int:
-    """The count h <= n_max of partial sums S_1..S_h that a spectrum can change:
-    one past its last nonzero coefficient (0 for none), n_max for all ones
-    (None).  S_n = S_h for every n >= h."""
-    if coeffs is None:
-        return n_max
-    nonzero = np.flatnonzero(coeffs)
-    return min(n_max, int(nonzero[-1]) + 1 if nonzero.size else 0)
 
 
 class CharacterSampler:
@@ -169,7 +159,7 @@ class CharacterSampler:
         the sums are of ``np.result_type(dtype, coeffs.dtype)``: float64 for
         real coefficients on dyadic digits, complex128 for complex ones or
         any other modulus.  n_max > M_level is refused before the first step:
-        past the level S_n = S_{M_level}, which :meth:`_running_sums` owns.
+        past the level S_n = S_{M_level}, and no caller sums that far.
         Every sample-domain stream of the library walks this generator,
         directly or through :meth:`_running_sums`.  Each step yields a new
         array that later steps never write.
@@ -214,51 +204,38 @@ class CharacterSampler:
         """The running sums A_n = A_{n-1} + w_n S_n (A_0 = 0) for n = 1..n_max,
         as ``(lo, block)`` with row i of the block holding A_{lo+i}; S_n as in
         :meth:`partial_sums`, w_n = ``weights[n - 1]`` (ones if None).  The
-        blocks have the dtype of the sums S_n; real weights keep it.
+        blocks have the dtype of the sums S_n; real weights keep it, and
+        n_max = 0 yields no block.
 
         One block of about ``cells`` cells is reused: a caller reduces it before
-        drawing the next.  S_1..S_h, h = :func:`spectral_head`, are
-        one :meth:`characters` table when they fit the first block (few cells,
-        where a step costs more than its arithmetic); otherwise each is drawn
-        from the stream and added to the row before it, since a block cumsum
-        over wide drawn rows is slower.  Past h, S_n = S_h, so those rows are
-        one fill and one cumsum in place (the kernel sweeps and the Abel
-        routes read them; the maximal operators ask for n_max = h and score
-        the rest in closed form).  A block's first row adds to the last
-        row of the block before, read where it lies before any fill overwrites
-        it, so no carry is copied.  Every row is the per-step loop's sum bit
-        for bit.
+        drawing the next.  When S_1..S_n_max fit one block they are one
+        :meth:`characters` table and two cumsums (few cells, where a step costs
+        more than its arithmetic); otherwise each S_n is drawn from the stream
+        and added to the row before it, since a block cumsum over wide drawn
+        rows is slower.  A block's first row adds to the last row of the block
+        before, read where it lies, so no carry is copied.  Every row is the
+        per-step loop's sum bit for bit: the table adds its terms to the
+        block's zeros, so its sums start at +0 as the stream's do, and a term
+        0 psi_n, which the stream skips, leaves them as they are.
         """
         total = self.base.orders[self.level]
-        head = spectral_head(coeffs, n_max)
-        rows = min(n_max, max(1, cells // total))
+        rows = max(1, min(n_max, cells // total))
         # the block's last row carries A_{lo-1}: A_0 = 0 at first
         block = np.zeros((rows, total), dtype=self._sums_dtype(coeffs))
-        stream = iter(()) if head <= rows else self.partial_sums(head, coeffs)
-        row = list(block) if head > rows else []  # one view per row for a drawn head, not two slices a step
-        if head <= rows:  # S_1..S_head as one character table
-            sums = block[:head]
-            if coeffs is None:
-                sums[:] = self.characters(head)
-            else:
-                np.multiply(coeffs[:head, None], self.characters(head), out=sums)
-            np.cumsum(sums, axis=0, out=sums)
-            s = block[head - 1].copy()  # S_n for n >= head; an empty head reads the zero row
+        if 0 < n_max <= rows:  # S_1..S_n_max as one character table
+            block += self.characters(n_max) if coeffs is None else coeffs[:n_max, None] * self.characters(n_max)
+            np.cumsum(block, axis=0, out=block)
             if weights is not None:
-                sums *= weights[:head, None]
-            np.cumsum(sums, axis=0, out=sums)
+                block *= weights[:n_max, None]
+            np.cumsum(block, axis=0, out=block)
+            yield 1, block
+            return
+        row = list(block)  # one view per row, not two slices a step
+        stream = self.partial_sums(n_max, coeffs)
         for lo in range(1, n_max + 1, rows):
             k = min(rows, n_max + 1 - lo)
-            h = min(k, max(0, head + 1 - lo))  # rows of S_n with n <= head; a table head draws none here
-            for i, s in zip(range(h), stream):
+            for i, s in zip(range(k), stream):
                 np.add(row[i - 1], s if weights is None else s * weights[lo - 1 + i], row[i])
-            if h < k:  # S_n = S_head: row h adds to the row before it, then one fill and one cumsum
-                np.add(block[h - 1], s if weights is None else s * weights[lo - 1 + h], out=block[h])
-                if weights is None:
-                    block[h + 1 : k] = s
-                else:
-                    np.multiply(s, weights[lo + h : lo - 1 + k, None], out=block[h + 1 : k])
-                np.cumsum(block[h:k], axis=0, out=block[h:k])
             yield lo, block[:k]
 
 

@@ -398,7 +398,8 @@ def test_abel_routes_are_the_literal_accumulate_loop(case):
     """riesz_kernel_abel and riesz_mean_abel, which draw their Fejer sums from the running-sum
     engine, are the literal accumulate loop over the stream byte for byte: at every level, for
     dense complex, real, sparse and zero spectra, at n = 1, a random n and M_level.  At 2048
-    cells a block holds 8 rows, so the table head, the drawn head and the tail all run."""
+    cells a block holds 8 rows, so n <= 8 is one character table and a larger n the stream,
+    each summed past a sparse or zero spectrum's last nonzero coefficient."""
     base, seed = case
     rng = np.random.default_rng(seed)
     for level in range(base.depth + 1):

@@ -419,8 +419,9 @@ def test_running_sums_are_the_literal_loop(case):
     """Every block of ``_running_sums`` equals the literal loop over the stream,
     for no, dense, sparse and all-zero coefficients, complex and real, with and
     without 1/n weights, at n_max 1, random and the last index.  Blocks of 1 and
-    7 cells give one-row blocks, the zero spectrum an empty table head and then
-    tail-only blocks, and n_max = 1 a one-row character table.  A finite real
+    7 cells give one-row blocks drawn from the stream, 65536 cells one character
+    table, and n_max = 1 a one-row table; both routes sum the rows of a sparse
+    or zero spectrum past its last nonzero coefficient.  A finite real
     spectrum's sums are, up to the sign of a zero, the real parts of the same
     spectrum's complex128 sums, and their moduli are its moduli byte for byte:
     float64 on dyadic digits, and the complex128 sums themselves otherwise."""
@@ -453,6 +454,42 @@ def test_running_sums_are_the_literal_loop(case):
                     assert [lo for lo, _ in blocks] == list(los[:-1]) and los[-1] == n_max + 1
                     got = np.concatenate([block for _, block in blocks])
                     assert got.dtype == want.dtype and got.tobytes() == want[:n_max].tobytes(), (n_max, cells)
+
+
+@pytest.mark.parametrize("coeffs", [None, np.ones(16)], ids=["kernels", "spectrum"])
+def test_no_running_sums_yield_no_block(coeffs):
+    sampler = CharacterSampler(make_base((2,), 4), 4)
+    for cells in (1, 65536):
+        assert list(sampler._running_sums(0, cells, coeffs)) == []
+
+
+@pytest.mark.parametrize("n_max, cells, route", [(16, 16 * 64, "table"), (1, 1, "table"), (16, 15 * 64, "stream")])
+def test_the_engine_takes_a_table_iff_the_sums_fit_one_block(monkeypatch, n_max, cells, route):
+    """A sparse spectrum summed past its last nonzero coefficient: one character
+    table when n_max rows fit one block, otherwise the stream, and the same rows."""
+    sampler = CharacterSampler(make_base((2,), 6), 6)
+    coeffs = np.zeros(64)
+    coeffs[[0, 3]] = 1.5, -2.0
+    weights = 1.0 / np.arange(1, n_max + 1)
+    want = _literal_running_sums(sampler, n_max, coeffs, weights)
+
+    def refuse(*args):
+        raise AssertionError("the engine took the wrong route")
+
+    monkeypatch.setattr(CharacterSampler, "partial_sums" if route == "table" else "characters", refuse)
+    got = np.concatenate([block.copy() for _, block in sampler._running_sums(n_max, cells, coeffs, weights)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_table_starts_its_sums_at_plus_zero():
+    """The table adds its terms to +0, as the stream does: a leading -0 coefficient, or
+    the -0 imaginary part of -1 - 0j, leaves a sum of +0, not -0."""
+    sampler = CharacterSampler(make_base((2,), 4), 4)
+    for coeffs in (np.array([-0.0, 0.0, 2.0] + [0.0] * 13), np.full(16, complex(-1.0, -0.0))):
+        want = _literal_running_sums(sampler, 16, coeffs, None)
+        for cells in (1, 65536):
+            got = np.concatenate([block.copy() for _, block in sampler._running_sums(16, cells, coeffs)])
+            assert got.tobytes() == want.tobytes(), cells
 
 
 _FUSED_CELLS = 1024  # largest base checked against the quadratic oracles
