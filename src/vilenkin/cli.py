@@ -5,7 +5,8 @@ JSON keys are sorted, CSV rows use comma separators with '.' decimals and
 LF line endings.  Identical configuration plus seed gives byte-identical
 files.  Every table goes through ``_emit_rows``, which spells its rows a
 block at a time by one row template per block, built from the column
-kinds, with the bytes of csv.writer and of json.dumps.  A resource guard
+kinds, with the bytes of csv.writer and of json.dumps for the cells the
+CLI emits: ints, floats, and str tokens of [0-9A-Za-z;._-].  A resource guard
 refuses a base with more than ``group.SIZE_GUARD`` cells, the one
 ``verify kernels --max-a`` asks for included, since several sweeps are
 quadratic.
@@ -25,16 +26,13 @@ OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before startup.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -111,39 +109,16 @@ def _json_floats(cells: list[float]) -> list[str]:
     return spelled
 
 
-def _csv_quoted_chars() -> str:
-    """The characters that make csv.writer(lineterminator="\n") quote a field on this interpreter: comma,
-    quote and LF, and CR where csv.writer quotes it too (3.13.0 does; 3.10.13, 3.11.7 and 3.12.1 do not)."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(["\r"])
-    return ',"\n\r' if buf.getvalue() == '"\r"\n' else ',"\n'
-
-
-_CSV_QUOTED = _csv_quoted_chars()
-
-
-def _csv_fields(cells: Iterable[str], lone: bool = False) -> list[str]:
-    """Str cells as csv.writer's QUOTE_MINIMAL spells them: quoted, quotes doubled, when one holds a
-    character of _CSV_QUOTED, and when it is the lone field of its row and empty."""
-    return [
-        '"' + cell.replace('"', '""') + '"' if (lone and not cell) or any(map(cell.__contains__, _CSV_QUOTED)) else cell
-        for cell in cells
-    ]
-
-
+# a str cell: none of its characters makes csv.writer quote a field or json.dumps escape it
+_TOKEN = re.compile(r"[0-9A-Za-z;._-]+")
 # per format, a cell kind's slot in the row template, and what spells its cells for that slot, if anything
 _SLOTS: dict[str, dict[type, tuple[str, Callable[[list[Any]], Iterable[str]] | None]]] = {
-    "csv": {int: ("%d", None), float: ("%r", None), str: ("%s", _csv_fields), _G17: ("%.17g", None)},
-    "json": {
-        int: ("%d", None),
-        float: ("%s", _json_floats),
-        str: ("%s", partial(map, encode_basestring_ascii)),
-        _G17: ('"%.17g"', None),
-    },
+    "csv": {int: ("%d", None), str: ("%s", None), _G17: ("%.17g", None)},
+    "json": {int: ("%d", None), float: ("%s", _json_floats), str: ('"%s"', None), _G17: ('"%.17g"', None)},
 }
 # per format, a row's opening, cell separator and closing, and the separator between rows
 _ROW_LAYOUT = {"csv": ("", ",", "\n", ""), "json": ("    [\n      ", ",\n      ", "\n    ]", ",\n")}
-_JSON_BLOCK_ROWS = 512  # rows spelled per block, in both formats: bounds the cell strings alive at once
+_BLOCK_ROWS = 512  # rows spelled per block, in both formats: bounds the cell strings alive at once
 
 
 def _command(args: argparse.Namespace) -> str:
@@ -191,16 +166,21 @@ def _emit_text(chunks: Iterable[str], out: str | None) -> None:
             handle.writelines(chunks)
 
 
-def _column_kind(name: str, column: list[Any]) -> type:
+def _column_kind(name: str, column: list[Any], fmt: str) -> type:
     """The one cell kind of a table column, checked once per column: int, float, str, or a float
-    column marked _G17."""
+    column marked _G17.  A str cell is a token of _TOKEN, and a CSV float column is marked _G17."""
     kinds = set(map(type, column))
     marked = isinstance(column, _G17)
     if len(kinds) != 1 or not kinds <= ({float} if marked else {int, float, str}):
         found = ", ".join(sorted(kind.__name__ for kind in kinds))
         allowed = "a float" if marked else "an int, float or str"
         raise TypeError(f"table column {name!r} holds {found}: a cell is {allowed}")
-    return _G17 if marked else kinds.pop()
+    kind = _G17 if marked else kinds.pop()
+    if kind is str and not all(map(_TOKEN.fullmatch, column)):
+        raise TypeError(f"table column {name!r} holds a str cell that is not a token of {_TOKEN.pattern}")
+    if kind is float and fmt == "csv":
+        raise TypeError(f"table column {name!r} holds plain floats: a CSV float column is marked _G17")
+    return kind
 
 
 def _row_blocks(columns: list[list[Any]], kinds: list[type], count: int, fmt: str) -> Iterator[str]:
@@ -210,14 +190,12 @@ def _row_blocks(columns: list[list[Any]], kinds: list[type], count: int, fmt: st
     Each block is spelled by one % of a row template, built from the column kinds, over
     the block's cells interleaved row by row; only one block's strings are alive at once."""
     slots, spellers = zip(*(_SLOTS[fmt][kind] for kind in kinds))
-    if fmt == "csv" and kinds == [str]:  # a lone empty field is quoted, or its row would read as no row
-        spellers = (partial(_csv_fields, lone=True),)
     opening, cell_sep, closing, row_sep = _ROW_LAYOUT[fmt]
     row = opening + cell_sep.join(slots) + closing
     width = len(columns)
     templates: dict[int, str] = {}
-    for start in range(0, count, _JSON_BLOCK_ROWS):
-        rows = min(_JSON_BLOCK_ROWS, count - start)
+    for start in range(0, count, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, count - start)
         cells: list[Any] = [None] * (width * rows)
         for j, (column, spell) in enumerate(zip(columns, spellers)):
             part = column[start : start + rows]
@@ -232,13 +210,15 @@ def _row_blocks(columns: list[list[Any]], kinds: list[type], count: int, fmt: st
 def _emit_rows(header: list[str], columns: list[list[Any]], cfg: RunConfig) -> None:
     """Write a rectangular report, given by column, as CSV or JSON per the config; every CLI table goes
     through here.  A cell is an int, float or str, one type per column; a float column marked _G17 is
-    spelled .17g in both formats.  The bytes are those of csv.writer(lineterminator="\n") and of
-    json.dumps({"config", "header", "rows"}, indent=2, sort_keys=True) plus a newline."""
+    spelled .17g in both formats, and a CSV float column must be so marked.  A str cell, and every
+    header, is a token of [0-9A-Za-z;._-].  For these cells the bytes are those of
+    csv.writer(lineterminator="\n") and of json.dumps({"config", "header", "rows"}, indent=2,
+    sort_keys=True) plus a newline."""
     count = max(map(len, columns), default=0)
     # every column is checked before the output is opened, so a refused table writes nothing
     if any(len(column) != count for column in columns):
         raise ValueError("table columns differ in length")
-    kinds = [_column_kind(name, column) for name, column in zip(header, columns, strict=True)] if count else []
+    kinds = [_column_kind(name, col, cfg.format) for name, col in zip(header, columns, strict=True)] if count else []
     rows = _row_blocks(columns, kinds, count, cfg.format) if count else ()
     if cfg.format == "json":
         # "rows" sorts last, so its empty list ends the envelope's text and the rows splice in before "]"
@@ -246,7 +226,7 @@ def _emit_rows(header: list[str], columns: list[list[Any]], cfg: RunConfig) -> N
         head, tail = (envelope[:-4] + "[\n", "\n  ]\n}\n") if count else (envelope, "\n")
         _emit_text(chain((head,), rows, (tail,)), cfg.out)
     else:
-        _emit_text(chain((",".join(_csv_fields(header, lone=len(header) == 1)), "\n"), rows), cfg.out)
+        _emit_text(chain((",".join(header), "\n"), rows), cfg.out)
 
 
 def _parse_weight(spec: str, p: float) -> WeightSpec:

@@ -73,7 +73,11 @@ class WeightSpec:
     def __post_init__(self) -> None:
         if self.kind not in _GENERIC_KINDS + _OPERATOR_FORMS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind in ("power_log", "power_log_sq"):
+        power = self.kind in ("power_log", "power_log_sq")
+        for field, reads in (("p", power), ("table", self.kind == "custom_table")):
+            if getattr(self, field) is not None and not reads:
+                raise ValueError(f"weight kind {self.kind!r} takes no {field}")
+        if power:
             if self.p is None or not self.p > 0:
                 raise ValueError(f"weight kind {self.kind!r} needs a positive exponent p")
             require_positive(self.p, f"weight kind {self.kind!r} exponent p")  # refuses +inf

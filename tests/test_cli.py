@@ -984,19 +984,21 @@ _FLOAT_CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]),
 )
-_STR_CELLS = st.one_of(
-    st.text(),
-    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\u00e9\u4e2d\U0001f600", "a,b", "a\nb", "\r\n", "\u2028"]),
+# the str cells the commands emit: probe indices and trend flags, and any other token of cli._TOKEN
+_TOKENS = st.one_of(
+    st.from_regex(cli._TOKEN, fullmatch=True),
+    st.sampled_from(["5", "17;20", "65;68;80", "increasing", "flat-or-bounded", "-", ";", "."]),
 )
-_CELLS = {int: _INT_CELLS, float: _FLOAT_CELLS, str: _STR_CELLS}
+# the cell kinds of a table: a plain float column is JSON only, a CSV float column is .17g
+_CELLS = {"float": _FLOAT_CELLS, "g17": _FLOAT_CELLS, "int": _INT_CELLS, "str": _TOKENS}
 
 
 @st.composite
 def _tables(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS, key=str)), min_size=1, max_size=4))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
     count = draw(st.sampled_from([0, 1, 5]))
-    header = draw(st.lists(st.text(), min_size=len(kinds), max_size=len(kinds)))
-    return header, [draw(st.lists(_CELLS[kind], min_size=count, max_size=count)) for kind in kinds]
+    header = draw(st.lists(_TOKENS, min_size=len(kinds), max_size=len(kinds)))
+    return header, kinds, [draw(st.lists(_CELLS[kind], min_size=count, max_size=count)) for kind in kinds]
 
 
 def _emitted(header, columns, fmt):
@@ -1009,33 +1011,31 @@ def _emitted(header, columns, fmt):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_tables())
 def test_emit_rows_matches_the_stdlib_writers(table):
-    """Both table formats against the stdlib encoders they must equal byte for byte."""
-    header, columns = table
-    rows = [list(row) for row in zip(*columns)]
+    """Both table formats against the stdlib encoders they must equal byte for byte, over the cell
+    kinds the commands emit: token str, int and .17g floats, and plain floats in JSON.  The CSV table
+    is the JSON one without its plain float columns."""
+    header, kinds, columns = table
+    # a .17g column is marked for the writer, and its oracle cells are its format(x, ".17g") text
+    marked = [cli._G17(column) if kind == "g17" else column for kind, column in zip(kinds, columns)]
+    spelled = [[format(x, ".17g") for x in column] if kind == "g17" else column for kind, column in zip(kinds, columns)]
     config = {"depth": 4, "format": "json", "moduli": [2, 3], "seed": 7}
+    rows = [list(row) for row in zip(*spelled)]
     want = json.dumps({"config": config, "header": header, "rows": rows}, indent=2, sort_keys=True) + "\n"
-    for block_rows in (1, 2, cli._JSON_BLOCK_ROWS):  # block boundaries inside the table, and none
-        with mock.patch.object(cli, "_JSON_BLOCK_ROWS", block_rows):
-            assert _emitted(header, columns, "json") == want
-    assert _emitted(header, columns, "csv") == "".join(map(_stdlib_csv_row, [header, *rows]))
+    for block_rows in (1, 2, cli._BLOCK_ROWS):  # block boundaries inside the table, and none
+        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+            assert _emitted(header, marked, "json") == want
+    keep = [j for j, kind in enumerate(kinds) if kind != "float"]
+    csv_header = [header[j] for j in keep]
+    csv_rows = [[row[j] for j in keep] for row in rows] if keep else []
+    want = "".join(map(_stdlib_csv_row, [csv_header, *csv_rows]))
+    assert _emitted(csv_header, [marked[j] for j in keep], "csv") == want
 
 
 def _stdlib_csv_row(row):
-    """csv.writer's line for ``row``.  Python 3.10's writer refuses a NUL cell
-    ("need to escape"); 3.11+ write NUL bare, as an ordinary character, so that
-    row is written with a character it does not hold in place of NUL, and NUL
-    put back."""
+    """csv.writer's line for ``row``."""
     buf = io.StringIO()
-    try:
-        csv.writer(buf, lineterminator="\n").writerow(row)
-        return buf.getvalue()
-    except csv.Error:
-        if not any(isinstance(cell, str) and "\x00" in cell for cell in row):
-            raise
-    stand_in = next(ch for ch in map(chr, range(0xE000, 0xF900)) if not any(ch in str(cell) for cell in row))
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([c.replace("\x00", stand_in) if isinstance(c, str) else c for c in row])
-    return buf.getvalue().replace(stand_in, "\x00")
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    return buf.getvalue()
 
 
 _G17_SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
@@ -1068,8 +1068,8 @@ def test_emit_rows_spells_g17_columns_as_the_stdlib_writers_spell_their_text(tab
     writer.writerow(header)
     writer.writerows(rows)
     columns = [index, *map(cli._G17, values)]
-    for block_rows in (1, 2, cli._JSON_BLOCK_ROWS):
-        with mock.patch.object(cli, "_JSON_BLOCK_ROWS", block_rows):
+    for block_rows in (1, 2, cli._BLOCK_ROWS):
+        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
             assert _emitted(header, columns, "json") == want_json
             assert _emitted(header, columns, "csv") == buf.getvalue()
 
@@ -1089,6 +1089,25 @@ def test_json_table_refuses_a_cell_of_another_type(column):
 def test_a_g17_column_holds_only_floats(fmt):
     with pytest.raises(TypeError, match=r"^table column 'c' holds int: a cell is a float$"):
         _emitted(["c"], [cli._G17([1, 2])], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "cell", [",", "", "a b", "\u00e9", '"'], ids=["comma", "empty", "space", "non-ascii", "quote"]
+)
+def test_a_table_refuses_a_str_cell_that_is_not_a_token(tmp_path, cell, fmt):
+    # none of these is a token; the writer spells no CSV quoting and no JSON escape, so it refuses them
+    out = tmp_path / f"table.{fmt}"
+    with pytest.raises(TypeError, match=r"^table column 'c' holds a str cell that is not a token of "):
+        cli._emit_rows(["k", "c"], [[0, 1], ["5", cell]], cli.RunConfig((2,), 3, None, str(out), fmt))
+    assert not out.exists()
+
+
+def test_a_csv_table_refuses_a_plain_float_column(tmp_path):
+    out = tmp_path / "table.csv"
+    with pytest.raises(TypeError, match=r"^table column 'c' holds plain floats: a CSV float column is marked _G17$"):
+        cli._emit_rows(["k", "c"], [[0, 1], [0.5, 0.25]], cli.RunConfig((2,), 3, None, str(out), "csv"))
+    assert not out.exists()
 
 
 def test_verify_identities_lines(capsys):

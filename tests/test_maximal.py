@@ -185,6 +185,23 @@ def test_power_weight_rejects_non_positive_p(kind, p):
         WeightSpec(kind, p=p)
 
 
+@pytest.mark.parametrize(
+    "kind, fields, unread",
+    [
+        ("unit", {"p": -3.0}, "p"),
+        ("log", {"p": float("nan")}, "p"),
+        ("custom_table", {"p": 0.5, "table": (1.0,)}, "p"),
+        ("log", {"table": (float("nan"),)}, "table"),
+        ("unit", {"table": (1.0, 2.0)}, "table"),
+        ("power_log", {"p": 0.3, "table": (1.0,)}, "table"),
+        ("power_log_sq", {"p": 0.3, "table": ()}, "table"),
+    ],
+)
+def test_weight_refuses_a_field_its_kind_never_reads(kind, fields, unread):
+    with pytest.raises(ValueError, match=f"^weight kind '{kind}' takes no {unread}$"):
+        WeightSpec(kind, **fields)
+
+
 # ----------------------------------------------------------------------
 # ratios
 
